@@ -2,10 +2,10 @@ package ndetect
 
 // The benchmark harness: one testing.B benchmark per table/figure of the
 // paper, plus the ablation benches DESIGN.md §6 calls out. Each table bench
-// exercises exactly the code path cmd/paper uses to regenerate that table,
-// on a trimmed circuit list / K so `go test -bench=.` stays laptop-sized;
-// cmd/paper runs the full sweep (`-k5 10000 -k6 1000 -ge11cap 0` for
-// paper-scale statistics).
+// runs exp.RunAll, the one code path cmd/paper uses, with only the
+// average-case pass its table needs, on a trimmed circuit list / K so
+// `go test -bench=.` stays laptop-sized; cmd/paper runs the full sweep
+// (`-k5 10000 -k6 1000 -ge11cap 0` for paper-scale statistics).
 
 import (
 	"testing"
@@ -30,11 +30,11 @@ import (
 func BenchmarkTable2(b *testing.B) {
 	cfg := exp.Config{Circuits: []string{"lion", "bbara", "dvram"}}
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Table2(cfg, nil)
+		res, err := exp.RunAll(cfg, "", false, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 3 {
+		if len(res.Table2) != 3 {
 			b.Fatal("wrong row count")
 		}
 	}
@@ -45,7 +45,7 @@ func BenchmarkTable2(b *testing.B) {
 func BenchmarkTable3(b *testing.B) {
 	cfg := exp.Config{Circuits: []string{"log", "fetch"}}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table3(cfg, nil); err != nil {
+		if _, err := exp.RunAll(cfg, "", false, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,12 +53,13 @@ func BenchmarkTable3(b *testing.B) {
 
 // BenchmarkFigure2 regenerates the Figure 2 histogram for dvram.
 func BenchmarkFigure2(b *testing.B) {
+	cfg := exp.Config{Circuits: []string{"dvram"}}
 	for i := 0; i < b.N; i++ {
-		s, err := exp.Figure2("dvram", 100)
+		res, err := exp.RunAll(cfg, "dvram", false, false, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(s) == 0 {
+		if len(res.Figure2) == 0 {
 			b.Fatal("empty figure")
 		}
 	}
@@ -69,7 +70,7 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkTable5(b *testing.B) {
 	cfg := exp.Config{Circuits: []string{"bbara", "log"}, K5: 100, Ge11Limit: 100}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table5(cfg, nil); err != nil {
+		if _, err := exp.RunAll(cfg, "", true, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkTable6(b *testing.B) {
 	cfg := exp.Config{Circuits: []string{"bbara"}, K6: 50, Ge11Limit: 50}
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table6(cfg, nil); err != nil {
+		if _, err := exp.RunAll(cfg, "", false, true, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +108,7 @@ func BenchmarkRunAllSerial(b *testing.B) {
 }
 
 // BenchmarkRunAllParallel runs the same pass with one worker per CPU. The
-// worker budget is split across levels (see exp.mapCircuits): with ≤ 6
+// worker budget is split across levels (see sim.SplitWorkers): with ≤ 6
 // cores this measures the circuit-level fan-out (inner pools get 1 worker);
 // beyond that the fault-level and word-shard pools engage too. The ratio to
 // BenchmarkRunAllSerial is the engine's multi-core speedup; the outputs are

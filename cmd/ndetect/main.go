@@ -3,6 +3,11 @@
 // faults), runs the worst-case nmin analysis and optionally the
 // average-case Procedure 1 estimate, and prints a summary.
 //
+// Every run goes through the one analysis driver behind ndetectd
+// (exp.AnalyzeCircuit) and yields one analysis document
+// (internal/report.Analysis); the text report is a rendering of that
+// document, so it shows exactly the numbers -json prints.
+//
 // The circuit comes from one of:
 //
 //	-bench NAME     an embedded benchmark: an FSM surrogate or an ISCAS
@@ -24,9 +29,9 @@
 // universes), and -trace prints a stage-timing table to stderr — stdout
 // stays byte-identical with or without it (DESIGN.md §14).
 //
-// -json swaps the text report for the machine-readable analysis document
-// (internal/report.Analysis) — the same encoder the ndetectd server uses,
-// so CLI and daemon outputs diff clean for the same circuit and options.
+// -json prints the analysis document itself instead of its text rendering
+// — the same encoder the ndetectd server uses, so CLI and daemon outputs
+// diff clean for the same circuit and options.
 //
 // -sweep SPEC runs a whole grid of result-identity option variants over
 // the circuit with one shared exhaustive universe (DESIGN.md §11),
@@ -35,10 +40,11 @@
 // semicolon-separated key=values with comma lists and lo..hi ranges,
 // e.g. "nmax=10;k=1000;seed=1..5;def=1,2".
 //
-// -store-dir DIR makes -json and -sweep runs warm-startable: the
-// exhaustive universe (T-sets + fault tables) is loaded from / saved to
-// the same persistent artifact store ndetectd uses, so repeated runs over
-// one circuit skip simulation and T-set construction.
+// -store-dir DIR makes runs warm-startable, text, -json and -sweep alike:
+// the exhaustive universe (T-sets + fault tables) is loaded from / saved
+// to the same persistent artifact store ndetectd uses, so repeated runs
+// over one circuit skip simulation and T-set construction. Partitioned
+// runs build their per-part universes afresh.
 //
 // -fault-model ID swaps the paper's stuck-at + bridging setup for another
 // registered fault model (DESIGN.md §12): "transition" analyses gross-delay
@@ -59,6 +65,7 @@
 //	ndetect -bench w64 -partition 16 -workers 8
 //	ndetect -bench dvram -cpuprofile cpu.pprof -memprofile mem.pprof
 //	ndetect -bench bbtas -sweep "nmax=10;k=200;seed=1..5" -store-dir ./artifacts
+//	ndetect -bench bbtas -avg -k 200 -store-dir ./artifacts
 //	ndetect -kiss2 machine.kiss2 -avg
 package main
 
@@ -69,18 +76,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
 	"ndetect/internal/exp"
-	"ndetect/internal/fault"
 	"ndetect/internal/kiss"
-	"ndetect/internal/ndetect"
 	"ndetect/internal/obs"
-	"ndetect/internal/partition"
-	"ndetect/internal/report"
 	"ndetect/internal/store"
 	"ndetect/internal/synth"
 )
@@ -103,8 +105,8 @@ func main() {
 		modelF   = flag.String("fault-model", "", `fault model for the analysis: "" = the default (collapsed stuck-at targets, four-way bridging untargeted faults), or a registered model like "transition" (two-pattern delay faults) or "msa2" (pairwise double stuck-at); part of the result identity (DESIGN.md §12)`)
 		jsonF    = flag.Bool("json", false, "emit the machine-readable analysis document instead of text (byte-identical to the ndetectd server's result for the same circuit and options)")
 		sweepF   = flag.String("sweep", "", `run a grid of option variants over one shared universe and print each variant's JSON document, e.g. "nmax=10;k=1000;seed=1..5;def=1,2" (DESIGN.md §11)`)
-		storeF   = flag.String("store-dir", "", "persistent artifact store for -json/-sweep universe reuse (same layout as ndetectd's; DESIGN.md §11)")
-		ge11F    = flag.Int("ge11", 0, "with -json -avg: cap the analysed nmin subset by even sampling (0 = no cap; DESIGN.md §4)")
+		storeF   = flag.String("store-dir", "", "persistent artifact store for universe reuse across runs (same layout as ndetectd's; DESIGN.md §11)")
+		ge11F    = flag.Int("ge11", 0, "with -avg: cap the analysed nmin subset by even sampling (0 = no cap; DESIGN.md §4)")
 		twoLevel = flag.Bool("two-level", false, "use two-level PLA synthesis for -kiss2/-bench")
 		workersF = flag.Int("workers", 0, "worker pool size for simulation, T-sets and -avg (0 = one per CPU, 1 = serial)")
 		traceF   = flag.Bool("trace", false, "print a stage-timing table to stderr after the analysis (stdout bytes are unchanged; DESIGN.md §14)")
@@ -176,27 +178,11 @@ func main() {
 		defer func() { fmt.Fprint(os.Stderr, obs.FormatTable(rec.Finish())) }()
 	}
 
-	// Resolve the fault model up front so an unknown ID fails before any
-	// simulation. The partitioned pipeline is stuck-at-only (it merges
-	// per-part nmin over bridge names), so it rejects a model override.
-	model, err := fault.Resolve(*modelF)
-	if err != nil {
-		fail(fmt.Errorf("%v (registered models: %s)", err, strings.Join(fault.ModelIDs(), " ")))
-	}
-	if *modelF != "" && *partF > 0 {
-		fail(fmt.Errorf("-fault-model does not combine with -partition (the partitioned pipeline is fixed to the default model)"))
-	}
-
-	// The artifact store backs -json and -sweep only: those paths analyze
-	// the canonical circuit, which is what universe artifacts are keyed
-	// and node-indexed by. The text report analyzes the circuit as parsed,
-	// so combining it with -store-dir is an error rather than a silent
-	// no-op.
+	// The artifact store serves every run that builds an exhaustive
+	// universe: text, -json and -sweep alike analyze the canonical circuit,
+	// which is what universe artifacts are keyed and node-indexed by.
 	var universes exp.UniverseSource
 	if *storeF != "" {
-		if !*jsonF && *sweepF == "" {
-			fail(fmt.Errorf("-store-dir applies to -json and -sweep runs only (the text report does not use the artifact store)"))
-		}
 		st, err := store.Open(*storeF, store.Options{})
 		if err != nil {
 			fail(err)
@@ -237,103 +223,43 @@ func main() {
 		return
 	}
 
-	if *jsonF {
-		// One shared driver behind -json and the ndetectd server: same
-		// circuit + options → byte-identical documents (DESIGN.md §10).
-		req := exp.AnalysisRequest{Kind: exp.WorstCaseAnalysis, FaultModel: *modelF, Workers: *workersF, Universes: universes}
-		if rec != nil {
-			req.Trace = rec
-			req.Progress = rec.Progress
-		}
-		switch {
-		case *partF > 0:
-			req.Kind = exp.PartitionedAnalysis
-			req.MaxInputs = *partF
-		case *avgF:
-			req.Kind = exp.AverageAnalysis
-			req.NMax = *nmaxF
-			req.K = *kF
-			req.Seed = *seedF
-			req.Ge11Limit = *ge11F
-			if *def2F {
-				req.Definition = 2
-			}
-		}
-		doc, err := exp.AnalyzeCircuit(c, req)
-		if err != nil {
-			fail(err)
-		}
-		if _, err := os.Stdout.Write(doc.Encode()); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *partF > 0 {
-		analyzePartitioned(c, *partF, *workersF, *worstF, rec)
-		return
-	}
-
-	uopts := ndetect.AnalyzeOptions{Workers: *workersF}
+	// One shared driver behind text, -json and the ndetectd server: same
+	// circuit + options → the same document (DESIGN.md §10), which -json
+	// prints as is and the text report renders. AnalyzeCircuit normalizes
+	// the request first, so an unknown model, -def2 without stuck-at
+	// targets or a model with -partition fails before any simulation.
+	req := exp.AnalysisRequest{Kind: exp.WorstCaseAnalysis, FaultModel: *modelF, Workers: *workersF, Universes: universes}
 	if rec != nil {
-		uopts.Progress = rec.Progress
+		req.Trace = rec
+		req.Progress = rec.Progress
 	}
-	endUniverse := beginSpan(rec, "universe")
-	u, err := ndetect.BuildUniverse(c, model, uopts)
-	endUniverse()
+	switch {
+	case *partF > 0:
+		req.Kind = exp.PartitionedAnalysis
+		req.MaxInputs = *partF
+	case *avgF:
+		req.Kind = exp.AverageAnalysis
+		req.NMax = *nmaxF
+		req.K = *kF
+		req.Seed = *seedF
+		req.Ge11Limit = *ge11F
+		if *def2F {
+			req.Definition = 2
+		}
+	}
+	doc, err := exp.AnalyzeCircuit(c, req)
 	if err != nil {
 		fail(err)
 	}
-	stats := c.ComputeStats()
-	fmt.Printf("circuit %s: %s\n", c.Name, stats)
-	if model.ID() != fault.DefaultModelID {
-		// The default model's output predates the registry and stays byte
-		// identical; non-default models announce themselves.
-		fmt.Printf("fault model: %s\n", model.ID())
+	var out []byte
+	if *jsonF {
+		out = doc.Encode()
+	} else if out, err = renderText(doc, *worstF, *histF); err != nil {
+		fail(err)
 	}
-	fmt.Printf("targets |F| = %d %s (%d detectable)\n",
-		len(u.Targets), model.Provider(fault.TargetSet).Label(), u.DetectableTargets())
-	fmt.Printf("untargeted |G| = %d %s\n\n", len(u.Untargeted), model.Provider(fault.UntargetedSet).Label())
-
-	endWorst := beginSpan(rec, "worstcase")
-	wc := ndetect.WorstCaseWorkers(&u.Universe, *workersF)
-	endWorst()
-	fmt.Println("worst-case analysis (Section 2):")
-	for _, n := range report.NMinColumns {
-		fmt.Printf("  nmin(g) ≤ %-3d : %6.2f%% of G guaranteed by any %d-detection test set\n",
-			n, 100*wc.CoverageAt(n), n)
+	if _, err := os.Stdout.Write(out); err != nil {
+		fail(err)
 	}
-	for _, n := range report.Table3Columns {
-		cnt := wc.CountAtLeast(n)
-		fmt.Printf("  nmin(g) ≥ %-3d : %d faults (%.2f%%)\n", n, cnt, pct(cnt, len(u.Untargeted)))
-	}
-	unbounded := wc.CountAtLeast(ndetect.Unbounded)
-	if unbounded > 0 {
-		fmt.Printf("  no guarantee   : %d faults (no target fault's tests overlap theirs)\n", unbounded)
-	}
-	fmt.Printf("  largest finite nmin: %d\n\n", wc.MaxFinite())
-
-	if *worstF > 0 {
-		printWorst(u, wc, *worstF)
-	}
-
-	if *histF > 0 {
-		values, counts := wc.Histogram(*histF)
-		fmt.Println(report.FormatFigure2(c.Name, *histF, values, counts, unbounded))
-	}
-
-	if *avgF {
-		runAverage(u, wc, *kF, *nmaxF, *seedF, *def2F, *workersF, rec)
-	}
-}
-
-// beginSpan opens a named span on rec, tolerating a nil recorder (the
-// untraced run) with a no-op end.
-func beginSpan(rec *obs.Recorder, name string) func() {
-	if rec == nil {
-		return func() {}
-	}
-	return rec.Begin(name)
 }
 
 func loadCircuit(benchName, netFile, kissFile, format string, twoLevel bool) (*circuit.Circuit, error) {
@@ -397,136 +323,6 @@ func loadCircuit(benchName, netFile, kissFile, format string, twoLevel bool) (*c
 		}
 		return r.Circuit, nil
 	}
-}
-
-func printWorst(u *ndetect.CircuitUniverse, wc *ndetect.WorstCaseResult, n int) {
-	type hard struct {
-		j, nmin int
-	}
-	var hs []hard
-	for j, v := range wc.NMin {
-		hs = append(hs, hard{j, v})
-	}
-	for i := 1; i < len(hs); i++ {
-		for k := i; k > 0 && hs[k].nmin > hs[k-1].nmin; k-- {
-			hs[k], hs[k-1] = hs[k-1], hs[k]
-		}
-	}
-	if n > len(hs) {
-		n = len(hs)
-	}
-	fmt.Printf("hardest %d untargeted faults:\n", n)
-	for _, h := range hs[:n] {
-		nm := fmt.Sprint(h.nmin)
-		if h.nmin == ndetect.Unbounded {
-			nm = "∞"
-		}
-		fmt.Printf("  %-28s nmin = %-6s |T(g)| = %d\n",
-			u.Untargeted[h.j].Name, nm, u.Untargeted[h.j].T.Count())
-	}
-	fmt.Println()
-}
-
-func runAverage(u *ndetect.CircuitUniverse, wc *ndetect.WorstCaseResult, k, nmax int, seed int64, def2 bool, workers int, rec *obs.Recorder) {
-	idx := wc.IndicesAtLeast(nmax + 1)
-	if len(idx) == 0 {
-		fmt.Printf("average-case analysis: every untargeted fault is guaranteed at n ≤ %d; nothing to estimate\n", nmax)
-		return
-	}
-	sub := u.SubsetUntargeted(idx)
-	opts := ndetect.Procedure1Options{NMax: nmax, K: k, Seed: seed, Workers: workers}
-	if rec != nil {
-		opts.Progress = func(done, total int) { rec.Progress("procedure1", done, total) }
-	}
-	label := "Definition 1"
-	if def2 {
-		if !u.Model.Def2Capable() {
-			fail(fmt.Errorf("-def2 requires single stuck-at targets, which fault model %s does not have", u.Model.ID()))
-		}
-		opts.Definition = ndetect.Def2
-		opts.Checker = ndetect.NewCircuitCheckerFor(u)
-		label = "Definition 2"
-	}
-	endP1 := beginSpan(rec, "procedure1")
-	res, err := ndetect.Procedure1(sub, opts)
-	endP1()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("average-case analysis (%s, K=%d) over the %d faults with nmin > %d:\n",
-		label, k, len(idx), nmax)
-	counts := res.ThresholdCounts(nmax)
-	for i, th := range report.Thresholds {
-		fmt.Printf("  p(%d,g) ≥ %.1f : %d faults\n", nmax, th, counts[i])
-	}
-	minP, at := res.MinP(nmax)
-	fmt.Printf("  lowest p(%d,g) = %.3f (%s)\n", nmax, minP, sub.Untargeted[at].Name)
-	fmt.Printf("  expected escapes from an arbitrary %d-detection test set: %.2f faults\n",
-		nmax, res.ExpectedEscapes(nmax))
-	fmt.Printf("  mean %d-detection test set size: %.1f vectors\n", nmax, res.MeanSetSize(nmax))
-}
-
-// analyzePartitioned runs the end-to-end partitioned pipeline (Split →
-// per-part worst-case analysis → MergeNMin) and prints per-part stats plus
-// the merged nmin table. Output is deterministic for every -workers value:
-// parts print in Split order and the merged table iterates sorted names.
-func analyzePartitioned(c *circuit.Circuit, maxIn, workers, worst int, rec *obs.Recorder) {
-	fmt.Printf("circuit %s: %s\n", c.Name, c.ComputeStats())
-	popts := partition.Options{MaxInputs: maxIn}
-	if rec != nil {
-		popts.Progress = func(done, total int) { rec.Progress("parts", done, total) }
-	}
-	endParts := beginSpan(rec, "partition")
-	res, err := partition.AnalyzeParts(c, popts, workers)
-	endParts()
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("partitioned into %d output-cone parts (input limit %d):\n", len(res.Parts), maxIn)
-	for i, a := range res.Parts {
-		fmt.Printf("  part %d: outputs %v, %d inputs (|U| = %d), %d gates, |F| = %d (%d detectable), |G| = %d, coverage at n=10: %.2f%%\n",
-			i, a.Part.Outputs, a.Stats.Inputs, a.Stats.VectorSpaceSize, a.Stats.Gates,
-			a.Targets, a.DetectableTargets, a.Untargeted, 100*a.CoverageAt(10))
-	}
-
-	fmt.Printf("\nmerged worst-case table over %d distinct bridging faults (per-part bounds, Section 4):\n", len(res.Merged))
-	for _, n := range report.NMinColumns {
-		fmt.Printf("  nmin(g) ≤ %-3d : %6.2f%% guaranteed by any %d-detection test set (within some part)\n",
-			n, 100*res.MergedCoverageAt(n), n)
-	}
-	for _, n := range report.Table3Columns {
-		cnt := res.MergedCountAtLeast(n)
-		fmt.Printf("  nmin(g) ≥ %-3d : %d faults (%.2f%%)\n", n, cnt, pct(cnt, len(res.Merged)))
-	}
-	if unbounded := res.MergedCountAtLeast(ndetect.Unbounded); unbounded > 0 {
-		fmt.Printf("  no guarantee   : %d faults (undetectable through every part that sees them)\n", unbounded)
-	}
-	fmt.Printf("  largest finite nmin: %d\n", res.MergedMaxFinite())
-
-	if worst > 0 {
-		names := res.MergedNames()
-		sort.SliceStable(names, func(a, b int) bool {
-			return res.Merged[names[a]] > res.Merged[names[b]]
-		})
-		if worst > len(names) {
-			worst = len(names)
-		}
-		fmt.Printf("\nhardest %d bridging faults:\n", worst)
-		for _, g := range names[:worst] {
-			nm := fmt.Sprint(res.Merged[g])
-			if res.Merged[g] == ndetect.Unbounded {
-				nm = "∞"
-			}
-			fmt.Printf("  %-28s nmin = %s\n", g, nm)
-		}
-	}
-}
-
-func pct(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
 }
 
 // flushProfiles stops the CPU profile and writes the heap profile at most

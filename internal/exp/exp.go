@@ -6,6 +6,7 @@ package exp
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -63,16 +64,12 @@ type CircuitRun struct {
 	WC       *ndetect.WorstCaseResult
 }
 
-// RunCircuit synthesizes one benchmark and runs the worst-case analysis.
-func RunCircuit(name string) (*CircuitRun, error) {
-	return RunCircuitWorkers(name, 0)
-}
-
-// RunCircuitWorkers is RunCircuit with an explicit worker count threaded
-// into every stage — exhaustive simulation, T-set construction and the
-// worst-case analysis (0 = one per CPU). mapCircuits passes its split
-// per-circuit budget here, so the stages never multiply it back up.
-func RunCircuitWorkers(name string, workers int) (*CircuitRun, error) {
+// runCircuit synthesizes one benchmark and runs the worst-case analysis
+// with the given worker count threaded into every stage — exhaustive
+// simulation, T-set construction and the worst-case scan (0 = one per
+// CPU). mapCircuits passes its split per-circuit budget here, so the
+// stages never multiply it back up.
+func runCircuit(name string, workers int) (*CircuitRun, error) {
 	b, ok := bench.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown benchmark %q", name)
@@ -100,62 +97,43 @@ func (c *Config) circuitList() []string {
 	return names
 }
 
-// mapCircuits is the circuit-level fan-out shared by every table driver and
-// RunAll: it runs fn once per configured circuit across a bounded pool
-// (work-stealing over the circuit list, so cheap circuits do not idle a
-// worker while a big one runs) and returns the kept results in
-// circuitList() order — the serial row order of the paper's tables —
-// regardless of completion order. The cfg.Workers budget is split between
-// the levels rather than multiplied: fn receives the inner worker count to
-// thread into the per-circuit simulation and Procedure 1, so total
-// CPU-bound goroutines stay ≈ Workers instead of Workers², and at most
-// min(Workers, circuits) universes are live at once. fn returning
-// keep=false drops the circuit from the output (Tables 3/5/6 skip circuits
-// without a tail). On error the remaining unstarted circuits are abandoned
+// mapCircuits is RunAll's circuit-level fan-out: it runs fn once per
+// configured circuit across a bounded pool (work-stealing over the circuit
+// list, so cheap circuits do not idle a worker while a big one runs) and
+// returns the results in circuitList() order — the serial row order of the
+// paper's tables — regardless of completion order. The cfg.Workers budget
+// is split between the levels rather than multiplied (sim.SplitWorkers):
+// fn receives the inner worker count to thread into the per-circuit
+// simulation and Procedure 1, so total CPU-bound goroutines stay ≈ Workers
+// instead of Workers², and at most min(Workers, circuits) universes are
+// live at once. On error the remaining unstarted circuits are abandoned
 // and the error of the earliest-indexed failed circuit is returned.
-func mapCircuits[T any](cfg *Config, fn func(name string, workers int) (T, bool, error)) ([]T, error) {
+func mapCircuits[T any](cfg *Config, fn func(name string, workers int) (T, error)) ([]T, error) {
 	names := cfg.circuitList()
 	vals := make([]T, len(names))
-	keep := make([]bool, len(names))
 	errs := make([]error, len(names))
 
-	total := sim.ResolveWorkers(cfg.Workers)
-	outer := total
-	if outer > len(names) {
-		outer = len(names)
-	}
-	inner := 1
-	if outer > 0 {
-		inner = total / outer
-		if inner < 1 {
-			inner = 1
-		}
-	}
-
+	outer, inner := sim.SplitWorkers(cfg.Workers, len(names))
 	var failed atomic.Bool
 	sim.ParallelFor(outer, len(names), func(i int) {
 		if failed.Load() {
 			return
 		}
-		v, ok, err := fn(names[i], inner)
+		v, err := fn(names[i], inner)
 		if err != nil {
 			errs[i] = err
 			failed.Store(true)
 			return
 		}
-		vals[i], keep[i] = v, ok
+		vals[i] = v
 	})
 
-	out := make([]T, 0, len(names))
-	for i := range names {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if keep[i] {
-			out = append(out, vals[i])
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
+	return vals, nil
 }
 
 // observer serializes a progress callback across the circuit workers.
@@ -170,26 +148,6 @@ func observer[T any](observe func(T)) func(T) {
 		defer mu.Unlock()
 		observe(v)
 	}
-}
-
-// Table2 computes the worst-case coverage rows for the configured circuits.
-// The callback, when non-nil, observes each completed circuit (progress
-// reporting; completion order). Each universe is released as soon as its
-// circuit is summarized; up to min(Workers, circuits) are live at once.
-func Table2(cfg Config, observe func(*CircuitRun)) ([]report.Table2Row, error) {
-	cfg.normalize()
-	obs := observer(observe)
-	return mapCircuits(&cfg, func(name string, workers int) (report.Table2Row, bool, error) {
-		run, err := RunCircuitWorkers(name, workers)
-		if err != nil {
-			return report.Table2Row{}, false, err
-		}
-		row := Table2Row(run)
-		if obs != nil {
-			obs(run)
-		}
-		return row, true, nil
-	})
 }
 
 // Table2Row summarizes one circuit's worst-case run as a Table 2 row.
@@ -215,52 +173,8 @@ func Table3Row(run *CircuitRun) report.Table3Row {
 	}
 }
 
-// Table3 computes worst-case tail rows; like the paper, only circuits with
-// nmin(g) ≥ 11 faults are included.
-func Table3(cfg Config, observe func(*CircuitRun)) ([]report.Table3Row, error) {
-	cfg.normalize()
-	obs := observer(observe)
-	return mapCircuits(&cfg, func(name string, workers int) (report.Table3Row, bool, error) {
-		run, err := RunCircuitWorkers(name, workers)
-		if err != nil {
-			return report.Table3Row{}, false, err
-		}
-		keep := run.WC.CountAtLeast(11) > 0
-		row := report.Table3Row{}
-		if keep {
-			row = Table3Row(run)
-		}
-		if obs != nil {
-			obs(run)
-		}
-		return row, keep, nil
-	})
-}
-
-// Figure2 renders the nmin distribution histogram for one circuit (the
-// paper shows dvram with cutoff 100; the cutoff adapts downward to the
-// largest populated decade if the surrogate's tail is shorter).
-func Figure2(name string, cutoff int) (string, error) {
-	run, err := RunCircuit(name)
-	if err != nil {
-		return "", err
-	}
-	eff := cutoff
-	for eff > 10 && run.WC.CountAtLeast(eff) == 0 {
-		eff /= 2
-	}
-	values, counts := run.WC.Histogram(eff)
-	unbounded := 0
-	for _, v := range run.WC.NMin {
-		if v == ndetect.Unbounded {
-			unbounded++
-		}
-	}
-	return report.FormatFigure2(name, eff, values, counts, unbounded), nil
-}
-
-// ge11Subset returns the indices of the nmin ≥ 11 faults, in nmin order
-// (hardest last), optionally capped.
+// ge11Subset returns the indices of the nmin ≥ 11 faults in index order,
+// or, capped, an even sample of them in nmin order (hardest last).
 func ge11Subset(run *CircuitRun, limit int) []int {
 	return capEvenly(run.WC.IndicesAtLeast(11), run.WC.NMin, limit)
 }
@@ -273,49 +187,13 @@ func capEvenly(idx []int, nmin []int, limit int) []int {
 	if limit <= 0 || len(idx) <= limit {
 		return idx
 	}
-	sortByNMin(idx, nmin)
+	sort.SliceStable(idx, func(a, b int) bool { return nmin[idx[a]] < nmin[idx[b]] })
 	out := make([]int, 0, limit)
 	step := float64(len(idx)) / float64(limit)
 	for i := 0; i < limit; i++ {
 		out = append(out, idx[int(float64(i)*step)])
 	}
 	return out
-}
-
-func sortByNMin(idx []int, nmin []int) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && nmin[idx[j]] < nmin[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
-
-// Table5 runs the average-case analysis (Definition 1) on every configured
-// circuit that has nmin ≥ 11 faults, producing Table 5 rows.
-func Table5(cfg Config, observe func(string)) ([]report.Table5Row, error) {
-	cfg.normalize()
-	obs := observer(observe)
-	return mapCircuits(&cfg, func(name string, workers int) (report.Table5Row, bool, error) {
-		run, err := RunCircuitWorkers(name, workers)
-		if err != nil {
-			return report.Table5Row{}, false, err
-		}
-		idx := ge11Subset(run, cfg.Ge11Limit)
-		if len(idx) == 0 {
-			return report.Table5Row{}, false, nil
-		}
-		sub := run.Universe.SubsetUntargeted(idx)
-		res, err := ndetect.Procedure1(sub, ndetect.Procedure1Options{
-			NMax: cfg.NMax, K: cfg.K5, Seed: cfg.Seed, Workers: workers,
-		})
-		if err != nil {
-			return report.Table5Row{}, false, err
-		}
-		if obs != nil {
-			obs(name)
-		}
-		return thresholdRow(name, res, cfg.NMax), true, nil
-	})
 }
 
 func thresholdRow(name string, res *ndetect.Procedure1Result, n int) report.Table5Row {
@@ -325,34 +203,9 @@ func thresholdRow(name string, res *ndetect.Procedure1Result, n int) report.Tabl
 	return row
 }
 
-// Table6 runs the Definition 1 vs Definition 2 comparison on every
-// configured circuit with nmin ≥ 11 faults.
-func Table6(cfg Config, observe func(string)) ([]report.Table6Row, error) {
-	cfg.normalize()
-	obs := observer(observe)
-	return mapCircuits(&cfg, func(name string, workers int) (report.Table6Row, bool, error) {
-		run, err := RunCircuitWorkers(name, workers)
-		if err != nil {
-			return report.Table6Row{}, false, err
-		}
-		idx := ge11Subset(run, cfg.Ge11Limit)
-		if len(idx) == 0 {
-			return report.Table6Row{}, false, nil
-		}
-		row, err := table6Row(&cfg, name, run, idx, run.Universe.SubsetUntargeted(idx), workers)
-		if err != nil {
-			return report.Table6Row{}, false, err
-		}
-		if obs != nil {
-			obs(name)
-		}
-		return row, true, nil
-	})
-}
-
-// table6Row computes one circuit's Definition 1 vs 2 comparison (shared by
-// Table6 and RunAll, which pass in the nmin ≥ 11 subset they already built
-// and their per-circuit worker budget).
+// table6Row computes one circuit's Definition 1 vs 2 comparison over the
+// nmin ≥ 11 subset RunAll already built, with its per-circuit worker
+// budget.
 func table6Row(cfg *Config, name string, run *CircuitRun, idx []int, sub *ndetect.Universe, workers int) (report.Table6Row, error) {
 	opts := ndetect.Procedure1Options{NMax: cfg.NMax, K: cfg.K6, Seed: cfg.Seed, Workers: workers}
 	r1, err := ndetect.Procedure1(sub, opts)

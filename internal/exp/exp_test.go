@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -9,9 +10,9 @@ import (
 )
 
 func TestRunCircuit(t *testing.T) {
-	run, err := RunCircuit("lion")
+	run, err := runCircuit("lion", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("runCircuit: %v", err)
 	}
 	if run.Name != "lion" || run.Universe == nil || run.WC == nil {
 		t.Fatal("incomplete run")
@@ -19,17 +20,18 @@ func TestRunCircuit(t *testing.T) {
 	if len(run.WC.NMin) != len(run.Universe.Untargeted) {
 		t.Fatal("result length mismatch")
 	}
-	if _, err := RunCircuit("nope"); err == nil {
-		t.Fatal("RunCircuit accepted unknown name")
+	if _, err := runCircuit("nope", 0); err == nil {
+		t.Fatal("runCircuit accepted unknown name")
 	}
 }
 
 func TestTable2RowsConsistent(t *testing.T) {
 	cfg := Config{Circuits: []string{"lion", "train4"}}
-	rows, err := Table2(cfg, nil)
+	res, err := RunAll(cfg, "", false, false, nil)
 	if err != nil {
-		t.Fatalf("Table2: %v", err)
+		t.Fatalf("RunAll: %v", err)
 	}
+	rows := res.Table2
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -49,9 +51,13 @@ func TestTable2RowsConsistent(t *testing.T) {
 
 func TestTable3OnlyTailCircuits(t *testing.T) {
 	cfg := Config{Circuits: []string{"lion", "log"}}
-	rows, err := Table3(cfg, nil)
+	res, err := RunAll(cfg, "", false, false, nil)
 	if err != nil {
-		t.Fatalf("Table3: %v", err)
+		t.Fatalf("RunAll: %v", err)
+	}
+	rows := res.Table3
+	if len(rows) != 1 {
+		t.Fatalf("Table 3 rows = %d, want 1 (log)", len(rows))
 	}
 	for _, r := range rows {
 		if r.Ge11 == 0 {
@@ -71,10 +77,11 @@ func TestTable3OnlyTailCircuits(t *testing.T) {
 
 func TestFigure2AdaptsCutoff(t *testing.T) {
 	// bbara has a tail that tops out well below 100: the cutoff adapts.
-	s, err := Figure2("bbara", 100)
+	res, err := RunAll(Config{Circuits: []string{"bbara"}}, "bbara", false, false, nil)
 	if err != nil {
-		t.Fatalf("Figure2: %v", err)
+		t.Fatalf("RunAll: %v", err)
 	}
+	s := res.Figure2
 	if !strings.Contains(s, "bbara") {
 		t.Fatalf("figure missing circuit name:\n%s", s)
 	}
@@ -84,11 +91,12 @@ func TestFigure2AdaptsCutoff(t *testing.T) {
 }
 
 func TestTable5RowShape(t *testing.T) {
-	cfg := Config{Circuits: []string{"bbara"}, K5: 40, Seed: 3}
-	rows, err := Table5(cfg, nil)
+	cfg := Config{Circuits: []string{"lion", "bbara"}, K5: 40, Seed: 3}
+	res, err := RunAll(cfg, "", true, false, nil)
 	if err != nil {
-		t.Fatalf("Table5: %v", err)
+		t.Fatalf("RunAll: %v", err)
 	}
+	rows := res.Table5
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
@@ -106,9 +114,9 @@ func TestTable5RowShape(t *testing.T) {
 }
 
 func TestGe11SubsetSampling(t *testing.T) {
-	run, err := RunCircuit("log")
+	run, err := runCircuit("log", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("runCircuit: %v", err)
 	}
 	full := ge11Subset(run, 0)
 	if len(full) != run.WC.CountAtLeast(11) {
@@ -126,6 +134,28 @@ func TestGe11SubsetSampling(t *testing.T) {
 		seen[j] = true
 		if run.WC.NMin[j] < 11 {
 			t.Fatal("capped subset contains a fault below the nmin threshold")
+		}
+	}
+
+	// Tie-heavy: the cap samples the nmin-sorted list, and ties keep their
+	// input order (a stable sort), so the picks are exactly these. Sorted:
+	// 11 → 1 3 5 8 11 13 16 18, 12 → 0 2 6 10 14 15 19, 13 → 9 12,
+	// 15 → 7 17, unbounded → 4. Twenty entries put the sort past the size
+	// at which an unstable sort still happens to keep tie order.
+	nmin := []int{12, 11, 12, 11, ndetect.Unbounded, 11, 12, 15, 11, 13, 12, 11, 13, 11, 12, 12, 11, 15, 11, 12}
+	for _, tc := range []struct {
+		limit int
+		want  []int
+	}{
+		{5, []int{1, 11, 0, 14, 12}},       // positions 0 4 8 12 16 (step 4)
+		{7, []int{1, 5, 13, 0, 10, 19, 7}}, // positions 0 2 5 8 11 14 17 (step 20/7)
+	} {
+		idx := make([]int, len(nmin))
+		for i := range idx {
+			idx[i] = i
+		}
+		if got := capEvenly(idx, nmin, tc.limit); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("capEvenly(limit %d) = %v, want %v", tc.limit, got, tc.want)
 		}
 	}
 }
@@ -192,9 +222,9 @@ func TestRunAllDeterministic(t *testing.T) {
 // n ≤ nmax is detected by every random n-detection test set Procedure 1
 // produces.
 func TestGuaranteeAcrossPipeline(t *testing.T) {
-	run, err := RunCircuit("beecount")
+	run, err := runCircuit("beecount", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("runCircuit: %v", err)
 	}
 	res, err := ndetect.Procedure1(&run.Universe.Universe, ndetect.Procedure1Options{
 		NMax: 5, K: 25, Seed: 13, KeepTestSets: true,
@@ -219,9 +249,9 @@ func TestGuaranteeAcrossPipeline(t *testing.T) {
 }
 
 func TestTable2RowAgainstReport(t *testing.T) {
-	run, err := RunCircuit("lion")
+	run, err := runCircuit("lion", 0)
 	if err != nil {
-		t.Fatalf("RunCircuit: %v", err)
+		t.Fatalf("runCircuit: %v", err)
 	}
 	row := Table2Row(run)
 	out := report.FormatTable2([]report.Table2Row{row})

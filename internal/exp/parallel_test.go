@@ -34,49 +34,30 @@ func TestRunAllWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestTablesWorkersDeterministic checks the standalone table drivers the
-// same way, including the row filtering of Tables 3 and 5.
+// TestTablesWorkersDeterministic checks the row filtering of Tables 3 and
+// 5 the same way, on a circuit mix where lion has no tail and is dropped,
+// with Table 6 and the figure off.
 func TestTablesWorkersDeterministic(t *testing.T) {
 	base := Config{Circuits: []string{"lion", "log", "bbara"}, K5: 20, Ge11Limit: 20, Seed: 7}
 
 	serial := base
 	serial.Workers = 1
-	t2s, err := Table2(serial, nil)
+	want, err := RunAll(serial, "", true, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t3s, err := Table3(serial, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t5s, err := Table5(serial, nil)
-	if err != nil {
-		t.Fatal(err)
+	if len(want.Table3) != 2 || len(want.Table5) != 2 {
+		t.Fatalf("Table 3/5 rows = %d/%d, want 2/2 (lion has no tail)", len(want.Table3), len(want.Table5))
 	}
 
 	par := base
 	par.Workers = 8
-	t2p, err := Table2(par, nil)
+	got, err := RunAll(par, "", true, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t3p, err := Table3(par, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t5p, err := Table5(par, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if fmt.Sprintf("%v", t2p) != fmt.Sprintf("%v", t2s) {
-		t.Fatalf("Table2 differs:\n got %v\nwant %v", t2p, t2s)
-	}
-	if fmt.Sprintf("%v", t3p) != fmt.Sprintf("%v", t3s) {
-		t.Fatalf("Table3 differs:\n got %v\nwant %v", t3p, t3s)
-	}
-	if fmt.Sprintf("%v", t5p) != fmt.Sprintf("%v", t5s) {
-		t.Fatalf("Table5 differs:\n got %v\nwant %v", t5p, t5s)
+	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		t.Fatalf("workers=8 tables differ from serial:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -84,11 +65,11 @@ func TestTablesWorkersDeterministic(t *testing.T) {
 // with its error rather than a partial table.
 func TestMapCircuitsErrorSurfaces(t *testing.T) {
 	cfg := Config{Circuits: []string{"lion", "no-such-circuit"}, Workers: 4}
-	if _, err := Table2(cfg, nil); err == nil {
-		t.Fatal("Table2 swallowed an unknown-circuit error")
+	if _, err := RunAll(cfg, "", false, false, nil); err == nil {
+		t.Fatal("RunAll swallowed an unknown-circuit error")
 	}
 	cfg.Workers = 1
-	if _, err := Table2(cfg, nil); err == nil {
-		t.Fatal("serial Table2 swallowed an unknown-circuit error")
+	if _, err := RunAll(cfg, "", false, false, nil); err == nil {
+		t.Fatal("serial RunAll swallowed an unknown-circuit error")
 	}
 }

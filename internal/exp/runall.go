@@ -38,10 +38,10 @@ type allCircuit struct {
 func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func(string)) (*AllResults, error) {
 	cfg.normalize()
 	obs := observer(observe)
-	per, err := mapCircuits(&cfg, func(name string, workers int) (allCircuit, bool, error) {
-		run, err := RunCircuitWorkers(name, workers)
+	per, err := mapCircuits(&cfg, func(name string, workers int) (allCircuit, error) {
+		run, err := runCircuit(name, workers)
 		if err != nil {
-			return allCircuit{}, false, err
+			return allCircuit{}, err
 		}
 		a := allCircuit{t2: Table2Row(run)}
 		ge11 := run.WC.CountAtLeast(11)
@@ -73,14 +73,14 @@ func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func
 					NMax: cfg.NMax, K: cfg.K5, Seed: cfg.Seed, Workers: workers,
 				})
 				if err != nil {
-					return allCircuit{}, false, err
+					return allCircuit{}, err
 				}
 				a.t5, a.hasT5 = thresholdRow(name, res, cfg.NMax), true
 			}
 			if withT6 {
 				row, err := table6Row(&cfg, name, run, idx, sub, workers)
 				if err != nil {
-					return allCircuit{}, false, err
+					return allCircuit{}, err
 				}
 				a.t6, a.hasT6 = row, true
 			}
@@ -88,7 +88,7 @@ func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func
 		if obs != nil {
 			obs(name)
 		}
-		return a, true, nil
+		return a, nil
 	})
 	if err != nil {
 		return nil, err

@@ -74,14 +74,7 @@ func Sweep(c *circuit.Circuit, variants []AnalysisRequest, opts SweepOptions) ([
 
 	total := sim.ResolveWorkers(opts.Workers)
 	shared := &universeMemo{next: opts.Universes, buildWorkers: total}
-	outer := total
-	if outer > len(norm) {
-		outer = len(norm)
-	}
-	inner := 1
-	if outer > 0 && total/outer > 1 {
-		inner = total / outer
-	}
+	outer, inner := sim.SplitWorkers(total, len(norm))
 
 	docs := make([]*report.Analysis, len(norm))
 	errs := make([]error, len(norm))

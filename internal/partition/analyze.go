@@ -111,11 +111,11 @@ func (r *AnalysisResult) MergedMaxFinite() int {
 // worst-case analysis on every part, and merge the per-part nmin verdicts.
 //
 // Parts fan out across a bounded pool with the same budget-splitting rule
-// as the experiment drivers (DESIGN.md §5): with W workers and P parts,
-// min(W, P) parts run concurrently and each receives ⌊W / min(W, P)⌋
-// inner workers for its simulation, T-set construction and worst-case
-// scan, keeping CPU-bound goroutines ≈ W and bounding live part universes
-// at min(W, P). Results are assembled in Split order, so the output is
+// as the experiment drivers (sim.SplitWorkers, DESIGN.md §5): with W
+// workers and P parts, min(W, P) parts run concurrently and each receives
+// ⌊W / min(W, P)⌋ inner workers for its simulation, T-set construction
+// and worst-case scan, keeping CPU-bound goroutines ≈ W and bounding live
+// part universes at min(W, P). Results are assembled in Split order, so the output is
 // identical for every worker count (0 = one worker per CPU, 1 = the exact
 // serial pass).
 func AnalyzeParts(c *circuit.Circuit, opts Options, workers int) (*AnalysisResult, error) {
@@ -124,18 +124,7 @@ func AnalyzeParts(c *circuit.Circuit, opts Options, workers int) (*AnalysisResul
 		return nil, err
 	}
 
-	total := sim.ResolveWorkers(workers)
-	outer := total
-	if outer > len(parts) {
-		outer = len(parts)
-	}
-	inner := 1
-	if outer > 0 {
-		inner = total / outer
-		if inner < 1 {
-			inner = 1
-		}
-	}
+	outer, inner := sim.SplitWorkers(workers, len(parts))
 
 	analyses := make([]*PartAnalysis, len(parts))
 	errs := make([]error, len(parts))

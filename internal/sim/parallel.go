@@ -23,6 +23,22 @@ func ResolveWorkers(workers int) int {
 	return workers
 }
 
+// SplitWorkers is the §5 budget split between two levels of fan-out over
+// n items (circuits, sweep variants, partition parts): with W =
+// ResolveWorkers(workers), min(W, n) items run at once and each gets
+// ⌊W / min(W, n)⌋ inner workers, at least 1. Total CPU-bound goroutines
+// stay ≈ W instead of W², and at most min(W, n) items are live at once.
+// n = 0 gives outer 0 and inner 1.
+func SplitWorkers(workers, n int) (outer, inner int) {
+	total := ResolveWorkers(workers)
+	outer = min(total, n)
+	inner = 1
+	if outer > 0 {
+		inner = max(1, total/outer)
+	}
+	return outer, inner
+}
+
 // ParallelFor runs fn(i) for every i in [0, n), fanned out over at most
 // `workers` goroutines pulling indices from a shared atomic counter (work
 // stealing, so heterogeneous per-index costs balance). workers ≤ 1 runs the

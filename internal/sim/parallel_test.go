@@ -56,6 +56,31 @@ func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestSplitWorkers pins the §5 budget split: min(W, n) items at once,
+// ⌊W / that⌋ inner workers each, never fewer than one.
+func TestSplitWorkers(t *testing.T) {
+	for _, tc := range []struct{ workers, n, outer, inner int }{
+		{4, 0, 0, 1}, // nothing to run
+		{1, 5, 1, 1}, // serial
+		{2, 5, 2, 1}, // W < n
+		{4, 4, 4, 1}, // W = n
+		{8, 2, 2, 4}, // W > n
+		{7, 2, 2, 3}, // remainder 1 stays unspent
+		{5, 3, 3, 1}, // remainder 2 stays unspent
+	} {
+		outer, inner := SplitWorkers(tc.workers, tc.n)
+		if outer != tc.outer || inner != tc.inner {
+			t.Errorf("SplitWorkers(%d, %d) = (%d, %d), want (%d, %d)",
+				tc.workers, tc.n, outer, inner, tc.outer, tc.inner)
+		}
+	}
+	// 0 means one worker per CPU, exactly as ResolveWorkers resolves it.
+	wo, wi := SplitWorkers(ResolveWorkers(0), 3)
+	if outer, inner := SplitWorkers(0, 3); outer != wo || inner != wi {
+		t.Errorf("SplitWorkers(0, 3) = (%d, %d), want (%d, %d)", outer, inner, wo, wi)
+	}
+}
+
 // TestRunWorkersDeterministic checks the central contract of the streaming
 // engine: block-parallel value materialization and T-set construction
 // produce byte-identical results for every worker count, on a circuit large

@@ -69,7 +69,8 @@ func (p *Compiled) NewFaultCone(site int) *FaultCone {
 
 // DetectsTV reports whether the (possibly partial) pattern detects the
 // stuck-at fault (site stuck at stuckVal) under 3-valued simulation. It is
-// equivalent to sim.DetectsTV for the same fault, staged for speed: the
+// equivalent to the scalar reference DetectsTV in the package tests, staged
+// for speed: the
 // good machine is first evaluated only on the site's fanin cone — if the
 // site is not definitely excited no detection is possible (in Kleene logic
 // the faulty machine refines the good one whenever the site's good value is

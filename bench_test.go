@@ -205,6 +205,25 @@ func BenchmarkWorstCaseExample(b *testing.B) {
 	}
 }
 
+// BenchmarkWorstCase times the Section 2 worst-case stage alone on two
+// heavy-tail surrogates, with the universe built before the timer starts.
+func BenchmarkWorstCase(b *testing.B) {
+	for _, name := range []string{"dvram", "keyb"} {
+		b.Run(name, func(b *testing.B) {
+			u, err := LoadBenchmark(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if wc := WorstCase(&u.Universe); len(wc.NMin) != len(u.Untargeted) {
+					b.Fatal("wrong result length")
+				}
+			}
+		})
+	}
+}
+
 // ---- Ablation benches (DESIGN.md §6) -------------------------------------
 
 func mustCircuit(b *testing.B, name string) *Circuit {

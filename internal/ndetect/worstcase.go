@@ -2,6 +2,7 @@ package ndetect
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 
 	"ndetect/internal/bitset"
@@ -80,53 +81,156 @@ func WorstCase(u *Universe) *WorstCaseResult {
 	return WorstCaseWorkers(u, 0)
 }
 
-// WorstCaseWorkers is WorstCase with an explicit worker bound, in parallel
-// over the untargeted faults (each nmin(g) is independent): 0 means one
+// WorstCaseWorkers is WorstCase with an explicit worker bound: 0 means one
 // worker per CPU, 1 the exact serial order. The result is identical for
-// every worker count; only wall-clock time changes (DESIGN.md §5 — the
-// knob must be threaded, not re-resolved, so callers that split a budget
-// across concurrent circuits or parts stay within it).
+// every worker count, and so is the work done; only wall-clock time
+// changes (DESIGN.md §5 — the knob must be threaded, not re-resolved, so
+// callers that split a budget across concurrent circuits or parts stay
+// within it).
+//
+// The analysis is output-sensitive but exact (DESIGN.md §1). Each pair is
+// evaluated as nmin(g,f) − 1 = |T(f) − T(g)| over a sparse slab of the
+// target T-sets (targetSlab), which holds only each target's nonzero
+// words, and targets are visited in ascending N(f) until the lower bound
+// nmin(g,f) ≥ N(f) + 1 − min(N(f), |T(g)|) reaches the best value found.
+// The untargeted faults fan out in fixed blocks of worstCaseBlock
+// consecutive indices; within a block, the last few distinct minimising
+// targets are evaluated first (witness seeds), so most faults stop at a
+// seed that already meets the bound nmin(g) ≥ 1. A seed is an ordinary
+// candidate, so it can only tighten best toward the true minimum, never
+// past it.
 func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 	r := &WorstCaseResult{NMin: make([]int, len(u.Untargeted))}
+	slab := newTargetSlab(u.Targets)
+	n := len(u.Untargeted)
+	blocks := (n + worstCaseBlock - 1) / worstCaseBlock
+	sim.ParallelFor(workers, blocks, func(b int) {
+		lo := b * worstCaseBlock
+		hi := min(lo+worstCaseBlock, n)
+		slab.nminBlock(u.Untargeted[lo:hi], r.NMin[lo:hi])
+	})
+	return r
+}
 
-	// Precompute N(f) once and visit targets in ascending N(f): the lower
-	// bound nmin(g,f) ≥ N(f) + 1 − min(N(f), |T(g)|) is nondecreasing in
-	// N(f), so once it reaches the best value found the scan can stop.
-	order := make([]int, len(u.Targets))
-	for i := range order {
-		order[i] = i
-	}
-	nf := make([]int, len(u.Targets))
-	for i, f := range u.Targets {
-		nf[i] = f.T.Count()
-	}
-	sort.Slice(order, func(a, b int) bool { return nf[order[a]] < nf[order[b]] })
+// worstCaseBlock is WorstCaseWorkers' fan-out unit, in untargeted faults.
+// Blocks are fixed by index, so the seeds each fault sees — and with them
+// the work done — do not depend on the worker count.
+const worstCaseBlock = 64
 
-	one := func(j int) {
-		g := u.Untargeted[j]
-		ng := g.T.Count()
-		best := Unbounded
-		for _, i := range order {
-			lb := nf[i] + 1 - min(nf[i], ng)
-			if lb >= best {
-				break // all later targets have larger N(f), hence larger lb
+// maxSeeds bounds a block's witness-seed list.
+const maxSeeds = 8
+
+// targetSlab is the target T-sets in sparse form, in ascending N(f) (ties
+// in target order). Slab entry k has N(f) = n[k] and its nonzero words
+// words[off[k]:off[k+1]], at word indices idx[off[k]:off[k+1]]. Targets
+// with an empty T(f) are left out: they overlap no T(g). int32 indices
+// suffice: a T-set of 2^31 words is far over sim.MemoryBudget.
+type targetSlab struct {
+	n     []int
+	off   []int
+	words []uint64
+	idx   []int32
+}
+
+func newTargetSlab(targets []Fault) *targetSlab {
+	var order []int
+	nf := make([]int, len(targets))
+	nz := 0
+	for i, f := range targets {
+		if nf[i] = f.T.Count(); nf[i] == 0 {
+			continue
+		}
+		order = append(order, i)
+		for _, w := range f.T.Words() {
+			if w != 0 {
+				nz++
 			}
-			m := u.Targets[i].T.IntersectionCount(g.T)
-			if m == 0 {
-				continue
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return nf[order[a]] < nf[order[b]] })
+	s := &targetSlab{
+		n:     make([]int, len(order)),
+		off:   make([]int, len(order)+1),
+		words: make([]uint64, 0, nz),
+		idx:   make([]int32, 0, nz),
+	}
+	for k, i := range order {
+		s.n[k] = nf[i]
+		for wi, w := range targets[i].T.Words() {
+			if w != 0 {
+				s.words = append(s.words, w)
+				s.idx = append(s.idx, int32(wi))
 			}
-			if v := nf[i] - m + 1; v < best {
-				best = v
-				if best == 1 {
-					break
+		}
+		s.off[k+1] = len(s.words)
+	}
+	return s
+}
+
+// pair returns nmin(g,f) for slab entry k, given T(g)'s words, and false
+// when T(f) and T(g) do not intersect (f ∉ F(g)).
+func (s *targetSlab) pair(k int, g []uint64) (int, bool) {
+	ws := s.words[s.off[k]:s.off[k+1]]
+	is := s.idx[s.off[k]:s.off[k+1]]
+	// Equal lengths let the compiler drop the is[i] bounds check.
+	is = is[:len(ws)]
+	d := 0 // |T(f) − T(g)| = N(f) − M(g,f)
+	for i, w := range ws {
+		d += bits.OnesCount64(w &^ g[is[i]])
+	}
+	if d == s.n[k] {
+		return 0, false
+	}
+	return d + 1, true
+}
+
+// nminBlock writes nmin(g) for one block of consecutive untargeted faults
+// into out. seeds holds the slab entries that minimised the block's most
+// recent faults, most recent first.
+func (s *targetSlab) nminBlock(block []Fault, out []int) {
+	var seeds [maxSeeds]int
+	ns := 0
+	for j, g := range block {
+		gw := g.T.Words()
+		best, arg := Unbounded, -1
+		for _, k := range seeds[:ns] {
+			if best == 1 {
+				break // nmin(g) ≥ 1: no candidate can do better
+			}
+			if v, ok := s.pair(k, gw); ok && v < best {
+				best, arg = v, k
+			}
+		}
+		if best > 1 {
+			ng := g.T.Count()
+			for k, nf := range s.n {
+				if nf+1-min(nf, ng) >= best {
+					break // all later targets have larger N(f), hence larger bounds
+				}
+				if v, ok := s.pair(k, gw); ok && v < best {
+					best, arg = v, k
 				}
 			}
 		}
-		r.NMin[j] = best
+		out[j] = best
+		if arg < 0 {
+			continue
+		}
+		// Move arg to the front of the seeds, dropping the oldest when full.
+		p := 0
+		for p < ns && seeds[p] != arg {
+			p++
+		}
+		if p == ns {
+			if ns < maxSeeds {
+				ns++
+			} else {
+				p = maxSeeds - 1
+			}
+		}
+		copy(seeds[1:p+1], seeds[:p])
+		seeds[0] = arg
 	}
-
-	sim.ParallelFor(workers, len(u.Untargeted), one)
-	return r
 }
 
 // CoverageAt returns the fraction (0..1) of untargeted faults with

@@ -1,10 +1,15 @@
 package ndetect
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/bitset"
+	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
+	"ndetect/internal/sim"
 )
 
 // table1Universe reproduces the paper's example exactly: the published
@@ -232,4 +237,248 @@ func TestEmptyUntargetedCoverage(t *testing.T) {
 	if wc.CoverageAt(1) != 1 {
 		t.Fatal("vacuous coverage should be 1")
 	}
+}
+
+// checkAgainstNMin compares WorstCaseWorkers at one and three workers with
+// the direct definition, NMin(g, u.Targets), on every untargeted fault.
+func checkAgainstNMin(t *testing.T, label string, u *Universe) {
+	t.Helper()
+	want := make([]int, len(u.Untargeted))
+	for j, g := range u.Untargeted {
+		want[j] = NMin(g, u.Targets)
+	}
+	for _, workers := range []int{1, 3} {
+		got := WorstCaseWorkers(u, workers).NMin
+		if len(got) != len(want) {
+			t.Fatalf("%s workers=%d: %d results for %d faults", label, workers, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("%s workers=%d: nmin(%s) = %d, want %d",
+					label, workers, u.Untargeted[j].Name, got[j], want[j])
+			}
+		}
+	}
+}
+
+// diffWindows returns the untargeted faults the embedded differential test
+// checks: all of them when there are at most 400, else 4 windows of 100
+// consecutive faults spread evenly over the enumeration. Consecutive
+// faults share lines, so within a window the witness seeds work as in a
+// full run, and each window straddles seed blocks.
+func diffWindows(ds []fault.Descriptor) []fault.Descriptor {
+	const windows, width = 4, 100
+	if len(ds) <= windows*width {
+		return ds
+	}
+	var out []fault.Descriptor
+	for w := 0; w < windows; w++ {
+		lo := w * (len(ds) - width) / (windows - 1)
+		out = append(out, ds[lo:lo+width]...)
+	}
+	return out
+}
+
+// TestWorstCaseMatchesNMinOnEmbeddedCircuits runs the differential check
+// on real T-sets: every embedded circuit with at most 12 inputs (the
+// benchmark surrogates and the .bench samples), under every registered
+// fault model, with the full target set and windows of the untargeted
+// faults (diffWindows). The pair-space transition model is checked up to
+// 8 inputs: at 12 its T-sets take 2 MiB each.
+func TestWorstCaseMatchesNMinOnEmbeddedCircuits(t *testing.T) {
+	var circuits []*circuit.Circuit
+	for _, b := range bench.All() {
+		if b.TotalInputs() > 12 {
+			continue
+		}
+		r, err := b.SynthesizeDefault()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		circuits = append(circuits, r.Circuit)
+	}
+	for _, name := range circuit.EmbeddedBenchNames() {
+		c, err := circuit.EmbeddedBench(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.NumInputs() <= 12 {
+			circuits = append(circuits, c)
+		}
+	}
+	for _, id := range fault.ModelIDs() {
+		m, err := fault.Resolve(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build, err := sim.ModelTSetsFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range circuits {
+			if m.Space() == fault.VectorPair && c.NumInputs() > 8 {
+				continue
+			}
+			e, err := sim.RunWorkers(c, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			targets := fault.EnumerateSet(m, c, fault.TargetSet)
+			untargeted := diffWindows(fault.EnumerateSet(m, c, fault.UntargetedSet))
+			tT, uT, kept, err := build(e, targets, untargeted, func(string) {})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, c.Name, err)
+			}
+			u, err := AssembleUniverse(c, m, targets, kept, tT, uT)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, c.Name, err)
+			}
+			checkAgainstNMin(t, id+"/"+c.Name, &u.Universe)
+		}
+	}
+}
+
+// edgeUniverse builds a universe over size vectors with nG untargeted
+// faults and the shapes the sparse slab and the seeds must handle: an
+// empty T(f), a duplicated target, T(f) = U, T(g) = U, an empty T(g),
+// and untargeted faults built around a target's T-set (supersets, which
+// give nmin = 1, and near misses, which do not).
+func edgeUniverse(rng *rand.Rand, size, nG int) *Universe {
+	randSet := func(density float64) *bitset.Set {
+		s := bitset.New(size)
+		for v := 0; v < size; v++ {
+			if rng.Float64() < density {
+				s.Add(v)
+			}
+		}
+		return s
+	}
+	full := bitset.New(size)
+	full.Fill()
+	u := &Universe{Size: size}
+	addT := func(s *bitset.Set) {
+		u.Targets = append(u.Targets, Fault{Name: fmt.Sprintf("f%d", len(u.Targets)), T: s})
+	}
+	addT(bitset.New(size))
+	for i := 0; i < 6; i++ {
+		addT(randSet([]float64{0.02, 0.1, 0.3, 0.6}[i%4]))
+	}
+	addT(u.Targets[3].T.Clone())
+	addT(full)
+	for j := 0; j < nG; j++ {
+		var s *bitset.Set
+		switch f := u.Targets[1+rng.Intn(len(u.Targets)-1)].T; j % 6 {
+		case 0:
+			s = full.Clone()
+		case 1:
+			s = f.Clone()
+			s.UnionWith(randSet(0.05))
+		case 2:
+			s = f.Clone()
+			if size > 0 {
+				s.Remove(rng.Intn(size))
+			}
+			s.UnionWith(randSet(0.05))
+		case 3:
+			s = bitset.New(size)
+		default:
+			s = randSet([]float64{0.03, 0.2}[j%2])
+		}
+		u.Untargeted = append(u.Untargeted, Fault{Name: fmt.Sprintf("g%d", j), T: s})
+	}
+	return u
+}
+
+// TestWorstCaseMatchesNMinOnEdgeUniverses runs the differential check on
+// hand-built universes at the word boundaries of U and at untargeted
+// counts on both sides of the 64-fault seed block.
+func TestWorstCaseMatchesNMinOnEdgeUniverses(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, size := range []int{1, 63, 64, 65, 130} {
+		for _, nG := range []int{0, 1, 63, 64, 65, 129} {
+			u := edgeUniverse(rng, size, nG)
+			checkAgainstNMin(t, fmt.Sprintf("|U|=%d |G|=%d", size, nG), u)
+		}
+	}
+}
+
+// fuzzUniverse decodes bytes into a universe of at most 8 targets and 70
+// untargeted faults over at most 200 vectors. Three header bytes pick the
+// sizes; each fault then takes an op byte and, where the op needs them,
+// ⌈|U|/8⌉ bytes of raw members per raw set. The ops build raw, sparse,
+// empty and full sets, and supersets and subsets of an earlier target, so
+// duplicates, nmin = 1 witnesses and near misses are a few bytes away.
+// Missing bytes read as zero.
+func fuzzUniverse(data []byte) *Universe {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	size := 1 + next()%200
+	nT, nG := next()%9, next()%71
+	raw := func() *bitset.Set {
+		s := bitset.New(size)
+		for lo := 0; lo < size; lo += 8 {
+			b := next()
+			for i := 0; i < 8 && lo+i < size; i++ {
+				if b>>i&1 != 0 {
+					s.Add(lo + i)
+				}
+			}
+		}
+		return s
+	}
+	u := &Universe{Size: size}
+	decode := func() *bitset.Set {
+		op := next()
+		s := bitset.New(size)
+		switch op % 6 {
+		case 0:
+			s = raw()
+		case 1:
+			s = raw()
+			s.IntersectWith(raw())
+		case 2:
+		case 3:
+			s.Fill()
+		default:
+			if len(u.Targets) == 0 {
+				return raw()
+			}
+			s = u.Targets[op/6%len(u.Targets)].T.Clone()
+			if op%6 == 4 {
+				r := raw()
+				r.IntersectWith(raw())
+				s.UnionWith(r)
+			} else {
+				s.IntersectWith(raw())
+			}
+		}
+		return s
+	}
+	for i := 0; i < nT; i++ {
+		u.Targets = append(u.Targets, Fault{Name: fmt.Sprintf("f%d", i), T: decode()})
+	}
+	for j := 0; j < nG; j++ {
+		u.Untargeted = append(u.Untargeted, Fault{Name: fmt.Sprintf("g%d", j), T: decode()})
+	}
+	return u
+}
+
+// FuzzWorstCase checks WorstCaseWorkers against the direct definition on
+// fuzzer-built universes (fuzzUniverse).
+func FuzzWorstCase(f *testing.F) {
+	for i, hdr := range [][3]byte{{15, 7, 1}, {63, 8, 70}, {64, 8, 65}, {0, 3, 70}, {199, 8, 64}, {127, 5, 63}} {
+		data := make([]byte, 4096)
+		rand.New(rand.NewSource(int64(i))).Read(data)
+		copy(data, hdr[:])
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstNMin(t, "fuzz", fuzzUniverse(data))
+	})
 }

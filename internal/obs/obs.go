@@ -73,7 +73,10 @@ func (t Timer) Elapsed() time.Duration { return time.Since(t.t0) }
 //     phases without ever reading the clock itself;
 //   - Progress adapts the ndetect.Progress stream: each stage transition
 //     closes the previous progress-derived span and opens the next, and
-//     repeated callbacks within a stage update its Done/Total counts.
+//     repeated callbacks within a stage update its Done/Total counts. A
+//     progress-derived span also closes when the bracket it started
+//     inside ends, so a stage's last span never runs on into the next
+//     phase.
 //
 // A Recorder never influences what it observes; it exists for the
 // serving layer's /trace dumps, stage histograms and the CLI's -trace
@@ -84,11 +87,12 @@ type Recorder struct {
 	spans []Span
 	ended []bool
 	cur   int // index of the open progress-derived span, or -1
+	curIn int // index of the bracket cur started inside, or -1
 }
 
 // NewRecorder starts an empty recorder; its trace clock starts now.
 func NewRecorder() *Recorder {
-	return &Recorder{t0: time.Now(), cur: -1}
+	return &Recorder{t0: time.Now(), cur: -1, curIn: -1}
 }
 
 // Begin opens an explicit span and returns the function that ends it.
@@ -102,14 +106,22 @@ func (r *Recorder) Begin(name string) func() {
 }
 
 // Progress records one ndetect.Progress callback: a stage change closes
-// the current progress span and opens a new one; within a stage only the
-// counts advance.
+// the current progress span and opens a new one inside the innermost open
+// bracket; within a stage only the counts advance.
 func (r *Recorder) Progress(stage string, done, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.cur < 0 || r.spans[r.cur].Name != stage {
 		if r.cur >= 0 {
-			r.endLocked(r.cur)
+			r.endLocked(r.cur, r.now())
+		}
+		// With cur ended, every span still open is a bracket.
+		r.curIn = -1
+		for i := len(r.spans) - 1; i >= 0; i-- {
+			if !r.ended[i] {
+				r.curIn = i
+				break
+			}
 		}
 		r.cur = r.pushLocked(stage)
 	}
@@ -126,7 +138,7 @@ func (r *Recorder) Elapsed() time.Duration { return time.Since(r.t0) }
 func (r *Recorder) Snapshot() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := time.Since(r.t0).Nanoseconds()
+	now := r.now()
 	out := make([]Span, len(r.spans))
 	copy(out, r.spans)
 	for i := range out {
@@ -144,34 +156,43 @@ func (r *Recorder) Snapshot() []Span {
 // done.
 func (r *Recorder) Finish() []Span {
 	r.mu.Lock()
+	now := r.now()
 	for i := range r.spans {
-		if !r.ended[i] {
-			r.endLocked(i)
-		}
+		r.endLocked(i, now)
 	}
 	r.cur = -1
 	r.mu.Unlock()
 	return r.Snapshot()
 }
 
+// now returns the trace clock in nanoseconds since the recorder started.
+func (r *Recorder) now() int64 { return time.Since(r.t0).Nanoseconds() }
+
 func (r *Recorder) pushLocked(name string) int {
-	r.spans = append(r.spans, Span{Name: name, StartNs: time.Since(r.t0).Nanoseconds()})
+	r.spans = append(r.spans, Span{Name: name, StartNs: r.now()})
 	r.ended = append(r.ended, false)
 	return len(r.spans) - 1
 }
 
+// end closes span i and, when i is the bracket the open progress-derived
+// span started inside, that span too, at the same instant.
 func (r *Recorder) end(i int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.endLocked(i)
+	now := r.now()
+	r.endLocked(i, now)
+	if r.cur >= 0 && r.curIn == i {
+		r.endLocked(r.cur, now)
+		r.cur = -1
+	}
 }
 
-func (r *Recorder) endLocked(i int) {
+func (r *Recorder) endLocked(i int, now int64) {
 	if r.ended[i] {
 		return
 	}
 	r.ended[i] = true
-	r.spans[i].DurNs = time.Since(r.t0).Nanoseconds() - r.spans[i].StartNs
+	r.spans[i].DurNs = now - r.spans[i].StartNs
 }
 
 // FormatTable renders spans as the CLI's -trace stage-timing table:

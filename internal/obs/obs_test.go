@@ -56,6 +56,63 @@ func TestRecorderBeginEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestRecorderClosesProgressSpanWithItsBracket pins both ends of the
+// worst-case phase as exp.AnalyzeCircuit traces it: the bracket and the
+// progress span opened inside it end at the same instant, so the progress
+// span does not run on through the encode phase that follows until Finish.
+func TestRecorderClosesProgressSpanWithItsBracket(t *testing.T) {
+	r := NewRecorder()
+	end := r.Begin("worstcase")
+	r.Progress("worstcase", 0, 1)
+	r.Progress("worstcase", 1, 1)
+	end()
+	endEncode := r.Begin("encode")
+	time.Sleep(2 * time.Millisecond)
+	endEncode()
+	spans := r.Finish()
+
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans, want 3: %+v", len(spans), spans)
+	}
+	br, pr, enc := spans[0], spans[1], spans[2]
+	if pr.Name != "worstcase" || pr.Done != 1 || pr.Total != 1 {
+		t.Fatalf("span 1 = %+v, want the worstcase progress span at 1/1", pr)
+	}
+	if pr.StartNs < br.StartNs {
+		t.Errorf("progress span starts at %dns, before its bracket at %dns", pr.StartNs, br.StartNs)
+	}
+	brEnd := br.StartNs + br.DurNs
+	if got := pr.StartNs + pr.DurNs; got != brEnd {
+		t.Errorf("progress span ends at %dns, want its bracket's end %dns", got, brEnd)
+	}
+	if enc.StartNs < brEnd {
+		t.Errorf("encode starts at %dns, inside the worstcase bracket ending at %dns", enc.StartNs, brEnd)
+	}
+}
+
+// TestRecorderProgressSpanOutlivesInnerBracket checks that a progress span
+// belongs to the innermost bracket open when it started: a bracket opened
+// later inside it does not end it, and a span started outside every
+// bracket stays open until the next stage or Finish.
+func TestRecorderProgressSpanOutlivesInnerBracket(t *testing.T) {
+	r := NewRecorder()
+	r.Progress("free", 0, 1)
+	r.Begin("other")()
+	if s := r.Snapshot(); !s[0].Open {
+		t.Fatal("progress span started outside every bracket was closed by one")
+	}
+	endOuter := r.Begin("outer")
+	r.Progress("stage", 0, 1)
+	r.Begin("inner")()
+	if s := r.Snapshot(); !s[3].Open {
+		t.Fatalf("progress span closed by a bracket opened after it: %+v", s)
+	}
+	endOuter()
+	if s := r.Snapshot(); s[3].Open {
+		t.Errorf("progress span still open after the bracket it started inside ended: %+v", s)
+	}
+}
+
 func TestRecorderSnapshotMarksOpenSpans(t *testing.T) {
 	r := NewRecorder()
 	r.Begin("universe")

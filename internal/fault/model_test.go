@@ -148,13 +148,13 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		p SetProvider
 		d Descriptor
 	}{
-		{StuckAtProvider{}, Descriptor{A: n, B: -1, V: 0}},   // node out of range
-		{StuckAtProvider{}, Descriptor{A: 0, B: 1, V: 0}},    // B must be -1
-		{StuckAtProvider{}, Descriptor{A: 0, B: -1, V: 2}},   // V out of range
-		{BridgeProvider{}, Descriptor{A: 0, B: 0, V: 0}},     // self-bridge
-		{BridgeProvider{}, Descriptor{A: 0, B: n, V: 0}},     // victim out of range
-		{TransitionProvider{}, Descriptor{A: -1, B: -1}},     // node out of range
-		{TransitionProvider{}, Descriptor{A: 0, B: 2, V: 0}}, // B must be -1
+		{StuckAtProvider{}, Descriptor{A: n, B: -1, V: 0}},    // node out of range
+		{StuckAtProvider{}, Descriptor{A: 0, B: 1, V: 0}},     // B must be -1
+		{StuckAtProvider{}, Descriptor{A: 0, B: -1, V: 2}},    // V out of range
+		{BridgeProvider{}, Descriptor{A: 0, B: 0, V: 0}},      // self-bridge
+		{BridgeProvider{}, Descriptor{A: 0, B: n, V: 0}},      // victim out of range
+		{TransitionProvider{}, Descriptor{A: -1, B: -1}},      // node out of range
+		{TransitionProvider{}, Descriptor{A: 0, B: 2, V: 0}},  // B must be -1
 		{PairStuckAtProvider{}, Descriptor{A: 2, B: 1, V: 0}}, // A >= B
 		{PairStuckAtProvider{}, Descriptor{A: 0, B: 1, V: 4}}, // V out of range
 	}

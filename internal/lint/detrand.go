@@ -40,9 +40,9 @@ var detrandPackages = map[string]bool{
 // "New"), which is how unseeded math/rand draws are rejected while seeded
 // sources pass.
 var detrandForbidden = map[string]map[string]bool{
-	"time":    {"Now": true, "Since": true, "Until": true},
-	"os":      {"Getenv": true, "LookupEnv": true, "Environ": true, "Getpid": true},
-	"runtime": {"GOMAXPROCS": true, "NumCPU": true},
+	"time":         {"Now": true, "Since": true, "Until": true},
+	"os":           {"Getenv": true, "LookupEnv": true, "Environ": true, "Getpid": true},
+	"runtime":      {"GOMAXPROCS": true, "NumCPU": true},
 	"math/rand":    nil, // nil set: everything except New* is forbidden
 	"math/rand/v2": nil,
 }

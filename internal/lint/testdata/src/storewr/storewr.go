@@ -7,8 +7,8 @@ import "os"
 
 // PublishLeaky drops every error the crash-safety protocol depends on.
 func PublishLeaky(tmp *os.File, final string) {
-	tmp.Sync()                  // want "Sync error is discarded"
-	tmp.Close()                 // want "Close error is discarded"
+	tmp.Sync()                   // want "Sync error is discarded"
+	tmp.Close()                  // want "Close error is discarded"
 	os.Rename(tmp.Name(), final) // want "os.Rename error is discarded"
 }
 

@@ -1,6 +1,7 @@
 package ndetect
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -25,6 +26,7 @@ type def2State struct {
 	checker  DistinctChecker
 	distinct [][]int // per target fault: tests counted as distinct detections
 	cursor   []int   // per target fault: vectors of Tk processed so far
+	cands    []int   // pickDistinct's candidate list, reused across picks
 }
 
 func newDef2State(numTargets int, checker DistinctChecker) *def2State {
@@ -33,6 +35,14 @@ func newDef2State(numTargets int, checker DistinctChecker) *def2State {
 		distinct: make([][]int, numTargets),
 		cursor:   make([]int, numTargets),
 	}
+}
+
+// reset empties the state for the next test set, keeping its storage.
+func (s *def2State) reset() {
+	for i := range s.distinct {
+		s.distinct[i] = s.distinct[i][:0]
+	}
+	clear(s.cursor)
 }
 
 // countUpTo advances fault i's cursor until its distinct set reaches `need`
@@ -97,10 +107,18 @@ type pickChecker interface {
 
 // pickDistinct draws a random member of {t ∈ T(f) − Tk : t is pairwise
 // distinct from every counted detection} (see pickScanCap for the sampling
-// bound).
+// bound). The candidates are T(f) − Tk in increasing order, read from the
+// words of T(f) &^ Tk, and the shuffle runs over all of them before the
+// cap applies.
 func (s *def2State) pickDistinct(i int, f *Fault, tk *TestSet, rng *rand.Rand) (int, bool) {
-	diff := f.T.Difference(tk.Set())
-	cands := diff.Members()
+	cands := s.cands[:0]
+	kw := tk.member.Words()
+	for w, t := range f.T.Words() {
+		for d := t &^ kw[w]; d != 0; d &= d - 1 {
+			cands = append(cands, w*64+bits.TrailingZeros64(d))
+		}
+	}
+	s.cands = cands
 	rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
 	if len(cands) > pickScanCap {
 		cands = cands[:pickScanCap]
@@ -124,29 +142,42 @@ func (s *def2State) pickDistinct(i int, f *Fault, tk *TestSet, rng *rand.Rand) (
 // fault i exactly when the partial vector t12 — specified where t1 and t2
 // agree, X elsewhere — does NOT detect the fault.
 //
-// Results are memoized per (fault, unordered pair); the cache is shared
+// Results are memoized per (fault, unordered pair); the memo is shared
 // across the K parallel test-set constructions, which revisit the same pairs
-// constantly. The faulty-machine simulation is restricted to the fault's
-// output cone (precomputed per fault).
+// constantly. Uncached pairs go to the fault's cone (sim.FaultCone, built
+// on first use) 64 at a time through the pair kernel DetectsPairs, in
+// scratch taken from a pool for the length of one call.
 type CircuitChecker struct {
-	c        *circuit.Circuit
 	compiled *sim.Compiled // one engine lowering shared by every cone
 	faults   []fault.StuckAt
 
 	mu    sync.RWMutex
 	cache []map[uint64]bool // per fault: key = lo<<32 | hi
 	cones []*sim.FaultCone  // per fault, built on first use
+
+	scratch sync.Pool // *checkScratch, one per call in flight
+}
+
+// checkScratch is one checker call's working memory. It is taken from the
+// pool at the start of a call and returned at its end, and holds nothing
+// the next call reads.
+type checkScratch struct {
+	pairs     sim.PairScratch
+	pending   []int    // vectors whose pair with the fixed vector is unmemoized
+	index     []int    // FirstDistinct: each pending vector's index into cands
+	survivors []int    // FirstDistinct: indices into cands still distinct
+	detect    []uint64 // kernel verdicts, one bit per pending pair
 }
 
 // NewCircuitChecker builds the checker for a circuit universe: faults[i]
 // must be the structural fault behind Targets[i].
 func NewCircuitChecker(c *circuit.Circuit, faults []fault.StuckAt) *CircuitChecker {
 	return &CircuitChecker{
-		c:        c,
 		compiled: sim.CompileCircuit(c),
 		faults:   faults,
 		cache:    make([]map[uint64]bool, len(faults)),
 		cones:    make([]*sim.FaultCone, len(faults)),
+		scratch:  sync.Pool{New: func() any { return new(checkScratch) }},
 	}
 }
 
@@ -161,54 +192,25 @@ func NewCircuitCheckerFor(u *CircuitUniverse) *CircuitChecker {
 	return NewCircuitChecker(u.Circuit, sas)
 }
 
+func pairKey(a, b int) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
 // Distinct implements DistinctChecker.
 func (cc *CircuitChecker) Distinct(faultIndex, t1, t2 int) bool {
-	if t1 == t2 {
-		return false // a test is never a distinct detection from itself
-	}
-	lo, hi := t1, t2
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	key := uint64(lo)<<32 | uint64(hi)
-
-	cc.mu.RLock()
-	m := cc.cache[faultIndex]
-	if m != nil {
-		if v, ok := m[key]; ok {
-			cc.mu.RUnlock()
-			return v
-		}
-	}
-	cone := cc.cones[faultIndex]
-	cc.mu.RUnlock()
-
-	if cone == nil {
-		cone = cc.compiled.NewFaultCone(cc.faults[faultIndex].Node)
-	}
-
-	pattern := sim.CommonTest(uint64(lo), uint64(hi), cc.c.NumInputs())
-	// Distinct iff t12 does NOT detect the fault.
-	v := !cone.DetectsTV(pattern, cc.faults[faultIndex].Value)
-
-	cc.mu.Lock()
-	if cc.cache[faultIndex] == nil {
-		cc.cache[faultIndex] = make(map[uint64]bool)
-	}
-	cc.cache[faultIndex][key] = v
-	if cc.cones[faultIndex] == nil {
-		cc.cones[faultIndex] = cone
-	}
-	cc.mu.Unlock()
-	return v
+	return cc.DistinctAll(faultIndex, t1, []int{t2})
 }
 
 // DistinctAll reports whether v is pairwise distinct from every test in ds
-// for the given fault, resolving all uncached pairs with one dual-rail
-// batched simulation (chunks of 64).
+// for the given fault (a test is never distinct from itself), resolving
+// the unmemoized pairs with the pair kernel.
 func (cc *CircuitChecker) DistinctAll(faultIndex, v int, ds []int) bool {
-	keys := make([]uint64, 0, len(ds))
-	pending := make([]int, 0, len(ds))
+	s := cc.scratch.Get().(*checkScratch)
+	defer cc.scratch.Put(s)
+	pending := s.pending[:0]
 
 	cc.mu.RLock()
 	m := cc.cache[faultIndex]
@@ -218,80 +220,45 @@ func (cc *CircuitChecker) DistinctAll(faultIndex, v int, ds []int) bool {
 			cc.mu.RUnlock()
 			return false
 		}
-		lo, hi := v, d
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		key := uint64(lo)<<32 | uint64(hi)
-		if m != nil {
-			if val, ok := m[key]; ok {
-				if !val {
-					cc.mu.RUnlock()
-					return false
-				}
-				continue
+		if val, ok := m[pairKey(v, d)]; ok {
+			if !val {
+				cc.mu.RUnlock()
+				return false
 			}
+			continue
 		}
-		keys = append(keys, key)
 		pending = append(pending, d)
 	}
 	cc.mu.RUnlock()
+	s.pending = pending
 	if len(pending) == 0 {
 		return true
 	}
-
-	if cone == nil {
-		cone = cc.compiled.NewFaultCone(cc.faults[faultIndex].Node)
-	}
-	result := true
-	verdicts := make([]bool, 0, len(pending))
-	for start := 0; start < len(pending); start += 64 {
-		end := start + 64
-		if end > len(pending) {
-			end = len(pending)
-		}
-		patterns := make([][]sim.TV, 0, end-start)
-		for _, d := range pending[start:end] {
-			patterns = append(patterns, sim.CommonTest(uint64(v), uint64(d), cc.c.NumInputs()))
-		}
-		for _, detects := range cone.DetectsTVBatch(patterns, cc.faults[faultIndex].Value) {
-			verdicts = append(verdicts, !detects) // distinct iff t_ij does NOT detect
-			if detects {
-				result = false
-			}
+	for _, w := range cc.resolve(faultIndex, v, cone, pending, s) {
+		if w != 0 {
+			return false
 		}
 	}
-
-	cc.mu.Lock()
-	if cc.cache[faultIndex] == nil {
-		cc.cache[faultIndex] = make(map[uint64]bool)
-	}
-	for i, key := range keys {
-		cc.cache[faultIndex][key] = verdicts[i]
-	}
-	if cc.cones[faultIndex] == nil {
-		cc.cones[faultIndex] = cone
-	}
-	cc.mu.Unlock()
-	return result
+	return true
 }
 
 // FirstDistinct returns the index (into cands) of the first candidate that
 // is pairwise distinct from every test in ds for the given fault, or -1.
 // Candidates are eliminated member by member: for each counted detection d,
-// all surviving candidates are checked against d with cache lookups plus
-// one batched simulation per 64 uncached pairs. The surviving set after the
+// all surviving candidates are checked against d with memo lookups plus
+// one kernel call per 64 unmemoized pairs. The surviving set after the
 // last member is exactly {candidates distinct from all of ds}, so the
 // returned candidate matches what a sequential scan would pick.
 func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) int {
-	survivors := make([]int, len(cands)) // indices into cands
-	for i := range survivors {
-		survivors[i] = i
+	s := cc.scratch.Get().(*checkScratch)
+	defer cc.scratch.Put(s)
+	survivors := s.survivors[:0]
+	for i := range cands {
+		survivors = append(survivors, i)
 	}
 	for _, d := range ds {
 		next := survivors[:0]
-		var pendingIdx []int
-		var pendingKeys []uint64
+		pending, index := s.pending[:0], s.index[:0]
 
 		cc.mu.RLock()
 		m := cc.cache[faultIndex]
@@ -301,55 +268,22 @@ func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) i
 			if v == d {
 				continue // never distinct from itself
 			}
-			lo, hi := v, d
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			key := uint64(lo)<<32 | uint64(hi)
-			if m != nil {
-				if val, ok := m[key]; ok {
-					if val {
-						next = append(next, si)
-					}
-					continue
+			if val, ok := m[pairKey(v, d)]; ok {
+				if val {
+					next = append(next, si)
 				}
+				continue
 			}
-			pendingIdx = append(pendingIdx, si)
-			pendingKeys = append(pendingKeys, key)
+			pending = append(pending, v)
+			index = append(index, si)
 		}
 		cc.mu.RUnlock()
+		s.pending, s.index = pending, index
 
-		if len(pendingIdx) > 0 {
-			if cone == nil {
-				cone = cc.compiled.NewFaultCone(cc.faults[faultIndex].Node)
-			}
-			verdicts := make([]bool, 0, len(pendingIdx))
-			for start := 0; start < len(pendingIdx); start += 64 {
-				end := start + 64
-				if end > len(pendingIdx) {
-					end = len(pendingIdx)
-				}
-				patterns := make([][]sim.TV, 0, end-start)
-				for _, si := range pendingIdx[start:end] {
-					patterns = append(patterns, sim.CommonTest(uint64(cands[si]), uint64(d), cc.c.NumInputs()))
-				}
-				for _, detects := range cone.DetectsTVBatch(patterns, cc.faults[faultIndex].Value) {
-					verdicts = append(verdicts, !detects)
-				}
-			}
-			cc.mu.Lock()
-			if cc.cache[faultIndex] == nil {
-				cc.cache[faultIndex] = make(map[uint64]bool)
-			}
-			for i, key := range pendingKeys {
-				cc.cache[faultIndex][key] = verdicts[i]
-			}
-			if cc.cones[faultIndex] == nil {
-				cc.cones[faultIndex] = cone
-			}
-			cc.mu.Unlock()
-			for i, si := range pendingIdx {
-				if verdicts[i] {
+		if len(pending) > 0 {
+			detect := cc.resolve(faultIndex, d, cone, pending, s)
+			for j, si := range index {
+				if detect[j/64]>>uint(j%64)&1 == 0 {
 					next = append(next, si)
 				}
 			}
@@ -357,10 +291,12 @@ func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) i
 
 		survivors = next
 		if len(survivors) == 0 {
+			s.survivors = survivors
 			return -1
 		}
 	}
-	// Cache hits and simulated verdicts append in different orders, so the
+	s.survivors = survivors
+	// Memo hits and simulated verdicts append in different orders, so the
 	// survivor list is not sorted; the minimum index is the candidate a
 	// sequential scan would have accepted first.
 	best := survivors[0]
@@ -372,13 +308,34 @@ func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) i
 	return best
 }
 
-// CacheSize returns the number of memoized pair results (diagnostics).
-func (cc *CircuitChecker) CacheSize() int {
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	n := 0
-	for _, m := range cc.cache {
-		n += len(m)
+// resolve simulates the pairs (v, ds[j]) of fault i, 64 to a kernel call,
+// memoizes every verdict and returns the pairs whose common-bits test
+// detects the fault — the pairs that are NOT distinct — as bit j%64 of
+// word j/64 (stored in s.detect). cone is the fault's cone, or nil if it
+// has not been built yet.
+func (cc *CircuitChecker) resolve(i, v int, cone *sim.FaultCone, ds []int, s *checkScratch) []uint64 {
+	if cone == nil {
+		cone = cc.compiled.NewFaultCone(cc.faults[i].Node)
 	}
-	return n
+	stuck := cc.faults[i].Value
+	detect := s.detect[:0]
+	for lo := 0; lo < len(ds); lo += 64 {
+		detect = append(detect, cone.DetectsPairs(uint64(v), ds[lo:min(lo+64, len(ds))], stuck, &s.pairs))
+	}
+	s.detect = detect
+
+	cc.mu.Lock()
+	m := cc.cache[i]
+	if m == nil {
+		m = make(map[uint64]bool)
+		cc.cache[i] = m
+	}
+	for j, d := range ds {
+		m[pairKey(v, d)] = detect[j/64]>>uint(j%64)&1 == 0 // distinct iff t_vd does NOT detect
+	}
+	if cc.cones[i] == nil {
+		cc.cones[i] = cone
+	}
+	cc.mu.Unlock()
+	return detect
 }

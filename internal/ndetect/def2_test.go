@@ -127,8 +127,12 @@ func TestCircuitCheckerBasics(t *testing.T) {
 			}
 		}
 	}
-	if cc.CacheSize() == 0 {
-		t.Fatal("cache empty after queries")
+	memo := 0
+	for _, m := range cc.cache {
+		memo += len(m)
+	}
+	if memo == 0 {
+		t.Fatal("memo empty after queries")
 	}
 }
 
@@ -179,6 +183,8 @@ func TestCircuitCheckerSemantics(t *testing.T) {
 }
 
 // TestCircuitCheckerConcurrent: hammer the cache from several goroutines.
+// Each goroutine also runs the batched DistinctAll and FirstDistinct, which
+// share the memo, the lazily built cones and the scratch pool.
 func TestCircuitCheckerConcurrent(t *testing.T) {
 	c, faults := buildDef2Circuit(t)
 	cc := NewCircuitChecker(c, faults)
@@ -194,6 +200,10 @@ func TestCircuitCheckerConcurrent(t *testing.T) {
 					for b := 0; b < 8; b++ {
 						out = append(out, cc.Distinct(fi, a, b))
 					}
+					ds := []int{(a + 1) % 8, (a + 3) % 8, (a + 6) % 8}
+					out = append(out, cc.DistinctAll(fi, a, ds))
+					at := cc.FirstDistinct(fi, []int{7, 6, 5, 4, 3, 2, 1, 0}, ds[:1+a%3])
+					out = append(out, at >= 0, at%2 == 0)
 				}
 			}
 			results[w] = out

@@ -2,10 +2,11 @@ package ndetect
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 
-	"ndetect/internal/bitset"
 	"ndetect/internal/sim"
 )
 
@@ -105,6 +106,14 @@ func (r *Procedure1Result) P(n, j int) float64 {
 // set through iterations n = 1..NMax; at the end of iteration n, Tk is an
 // n-detection test set. Detection statistics for the untargeted faults are
 // recorded after every iteration.
+//
+// The draws are exact and allocation-free (DESIGN.md §1): a target's
+// Definition 1 count is kept as a lower bound and recounted only when the
+// bound falls short of n, a draw selects its test inside the words of
+// T(f) &^ Tk, and each untargeted fault's first-detection iteration is
+// merged once per set. Every pick consumes the same rng draws as the
+// direct construction — clone T(f) − Tk, count it, take its Intn(c)-th
+// member — so the result is identical.
 func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
@@ -129,22 +138,10 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 		}
 	}
 
-	// Reverse index: for every vector, which untargeted faults it detects.
-	// Makes marking first detections O(|faults detected by v|) per added
-	// vector instead of a full |G| sweep per iteration.
-	gAt := make([][]int32, u.Size)
-	for j, g := range u.Untargeted {
-		g.T.ForEach(func(v int) {
-			gAt[v] = append(gAt[v], int32(j))
-		})
-	}
-	// Same for targets: incremental Definition 1 counts.
-	fAt := make([][]int32, u.Size)
-	for i, f := range u.Targets {
-		f.T.ForEach(func(v int) {
-			fAt[v] = append(fAt[v], int32(i))
-		})
-	}
+	p := newProc1(u, &opts)
+	// One setState per concurrently running test set, reused by the next
+	// set that worker takes (a pool, since ParallelFor names no workers).
+	states := sync.Pool{New: func() any { return p.newSetState() }}
 
 	// Fan the K independent test-set streams over the §5 worker budget.
 	// Every merge into res is commutative (counters under mu), so the
@@ -152,7 +149,9 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 	var mu sync.Mutex
 	finished := 0
 	sim.ParallelFor(opts.Workers, opts.K, func(k int) {
-		runOne(u, &opts, k, fAt, gAt, res, &mu)
+		s := states.Get().(*setState)
+		s.run(k, res, &mu)
+		states.Put(s)
 		if opts.Progress != nil {
 			mu.Lock()
 			finished++
@@ -160,109 +159,203 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 			mu.Unlock()
 		}
 	})
+	// Sets were merged at their first-detection iteration; d(n, g) counts
+	// every set that detects g by iteration n.
+	for n := 1; n < opts.NMax; n++ {
+		prev, cur := res.Detected[n-1], res.Detected[n]
+		for j := range cur {
+			cur[j] += prev[j]
+		}
+	}
 	return res, nil
 }
 
-// runOne builds one test set through all NMax iterations and merges its
+// proc1 is the read-only state every test set of one Procedure1 call
+// shares.
+type proc1 struct {
+	u    *Universe
+	opts *Procedure1Options
+	nf   []int // N(f) per target
+	// gAt[v] lists the untargeted faults vector v detects: marking first
+	// detections costs O(|faults v detects|) per added vector instead of
+	// a |G| sweep per iteration.
+	gAt [][]int32
+}
+
+func newProc1(u *Universe, opts *Procedure1Options) *proc1 {
+	p := &proc1{u: u, opts: opts, nf: make([]int, len(u.Targets)), gAt: make([][]int32, u.Size)}
+	for i, f := range u.Targets {
+		p.nf[i] = f.T.Count()
+	}
+	for j, g := range u.Untargeted {
+		g.T.ForEach(func(v int) { p.gAt[v] = append(p.gAt[v], int32(j)) })
+	}
+	return p
+}
+
+// setState is one test set's working state. run resets it, so a state
+// serves any number of sets, one at a time; it never carries results from
+// one set into the next.
+type setState struct {
+	*proc1
+	rng *rand.Rand
+	tk  *TestSet
+	// lb[i] is a lower bound on target i's Definition 1 count
+	// |T(f) ∩ Tk|, or math.MaxInt once T(f) ⊆ Tk (no draw is left).
+	// Counts only grow as Tk does, so a bound ≥ n settles the check.
+	lb []int
+	// seen marks the untargeted faults Tk detects; order lists them in
+	// first-detection order, and ends[n-1] is len(order) after iteration
+	// n, so the faults first detected at iteration n are
+	// order[ends[n-2]:ends[n-1]].
+	seen  []bool
+	order []int32
+	ends  []int
+	sizes []int      // sizes[n-1] = |Tk| after iteration n
+	d2    *def2State // Definition 2 only
+}
+
+func (p *proc1) newSetState() *setState {
+	s := &setState{
+		proc1: p,
+		rng:   rand.New(rand.NewSource(0)),
+		tk:    NewTestSet(p.u.Size),
+		lb:    make([]int, len(p.u.Targets)),
+		seen:  make([]bool, len(p.u.Untargeted)),
+		ends:  make([]int, p.opts.NMax),
+		sizes: make([]int, p.opts.NMax),
+	}
+	if p.opts.Definition == Def2 {
+		s.d2 = newDef2State(len(p.u.Targets), p.opts.Checker)
+	}
+	return s
+}
+
+// run builds test set k through all NMax iterations and merges its
 // statistics into res under mu.
-func runOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res *Procedure1Result, mu *sync.Mutex) {
-	rng := rand.New(rand.NewSource(mix(opts.Seed, int64(k))))
-	tk := NewTestSet(u.Size)
-	def1Count := make([]int, len(u.Targets))
-	gDetected := make([]bool, len(u.Untargeted))
-
-	var d2 *def2State
-	if opts.Definition == Def2 {
-		d2 = newDef2State(len(u.Targets), opts.Checker)
+func (s *setState) run(k int, res *Procedure1Result, mu *sync.Mutex) {
+	opts := s.opts
+	// Reseeding restarts the stream exactly as a fresh
+	// rand.New(rand.NewSource(seed)) would.
+	s.rng.Seed(mix(opts.Seed, int64(k)))
+	s.tk.reset()
+	clear(s.lb)
+	for _, j := range s.order {
+		s.seen[j] = false
 	}
-
-	add := func(v int) {
-		if !tk.Add(v) {
-			return
-		}
-		for _, fi := range fAt[v] {
-			def1Count[fi]++
-		}
-		for _, gj := range gAt[v] {
-			gDetected[gj] = true
-		}
+	s.order = s.order[:0]
+	if s.d2 != nil {
+		s.d2.reset()
 	}
-
-	detectedAtN := make([][]int32, opts.NMax)
-	sizeAtN := make([]int, opts.NMax)
 
 	for n := 1; n <= opts.NMax; n++ {
-		for fi := range u.Targets {
-			f := &u.Targets[fi]
+		for fi := range s.u.Targets {
+			f := &s.u.Targets[fi]
 			switch opts.Definition {
 			case Def1:
-				if def1Count[fi] >= n {
-					continue
-				}
-				v, ok := pickRandomOutside(f.T, tk, rng)
-				if ok {
-					add(v)
+				if count, short := s.def1Short(fi, n); short {
+					s.drawOutside(fi, count)
 				}
 			case Def2:
-				if d2.countUpTo(fi, n, f, tk) >= n {
+				if s.d2.countUpTo(fi, n, f, s.tk) >= n {
 					continue
 				}
 				// Find a test outside Tk that counts as a distinct
 				// detection under Definition 2. (Its membership in the
 				// distinct set is established when the cursor reaches it.)
-				if v, ok := d2.pickDistinct(fi, f, tk, rng); ok {
-					add(v)
+				if v, ok := s.d2.pickDistinct(fi, f, s.tk, s.rng); ok {
+					s.add(v)
 					continue
 				}
 				// Fall back to Definition 1 for this fault so it is not
 				// left with far fewer than n detections.
-				if def1Count[fi] >= n {
-					continue
-				}
-				if v, ok := pickRandomOutside(f.T, tk, rng); ok {
-					add(v)
+				if count, short := s.def1Short(fi, n); short {
+					s.drawOutside(fi, count)
 				}
 			}
 		}
-		// Snapshot statistics for this n.
-		var dets []int32
-		for j, d := range gDetected {
-			if d {
-				dets = append(dets, int32(j))
-			}
-		}
-		detectedAtN[n-1] = dets
-		sizeAtN[n-1] = tk.Len()
+		s.ends[n-1] = len(s.order)
+		s.sizes[n-1] = s.tk.Len()
 		if opts.KeepTestSets {
 			mu.Lock()
-			res.TestSets[n-1][k] = tk.Clone()
+			res.TestSets[n-1][k] = s.tk.Clone()
 			mu.Unlock()
 		}
 	}
 
 	mu.Lock()
-	for n := 0; n < opts.NMax; n++ {
-		for _, j := range detectedAtN[n] {
+	from := 0
+	for n, to := range s.ends {
+		for _, j := range s.order[from:to] {
 			res.Detected[n][j]++
 		}
-		res.SizeAdd(n, sizeAtN[n])
+		from = to
+		res.SetSizeSum[n] += int64(s.sizes[n])
 	}
 	mu.Unlock()
 }
 
-// SizeAdd accumulates one test set's size for iteration n (0-based). Callers
-// must hold the result mutex; exported for the internal test that exercises
-// aggregation directly.
-func (r *Procedure1Result) SizeAdd(n, size int) { r.SetSizeSum[n] += int64(size) }
-
-// pickRandomOutside selects a uniformly random member of T(f) − Tk.
-func pickRandomOutside(t *bitset.Set, tk *TestSet, rng *rand.Rand) (int, bool) {
-	diff := t.Difference(tk.Set())
-	c := diff.Count()
-	if c == 0 {
+// def1Short reports whether target i has fewer than n Definition 1
+// detections with a test of T(f) still outside Tk, and if so returns its
+// exact count |T(f) ∩ Tk|. The bound answers without reading T(f) until
+// it falls short of n; then one popcount pass makes it exact again.
+func (s *setState) def1Short(i, n int) (count int, short bool) {
+	if s.lb[i] >= n {
 		return 0, false
 	}
-	return diff.Nth(rng.Intn(c)), true
+	tw := s.u.Targets[i].T.Words()
+	kw := s.tk.member.Words()
+	kw = kw[:len(tw)]
+	for w, t := range tw {
+		count += bits.OnesCount64(t & kw[w])
+	}
+	if count == s.nf[i] {
+		s.lb[i] = math.MaxInt
+		return 0, false
+	}
+	s.lb[i] = count
+	return count, count < n
+}
+
+// drawOutside adds a uniformly random member of T(f) − Tk for target i,
+// whose exact count def1Short just returned: one draw r = Intn(c) with
+// c = N(f) − count = |T(f) − Tk|, then the r-th member of T(f) &^ Tk.
+func (s *setState) drawOutside(i, count int) {
+	r := s.rng.Intn(s.nf[i] - count)
+	s.add(nthOutside(s.u.Targets[i].T.Words(), s.tk.member.Words(), r))
+	s.lb[i] = count + 1
+}
+
+// nthOutside returns the r-th member (0-based, increasing order) of the
+// set whose words are t &^ k — the vector bitset.Nth picks from the
+// difference set — without building it: it skips whole words by popcount,
+// then clears the r lowest set bits of the word that holds the member.
+func nthOutside(t, k []uint64, r int) int {
+	k = k[:len(t)]
+	for w, tw := range t {
+		d := tw &^ k[w]
+		if c := bits.OnesCount64(d); r >= c {
+			r -= c
+			continue
+		}
+		for ; r > 0; r-- {
+			d &= d - 1
+		}
+		return w*64 + bits.TrailingZeros64(d)
+	}
+	panic("ndetect: draw index beyond |T(f) − Tk|")
+}
+
+// add inserts a vector known to be outside Tk and marks the untargeted
+// faults it detects first.
+func (s *setState) add(v int) {
+	s.tk.Add(v)
+	for _, j := range s.gAt[v] {
+		if !s.seen[j] {
+			s.seen[j] = true
+			s.order = append(s.order, j)
+		}
+	}
 }
 
 // mix derives a well-spread 64-bit seed from (base, k) with a splitmix64

@@ -1,10 +1,15 @@
 package ndetect
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/bitset"
+	"ndetect/internal/circuit"
+	"ndetect/internal/sim"
 )
 
 // TestProcedure1NDetectionInvariant: after iteration n, every test set
@@ -175,6 +180,7 @@ func TestPickRandomOutsideUniform(t *testing.T) {
 	tk := NewTestSet(size)
 	tk.Add(5)
 	rng := rand.New(rand.NewSource(0))
+	twin := rand.New(rand.NewSource(0))
 	counts := map[int]int{}
 	for i := 0; i < 3000; i++ {
 		v, ok := pickRandomOutside(tset, tk, rng)
@@ -183,6 +189,10 @@ func TestPickRandomOutsideUniform(t *testing.T) {
 		}
 		if v == 5 {
 			t.Fatal("picked a vector already in Tk")
+		}
+		// Procedure1's draw: the same single Intn(c), the same vector.
+		if w := nthOutside(tset.Words(), tk.Set().Words(), twin.Intn(3)); w != v {
+			t.Fatalf("draw %d: in-word select picked %d, reference %d", i, w, v)
 		}
 		counts[v]++
 	}
@@ -200,6 +210,27 @@ func TestPickRandomOutsideUniform(t *testing.T) {
 	tk.Add(13)
 	if _, ok := pickRandomOutside(tset, tk, rng); ok {
 		t.Fatal("pick succeeded on empty difference")
+	}
+
+	// Every index of the difference, on sets spanning word boundaries.
+	for _, size := range []int{1, 64, 65, 130, 200} {
+		for trial := 0; trial < 20; trial++ {
+			a, b := bitset.New(size), bitset.New(size)
+			for v := 0; v < size; v++ {
+				if rng.Intn(2) == 0 {
+					a.Add(v)
+				}
+				if rng.Intn(3) == 0 {
+					b.Add(v)
+				}
+			}
+			diff := a.Difference(b)
+			for r := 0; r < diff.Count(); r++ {
+				if got, want := nthOutside(a.Words(), b.Words(), r), diff.Nth(r); got != want {
+					t.Fatalf("|U|=%d r=%d: in-word select %d, Nth %d", size, r, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -253,5 +284,289 @@ func TestMixSpreads(t *testing.T) {
 			t.Fatalf("mix collision at k=%d", k)
 		}
 		seen[v] = true
+	}
+}
+
+// ---- The reference construction ------------------------------------------
+
+// referenceProcedure1 is the direct construction Procedure1 replaced, kept
+// as the differential tests' oracle: exact Definition 1 counts kept up to
+// date through a vector → targets reverse index (fAt), a draw that clones
+// T(f) − Tk and indexes it with Nth, a Definition 2 pick over the
+// difference set's Members, and a snapshot of the detected untargeted
+// faults after every iteration.
+func referenceProcedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) {
+	if err := opts.normalize(); err != nil {
+		return nil, err
+	}
+	if err := u.Validate(); err != nil {
+		return nil, err
+	}
+
+	res := &Procedure1Result{
+		NMax:       opts.NMax,
+		K:          opts.K,
+		Detected:   make([][]int, opts.NMax),
+		SetSizeSum: make([]int64, opts.NMax),
+	}
+	for n := range res.Detected {
+		res.Detected[n] = make([]int, len(u.Untargeted))
+	}
+	if opts.KeepTestSets {
+		res.TestSets = make([][]*TestSet, opts.NMax)
+		for n := range res.TestSets {
+			res.TestSets[n] = make([]*TestSet, opts.K)
+		}
+	}
+
+	gAt := make([][]int32, u.Size)
+	for j, g := range u.Untargeted {
+		g.T.ForEach(func(v int) {
+			gAt[v] = append(gAt[v], int32(j))
+		})
+	}
+	fAt := make([][]int32, u.Size)
+	for i, f := range u.Targets {
+		f.T.ForEach(func(v int) {
+			fAt[v] = append(fAt[v], int32(i))
+		})
+	}
+
+	var mu sync.Mutex
+	sim.ParallelFor(opts.Workers, opts.K, func(k int) {
+		referenceRunOne(u, &opts, k, fAt, gAt, res, &mu)
+	})
+	return res, nil
+}
+
+func referenceRunOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res *Procedure1Result, mu *sync.Mutex) {
+	rng := rand.New(rand.NewSource(mix(opts.Seed, int64(k))))
+	tk := NewTestSet(u.Size)
+	def1Count := make([]int, len(u.Targets))
+	gDetected := make([]bool, len(u.Untargeted))
+
+	var d2 *def2State
+	if opts.Definition == Def2 {
+		d2 = newDef2State(len(u.Targets), opts.Checker)
+	}
+
+	add := func(v int) {
+		if !tk.Add(v) {
+			return
+		}
+		for _, fi := range fAt[v] {
+			def1Count[fi]++
+		}
+		for _, gj := range gAt[v] {
+			gDetected[gj] = true
+		}
+	}
+
+	detectedAtN := make([][]int32, opts.NMax)
+	sizeAtN := make([]int, opts.NMax)
+
+	for n := 1; n <= opts.NMax; n++ {
+		for fi := range u.Targets {
+			f := &u.Targets[fi]
+			switch opts.Definition {
+			case Def1:
+				if def1Count[fi] >= n {
+					continue
+				}
+				v, ok := pickRandomOutside(f.T, tk, rng)
+				if ok {
+					add(v)
+				}
+			case Def2:
+				if d2.countUpTo(fi, n, f, tk) >= n {
+					continue
+				}
+				if v, ok := referencePickDistinct(d2, fi, f, tk, rng); ok {
+					add(v)
+					continue
+				}
+				if def1Count[fi] >= n {
+					continue
+				}
+				if v, ok := pickRandomOutside(f.T, tk, rng); ok {
+					add(v)
+				}
+			}
+		}
+		var dets []int32
+		for j, d := range gDetected {
+			if d {
+				dets = append(dets, int32(j))
+			}
+		}
+		detectedAtN[n-1] = dets
+		sizeAtN[n-1] = tk.Len()
+		if opts.KeepTestSets {
+			mu.Lock()
+			res.TestSets[n-1][k] = tk.Clone()
+			mu.Unlock()
+		}
+	}
+
+	mu.Lock()
+	for n := 0; n < opts.NMax; n++ {
+		for _, j := range detectedAtN[n] {
+			res.Detected[n][j]++
+		}
+		res.SetSizeSum[n] += int64(sizeAtN[n])
+	}
+	mu.Unlock()
+}
+
+// pickRandomOutside selects a uniformly random member of T(f) − Tk.
+func pickRandomOutside(t *bitset.Set, tk *TestSet, rng *rand.Rand) (int, bool) {
+	diff := t.Difference(tk.Set())
+	c := diff.Count()
+	if c == 0 {
+		return 0, false
+	}
+	return diff.Nth(rng.Intn(c)), true
+}
+
+// referencePickDistinct is def2State.pickDistinct over the difference
+// set's Members, scanning candidates one Distinct call at a time.
+func referencePickDistinct(s *def2State, i int, f *Fault, tk *TestSet, rng *rand.Rand) (int, bool) {
+	diff := f.T.Difference(tk.Set())
+	cands := diff.Members()
+	rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
+	if len(cands) > pickScanCap {
+		cands = cands[:pickScanCap]
+	}
+	for _, v := range cands {
+		if s.isDistinct(i, v, s.distinct[i]) {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// scalarOnly hides a checker's batched fast paths, so the reference
+// decides every pair through Distinct alone.
+type scalarOnly struct{ c DistinctChecker }
+
+func (s scalarOnly) Distinct(i, t1, t2 int) bool { return s.c.Distinct(i, t1, t2) }
+
+// hashChecker is a deterministic, symmetric Definition 2 oracle for
+// universes without a circuit: about two thirds of the pairs are distinct.
+type hashChecker struct{}
+
+func (hashChecker) Distinct(i, t1, t2 int) bool {
+	return t1 != t2 && (7*(t1+t2)+i)%3 != 0
+}
+
+// sameProcedure1 fails the test unless got and want agree on every count
+// and, when kept, on every test set's vectors in insertion order.
+func sameProcedure1(t *testing.T, label string, got, want *Procedure1Result) {
+	t.Helper()
+	for n := range want.Detected {
+		if got.SetSizeSum[n] != want.SetSizeSum[n] {
+			t.Fatalf("%s: SetSizeSum[%d] = %d, reference %d", label, n, got.SetSizeSum[n], want.SetSizeSum[n])
+		}
+		for j := range want.Detected[n] {
+			if got.Detected[n][j] != want.Detected[n][j] {
+				t.Fatalf("%s: Detected[%d][%d] = %d, reference %d", label, n, j, got.Detected[n][j], want.Detected[n][j])
+			}
+		}
+		if want.TestSets == nil {
+			continue
+		}
+		for k := range want.TestSets[n] {
+			gv, wv := got.TestSets[n][k].Vectors(), want.TestSets[n][k].Vectors()
+			if len(gv) != len(wv) {
+				t.Fatalf("%s: set %d after iteration %d has %d tests, reference %d", label, k, n+1, len(gv), len(wv))
+			}
+			for i := range wv {
+				if gv[i] != wv[i] {
+					t.Fatalf("%s: set %d after iteration %d differs at test %d: %d, reference %d", label, k, n+1, i, gv[i], wv[i])
+				}
+			}
+		}
+	}
+}
+
+// checkAgainstReference runs Procedure1 at 1 and 3 workers and the
+// reference at 1, and requires identical results.
+func checkAgainstReference(t *testing.T, label string, u *Universe, opts Procedure1Options, refChecker DistinctChecker) {
+	t.Helper()
+	opts.KeepTestSets = true
+	ref := opts
+	ref.Workers = 1
+	if refChecker != nil {
+		ref.Checker = refChecker
+	}
+	want, err := referenceProcedure1(u, ref)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	for _, w := range []int{1, 3} {
+		opts.Workers = w
+		got, err := Procedure1(u, opts)
+		if err != nil {
+			t.Fatalf("%s: Procedure1: %v", label, err)
+		}
+		sameProcedure1(t, fmt.Sprintf("%s workers=%d", label, w), got, want)
+	}
+}
+
+// TestProcedure1MatchesReferenceOnCircuits: on small embedded circuits,
+// Procedure1 reproduces the reference construction exactly under
+// Definition 1, and under Definition 2 with the circuit's own checker
+// (against a reference that decides every pair through Distinct alone,
+// on a fresh checker of its own).
+func TestProcedure1MatchesReferenceOnCircuits(t *testing.T) {
+	var circuits []*circuit.Circuit
+	for _, name := range []string{"c17", "s27"} {
+		c, err := circuit.EmbeddedBench(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	for _, name := range []string{"bbtas", "bbara", "lion"} {
+		b, ok := bench.ByName(name)
+		if !ok {
+			t.Fatalf("no benchmark %s", name)
+		}
+		r, err := b.SynthesizeDefault()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		circuits = append(circuits, r.Circuit)
+	}
+	for _, c := range circuits {
+		u, err := FromCircuit(c)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		checkAgainstReference(t, c.Name+"/def1", &u.Universe,
+			Procedure1Options{NMax: 10, K: 12, Seed: 5}, nil)
+		checkAgainstReference(t, c.Name+"/def2", &u.Universe,
+			Procedure1Options{NMax: 6, K: 4, Seed: 6, Definition: Def2, Checker: NewCircuitCheckerFor(u)},
+			scalarOnly{NewCircuitCheckerFor(u)})
+	}
+}
+
+// TestProcedure1MatchesReferenceOnEdgeUniverses: hand-built universes at
+// the word boundaries of U, with an empty T(f), T(f) = U and a duplicate
+// target, from one set to deep n — far past the 256 a narrow
+// first-detection counter would hold.
+func TestProcedure1MatchesReferenceOnEdgeUniverses(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, size := range []int{1, 32, 64, 65, 130} {
+		u := edgeUniverse(rng, size, 20)
+		for _, nmax := range []int{1, 10, 300} {
+			for _, k := range []int{1, 7} {
+				label := fmt.Sprintf("|U|=%d NMax=%d K=%d", size, nmax, k)
+				checkAgainstReference(t, label+"/def1", u,
+					Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax)}, nil)
+				checkAgainstReference(t, label+"/def2", u,
+					Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax), Definition: Def2, Checker: hashChecker{}}, nil)
+			}
+		}
 	}
 }

@@ -51,6 +51,12 @@ func (t *TestSet) Detects(f Fault) bool {
 	return t.member.Intersects(f.T)
 }
 
+// reset empties the test set, keeping its storage.
+func (t *TestSet) reset() {
+	t.vectors = t.vectors[:0]
+	t.member.Clear()
+}
+
 // Clone returns an independent copy.
 func (t *TestSet) Clone() *TestSet {
 	return &TestSet{

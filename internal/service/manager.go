@@ -163,10 +163,10 @@ type Counters struct {
 	ShedQueue uint64 `json:"shed_queue"`
 	ShedQuota uint64 `json:"shed_quota"`
 
-	Queued           int `json:"queued"`
-	Running          int `json:"running"`
+	Queued  int `json:"queued"`
+	Running int `json:"running"`
 	// QueueLimit is the configured accept-queue bound (0 = unbounded).
-	QueueLimit int `json:"queue_limit"`
+	QueueLimit       int `json:"queue_limit"`
 	WorkersInUse     int `json:"workers_in_use"`
 	WorkersTotal     int `json:"workers_total"`
 	PeakWorkersInUse int `json:"peak_workers_in_use"`

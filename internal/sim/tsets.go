@@ -29,7 +29,7 @@ func groupByLine(lineOf []int) (lines []int, faultsOf [][]int) {
 	faultsOf = make([][]int, len(lines))
 	off := 0
 	for li, c := range counts {
-		faultsOf[li] = backing[off:off : off+c]
+		faultsOf[li] = backing[off : off : off+c]
 		off += c
 	}
 	for fi, li := range at {

@@ -9,17 +9,18 @@ import (
 // to run many 3-valued fault simulations of the same fault cheaply: the
 // faulty machine only ever differs from the good machine inside the cone,
 // so after one good-machine simulation the faulty pass re-evaluates only
-// the cone and compares only the outputs the cone reaches. All passes run
-// the compiled dual-rail program (engine.ExecTV) over topological slices of
+// the cone and compares only the outputs the cone reaches. Nodes that feed
+// none of those outputs are never evaluated at all. All passes run the
+// compiled dual-rail program (engine.ExecTV) over topological slices of
 // the node set.
 type FaultCone struct {
 	c        *circuit.Circuit
 	prog     *engine.Program
 	site     int
-	order    []int // fanout cone nodes (excluding the site) in topo order
+	order    []int // live fanout cone nodes (excluding the site) in topo order
 	outputs  []int // primary output positions reachable from the site
 	tfiOrder []int // fanin cone of the site (including it) in topo order
-	rest     []int // nodes outside the fanin cone, in topo order
+	rest     []int // live nodes outside the fanin cone, in topo order
 }
 
 // Compiled is a circuit's shared analysis program: one lowering serves any
@@ -35,54 +36,42 @@ func CompileCircuit(c *circuit.Circuit) *Compiled {
 	return &Compiled{c: c, prog: engine.CompileAll(c)}
 }
 
-// NewFaultCone compiles the circuit and precomputes the fanout and fanin
-// cones of the given node. Callers creating cones for many faults of the
-// same circuit should go through CompileCircuit.
-func NewFaultCone(c *circuit.Circuit, site int) *FaultCone {
-	return CompileCircuit(c).NewFaultCone(site)
-}
-
 // NewFaultCone precomputes the fanout and fanin cones of the given node
-// against the shared compiled program.
+// against the shared compiled program. Outside the site's fanin cone it
+// keeps only live nodes, those in the fanin of an output the site
+// reaches: the faulty pass compares only those outputs, and every node it
+// reads — cone nodes and their side inputs alike — lies in their fanin,
+// so skipping the rest changes no result.
 func (p *Compiled) NewFaultCone(site int) *FaultCone {
 	c := p.c
 	inCone := c.TransitiveFanout(site)
 	tfi := c.TransitiveFanin(site)
 	fc := &FaultCone{c: c, prog: p.prog, site: site}
-	for _, id := range c.TopoOrder() {
-		if inCone[id] && id != site {
-			fc.order = append(fc.order, id)
-		}
-		if tfi[id] {
-			fc.tfiOrder = append(fc.tfiOrder, id)
-		} else {
-			fc.rest = append(fc.rest, id)
-		}
-	}
+	live := make([]bool, c.NumNodes())
 	for i, o := range c.Outputs {
 		if inCone[o] {
 			fc.outputs = append(fc.outputs, i)
+			live[o] = true
+		}
+	}
+	topo := c.TopoOrder()
+	for k := len(topo) - 1; k >= 0; k-- {
+		if id := topo[k]; live[id] {
+			for _, f := range c.Node(id).Fanin {
+				live[f] = true
+			}
+		}
+	}
+	for _, id := range topo {
+		switch {
+		case tfi[id]:
+			fc.tfiOrder = append(fc.tfiOrder, id)
+		case live[id]:
+			if inCone[id] {
+				fc.order = append(fc.order, id)
+			}
+			fc.rest = append(fc.rest, id)
 		}
 	}
 	return fc
-}
-
-// DetectsTV reports whether the (possibly partial) pattern detects the
-// stuck-at fault (site stuck at stuckVal) under 3-valued simulation. It is
-// equivalent to the scalar reference DetectsTV in the package tests, staged
-// for speed: the
-// good machine is first evaluated only on the site's fanin cone — if the
-// site is not definitely excited no detection is possible (in Kleene logic
-// the faulty machine refines the good one whenever the site's good value is
-// X or equals the stuck value, so definite outputs cannot change) — and
-// only then completed, with the faulty pass re-simulating just the fanout
-// cone. It is DetectsTVBatch at batch size one.
-func (fc *FaultCone) DetectsTV(pattern []TV, stuckVal bool) bool {
-	if len(pattern) != fc.c.NumInputs() {
-		panic("sim: FaultCone pattern length mismatch")
-	}
-	if len(fc.outputs) == 0 {
-		return false // fault site cannot reach any output
-	}
-	return fc.DetectsTVBatch([][]TV{pattern}, stuckVal)[0]
 }

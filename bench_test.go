@@ -224,6 +224,57 @@ func BenchmarkWorstCase(b *testing.B) {
 	}
 }
 
+// BenchmarkEncode times the output stage's document encoding alone on the
+// worst-case documents of two heavy-tail surrogates (one row per
+// untargeted fault), with the document built before the timer starts.
+func BenchmarkEncode(b *testing.B) {
+	for _, name := range []string{"dvram", "keyb"} {
+		b.Run(name, func(b *testing.B) {
+			doc, err := exp.AnalyzeCircuit(mustCircuit(b, name), exp.AnalysisRequest{Kind: exp.WorstCaseAnalysis})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if len(doc.Encode()) == 0 {
+					b.Fatal("empty document")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAssembleUniverse times binding fault tables and T-sets into a
+// universe, which names every fault, on two heavy-tail surrogates; the
+// tables and T-sets are built before the timer starts. The artifact
+// store's universe decode ends in the same call.
+func BenchmarkAssembleUniverse(b *testing.B) {
+	for _, name := range []string{"dvram", "keyb"} {
+		b.Run(name, func(b *testing.B) {
+			u, err := LoadBenchmark(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tT := make([]*bitset.Set, len(u.Targets))
+			for i, f := range u.Targets {
+				tT[i] = f.T
+			}
+			uT := make([]*bitset.Set, len(u.Untargeted))
+			for i, g := range u.Untargeted {
+				uT[i] = g.T
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.AssembleUniverse(u.Circuit, u.Model, u.TargetFaults, u.UntargetedFaults, tT, uT); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- Ablation benches (DESIGN.md §6) -------------------------------------
 
 func mustCircuit(b *testing.B, name string) *Circuit {

@@ -251,12 +251,23 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// The output stage gets its own span, as the daemon's encode does, so
+	// -trace accounts for it: "encode" for -json, "render" for text.
+	end := func() {}
+	if rec != nil {
+		stage := "render"
+		if *jsonF {
+			stage = "encode"
+		}
+		end = rec.Begin(stage)
+	}
 	var out []byte
 	if *jsonF {
 		out = doc.Encode()
 	} else if out, err = renderText(doc, *worstF, *histF); err != nil {
 		fail(err)
 	}
+	end()
 	if _, err := os.Stdout.Write(out); err != nil {
 		fail(err)
 	}

@@ -2,9 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
 	"ndetect/internal/report"
 )
@@ -41,6 +43,48 @@ func TestAnalyzeCircuitWorkersDeterministic(t *testing.T) {
 		if !bytes.Equal(serial.Encode(), parallel.Encode()) {
 			t.Fatalf("%s: workers=1 and workers=8 bytes differ:\n%s\n---\n%s",
 				req.Kind, serial.Encode(), parallel.Encode())
+		}
+	}
+}
+
+// Encode's hand-written appender against the reflection encoder that
+// defined the format, on real documents of every kind and fault model.
+func TestEncodeMatchesReferenceOnCircuits(t *testing.T) {
+	reqs := []AnalysisRequest{
+		{Kind: WorstCaseAnalysis},
+		{Kind: AverageAnalysis, NMax: 2, K: 20, Seed: 3},
+		{Kind: AverageAnalysis, NMax: 2, K: 5, Seed: 3, Definition: 2},
+		{Kind: PartitionedAnalysis, MaxInputs: 8},
+		{Kind: WorstCaseAnalysis, FaultModel: "msa2"},
+		{Kind: WorstCaseAnalysis, FaultModel: "transition"},
+	}
+	for _, name := range []string{"c17", "s27", "bbtas", "lion", "bbara"} {
+		c, err := circuit.EmbeddedBench(name)
+		if err != nil {
+			bb, ok := bench.ByName(name)
+			if !ok {
+				t.Fatalf("no circuit %s", name)
+			}
+			r, err := bb.SynthesizeDefault()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c = r.Circuit
+		}
+		for _, req := range reqs {
+			req.Workers = 2
+			doc, err := AnalyzeCircuit(c, req)
+			if err != nil {
+				t.Fatalf("%s %s %s: %v", name, req.Kind, req.FaultModel, err)
+			}
+			want, err := json.MarshalIndent(doc, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := doc.Encode(); !bytes.Equal(got, append(want, '\n')) {
+				t.Fatalf("%s %s %s: Encode differs from MarshalIndent:\ngot:\n%s\nwant:\n%s",
+					name, req.Kind, req.FaultModel, got, want)
+			}
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package fault
 
-import (
-	"fmt"
-
-	"ndetect/internal/circuit"
-)
+import "ndetect/internal/circuit"
 
 // Bridge is one of the four-way bridging faults between two lines.
 //
@@ -28,11 +24,7 @@ type Bridge struct {
 
 // Name renders the fault in the paper's (l1,a1,l2,a2) tuple notation.
 func (g Bridge) Name(c *circuit.Circuit) string {
-	a1, a2 := 0, 1
-	if g.Value {
-		a1, a2 = 1, 0
-	}
-	return fmt.Sprintf("(%s,%d,%s,%d)", c.Node(g.Dominant).Name, a1, c.Node(g.Victim).Name, a2)
+	return string(BridgeProvider{}.AppendName(nil, c, BridgeDescriptor(g)))
 }
 
 // Bridges enumerates the candidate untargeted fault universe of the paper:

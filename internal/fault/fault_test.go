@@ -1,8 +1,10 @@
 package fault
 
 import (
+	"fmt"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
 )
 
@@ -294,6 +296,73 @@ func TestStuckAtName(t *testing.T) {
 	}
 	if got := (StuckAt{Node: a.ID, Value: false}).Name(c); got != "a/0" {
 		t.Fatalf("Name = %q", got)
+	}
+}
+
+// sprintfName is how each provider named a fault before AppendName: one
+// fmt.Sprintf per fault. It is the reference for the name bytes.
+func sprintfName(t *testing.T, p SetProvider, c *circuit.Circuit, d Descriptor) string {
+	switch p.(type) {
+	case StuckAtProvider:
+		v := 0
+		if d.V != 0 {
+			v = 1
+		}
+		return fmt.Sprintf("%s/%d", c.Node(int(d.A)).Name, v)
+	case BridgeProvider:
+		a1, a2 := 0, 1
+		if d.V != 0 {
+			a1, a2 = 1, 0
+		}
+		return fmt.Sprintf("(%s,%d,%s,%d)", c.Node(int(d.A)).Name, a1, c.Node(int(d.B)).Name, a2)
+	case TransitionProvider:
+		edge := "str"
+		if d.V != 0 {
+			edge = "stf"
+		}
+		return fmt.Sprintf("%s/%s", c.Node(int(d.A)).Name, edge)
+	case PairStuckAtProvider:
+		return fmt.Sprintf("{%s/%d,%s/%d}",
+			c.Node(int(d.A)).Name, d.V&1, c.Node(int(d.B)).Name, d.V>>1&1)
+	}
+	t.Fatalf("no reference name format for provider %T", p)
+	return ""
+}
+
+func TestAppendNameMatchesParentFormat(t *testing.T) {
+	var circuits []*circuit.Circuit
+	for _, name := range []string{"c17", "s27"} {
+		c, err := circuit.EmbeddedBench(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	bb, _ := bench.ByName("bbtas")
+	r, err := bb.SynthesizeDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, r.Circuit)
+
+	const prefix = "named:"
+	for _, c := range circuits {
+		for _, id := range ModelIDs() {
+			m, _ := Lookup(id)
+			for _, set := range []Set{TargetSet, UntargetedSet} {
+				p := m.Provider(set)
+				ds := p.Enumerate(c)
+				if len(ds) == 0 {
+					t.Fatalf("%s %s set %d: no faults to name", c.Name, id, set)
+				}
+				for _, d := range ds {
+					want := prefix + sprintfName(t, p, c, d)
+					if got := string(p.AppendName([]byte(prefix), c, d)); got != want {
+						t.Fatalf("%s %s: AppendName(%+v) = %q, want %q", c.Name, id, d, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -87,7 +87,10 @@ func boolBit(b bool) uint8 {
 // and must reject records the model cannot have produced).
 type SetProvider interface {
 	Enumerate(c *circuit.Circuit) []Descriptor
-	Name(c *circuit.Circuit, d Descriptor) string
+	// AppendName appends the fault's name to dst. Names are appended, not
+	// returned, so a whole fault set can be named into one string
+	// (ndetect.AssembleUniverse).
+	AppendName(dst []byte, c *circuit.Circuit, d Descriptor) []byte
 	Validate(c *circuit.Circuit, d Descriptor) error
 	// Label is the human phrase for count lines ("collapsed stuck-at
 	// faults", "detectable non-feedback four-way bridging faults") — the
@@ -235,7 +238,11 @@ func (StuckAtProvider) Enumerate(c *circuit.Circuit) []Descriptor {
 	return out
 }
 
-func (StuckAtProvider) Name(c *circuit.Circuit, d Descriptor) string { return d.StuckAt().Name(c) }
+// AppendName renders the fault in the paper's l/a notation: "g/0".
+func (StuckAtProvider) AppendName(dst []byte, c *circuit.Circuit, d Descriptor) []byte {
+	dst = append(dst, c.Node(int(d.A)).Name...)
+	return append(dst, '/', '0'+boolBit(d.V != 0))
+}
 
 func (StuckAtProvider) Validate(c *circuit.Circuit, d Descriptor) error {
 	if err := validNode(c, d.A); err != nil {
@@ -262,7 +269,16 @@ func (BridgeProvider) Enumerate(c *circuit.Circuit) []Descriptor {
 	return out
 }
 
-func (BridgeProvider) Name(c *circuit.Circuit, d Descriptor) string { return d.Bridge().Name(c) }
+// AppendName renders the fault in the paper's (l1,a1,l2,a2) tuple
+// notation, with a2 = ¬a1: "(g1,0,g2,1)".
+func (BridgeProvider) AppendName(dst []byte, c *circuit.Circuit, d Descriptor) []byte {
+	a1 := boolBit(d.V != 0)
+	dst = append(dst, '(')
+	dst = append(dst, c.Node(int(d.A)).Name...)
+	dst = append(dst, ',', '0'+a1, ',')
+	dst = append(dst, c.Node(int(d.B)).Name...)
+	return append(dst, ',', '1'-a1, ')')
+}
 
 func (BridgeProvider) Validate(c *circuit.Circuit, d Descriptor) error {
 	if err := validNode(c, d.A); err != nil {
@@ -296,12 +312,13 @@ func (TransitionProvider) Enumerate(c *circuit.Circuit) []Descriptor {
 	return out
 }
 
-func (TransitionProvider) Name(c *circuit.Circuit, d Descriptor) string {
-	edge := "str"
+// AppendName renders slow-to-rise as "g/str" and slow-to-fall as "g/stf".
+func (TransitionProvider) AppendName(dst []byte, c *circuit.Circuit, d Descriptor) []byte {
+	dst = append(dst, c.Node(int(d.A)).Name...)
 	if d.V != 0 {
-		edge = "stf"
+		return append(dst, "/stf"...)
 	}
-	return fmt.Sprintf("%s/%s", c.Node(int(d.A)).Name, edge)
+	return append(dst, "/str"...)
 }
 
 func (TransitionProvider) Validate(c *circuit.Circuit, d Descriptor) error {
@@ -340,9 +357,13 @@ func (PairStuckAtProvider) Enumerate(c *circuit.Circuit) []Descriptor {
 	return out
 }
 
-func (PairStuckAtProvider) Name(c *circuit.Circuit, d Descriptor) string {
-	return fmt.Sprintf("{%s/%d,%s/%d}",
-		c.Node(int(d.A)).Name, d.V&1, c.Node(int(d.B)).Name, d.V>>1&1)
+// AppendName renders the pair in stuck-at notation: "{a/0,b/1}".
+func (PairStuckAtProvider) AppendName(dst []byte, c *circuit.Circuit, d Descriptor) []byte {
+	dst = append(dst, '{')
+	dst = append(dst, c.Node(int(d.A)).Name...)
+	dst = append(dst, '/', '0'+(d.V&1), ',')
+	dst = append(dst, c.Node(int(d.B)).Name...)
+	return append(dst, '/', '0'+(d.V>>1&1), '}')
 }
 
 func (PairStuckAtProvider) Validate(c *circuit.Circuit, d Descriptor) error {

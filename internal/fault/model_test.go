@@ -108,7 +108,7 @@ func TestEnumeratedDescriptorsValidate(t *testing.T) {
 				if err := p.Validate(c, d); err != nil {
 					t.Errorf("%s: enumerated descriptor %+v fails validation: %v", id, d, err)
 				}
-				if p.Name(c, d) == "" {
+				if len(p.AppendName(nil, c, d)) == 0 {
 					t.Errorf("%s: descriptor %+v has an empty name", id, d)
 				}
 			}
@@ -122,10 +122,10 @@ func TestProviderNames(t *testing.T) {
 	g2, _ := c.NodeByName("g2")
 
 	tp := TransitionProvider{}
-	if got := tp.Name(c, Descriptor{A: int32(g1.ID), B: -1, V: 0}); got != "g1/str" {
+	if got := string(tp.AppendName(nil, c, Descriptor{A: int32(g1.ID), B: -1, V: 0})); got != "g1/str" {
 		t.Errorf("slow-to-rise name = %q, want g1/str", got)
 	}
-	if got := tp.Name(c, Descriptor{A: int32(g1.ID), B: -1, V: 1}); got != "g1/stf" {
+	if got := string(tp.AppendName(nil, c, Descriptor{A: int32(g1.ID), B: -1, V: 1})); got != "g1/stf" {
 		t.Errorf("slow-to-fall name = %q, want g1/stf", got)
 	}
 
@@ -134,7 +134,7 @@ func TestProviderNames(t *testing.T) {
 	if a > b {
 		a, b = b, a
 	}
-	got := pp.Name(c, Descriptor{A: a, B: b, V: 0b10})
+	got := string(pp.AppendName(nil, c, Descriptor{A: a, B: b, V: 0b10}))
 	want := fmt.Sprintf("{%s/0,%s/1}", c.Node(int(a)).Name, c.Node(int(b)).Name)
 	if got != want {
 		t.Errorf("pair name = %q, want %q", got, want)

@@ -6,11 +6,7 @@
 //     multi-input gates, excluding feedback bridges.
 package fault
 
-import (
-	"fmt"
-
-	"ndetect/internal/circuit"
-)
+import "ndetect/internal/circuit"
 
 // StuckAt is a single stuck-at fault: line Node stuck at Value.
 type StuckAt struct {
@@ -18,13 +14,9 @@ type StuckAt struct {
 	Value bool
 }
 
-// String renders the fault in the paper's l/a notation using the node name.
+// Name renders the fault in the paper's l/a notation using the node name.
 func (f StuckAt) Name(c *circuit.Circuit) string {
-	v := 0
-	if f.Value {
-		v = 1
-	}
-	return fmt.Sprintf("%s/%d", c.Node(f.Node).Name, v)
+	return string(StuckAtProvider{}.AppendName(nil, c, StuckAtDescriptor(f)))
 }
 
 // AllStuckAt returns the uncollapsed stuck-at universe: two faults per node

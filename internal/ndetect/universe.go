@@ -18,6 +18,7 @@ package ndetect
 
 import (
 	"fmt"
+	"strings"
 
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
@@ -190,26 +191,40 @@ func AssembleUniverse(c *circuit.Circuit, m fault.Model, targets, untargeted []f
 	if err != nil {
 		return nil, err
 	}
-	u := &CircuitUniverse{
+	return &CircuitUniverse{
 		Universe: Universe{
 			Size:       size,
-			Targets:    make([]Fault, len(targets)),
-			Untargeted: make([]Fault, len(untargeted)),
+			Targets:    namedFaults(c, m.Provider(fault.TargetSet), targets, tT),
+			Untargeted: namedFaults(c, m.Provider(fault.UntargetedSet), untargeted, uT),
 		},
 		Circuit:          c,
 		Model:            m,
 		TargetFaults:     targets,
 		UntargetedFaults: untargeted,
+	}, nil
+}
+
+// namedFaults pairs one fault set's descriptors with their T-sets. The
+// set's names are written once into a single string of exactly their
+// total length, measured in a first pass, and each Fault.Name is a slice
+// of it: one allocation per set, not one per fault.
+func namedFaults(c *circuit.Circuit, p fault.SetProvider, ds []fault.Descriptor, ts []*bitset.Set) []Fault {
+	var name []byte
+	total := 0
+	for _, d := range ds {
+		name = p.AppendName(name[:0], c, d)
+		total += len(name)
 	}
-	tp := m.Provider(fault.TargetSet)
-	up := m.Provider(fault.UntargetedSet)
-	for i, d := range targets {
-		u.Targets[i] = Fault{Name: tp.Name(c, d), T: tT[i]}
+	var names strings.Builder
+	names.Grow(total)
+	out := make([]Fault, len(ds))
+	for i, d := range ds {
+		start := names.Len()
+		name = p.AppendName(name[:0], c, d)
+		names.Write(name)
+		out[i] = Fault{Name: names.String()[start:], T: ts[i]}
 	}
-	for i, d := range untargeted {
-		u.Untargeted[i] = Fault{Name: up.Name(c, d), T: uT[i]}
-	}
-	return u, nil
+	return out
 }
 
 // DetectableTargets returns the number of targets with non-empty T-sets.

@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,8 +79,8 @@ func TestAnalysisEncodeShape(t *testing.T) {
 	}
 }
 
-func TestPartitionedJSONRoundTrip(t *testing.T) {
-	a := &Analysis{
+func samplePartitioned() *Analysis {
+	return &Analysis{
 		Schema:  AnalysisSchema,
 		Kind:    "partitioned",
 		Circuit: CircuitInfo{Name: "w64", Hash: "ff", Inputs: 64},
@@ -95,6 +97,10 @@ func TestPartitionedJSONRoundTrip(t *testing.T) {
 			Merged:       []FaultNMin{{Name: "br(x,y)", NMin: 3}},
 		},
 	}
+}
+
+func TestPartitionedJSONRoundTrip(t *testing.T) {
+	a := samplePartitioned()
 	back, err := DecodeAnalysis(a.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +108,187 @@ func TestPartitionedJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a, back) {
 		t.Fatalf("round trip changed the document:\nbefore: %+v\nafter:  %+v", a, back)
 	}
+}
+
+// reference is the encoding Encode must reproduce byte for byte: the
+// reflection encoder the document format was defined by.
+func reference(a *Analysis) []byte {
+	b, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		panic(err)
+	}
+	return append(b, '\n')
+}
+
+func checkEncode(t *testing.T, what string, a *Analysis) {
+	t.Helper()
+	if got, want := a.Encode(), reference(a); !bytes.Equal(got, want) {
+		t.Fatalf("%s: Encode differs from MarshalIndent:\ngot:\n%s\nwant:\n%s", what, got, want)
+	}
+}
+
+// fill sets every field reachable from v non-zero: pointers allocated,
+// slices of two elements, strings, ints and floats. A field of a kind it
+// does not know fails the test, so a new field cannot slip past the
+// differential checks below.
+func fill(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(t, v.Field(i))
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fill(t, v.Index(i))
+		}
+	case reflect.String:
+		v.SetString("f")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Float64:
+		v.SetFloat(0.5)
+	default:
+		t.Fatalf("fill: no value for a %s field; teach fill and Encode about it", v.Kind())
+	}
+}
+
+func filledAnalysis(t *testing.T) *Analysis {
+	a := new(Analysis)
+	fill(t, reflect.ValueOf(a).Elem())
+	return a
+}
+
+// visit calls f on every value of kind k reachable from v.
+func visit(v reflect.Value, k reflect.Kind, f func(reflect.Value)) {
+	if v.Kind() == k {
+		f(v)
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			visit(v.Elem(), k, f)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			visit(v.Field(i), k, f)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			visit(v.Index(i), k, f)
+		}
+	}
+}
+
+// encodeStrings are the string cases of encoding/json's escaping rules.
+var encodeStrings = []string{
+	"", "(g1,0,g2,1)", `<>&"\`, "\b\f\n\r\t", "\x00", "\x1f", "\x7f",
+	"\xff", "a\xc3", "\xe2\x80", "\u2028\u2029", "é中😀", "x\u2028y\xffz<",
+}
+
+// encodeFloats are the float cases of encoding/json's number format.
+var encodeFloats = []float64{
+	0, math.Copysign(0, -1), 1e-7, 1e-6, 1e20, 1e21, 5e-324, math.MaxFloat64,
+	1.0 / 3, 12.5, -1e-7, -1e21, 123456789e-15,
+}
+
+// setAll sets every string, float and integer reachable from v.
+func setAll(v reflect.Value, s string, x float64, n int64) {
+	visit(v, reflect.String, func(v reflect.Value) { v.SetString(s) })
+	visit(v, reflect.Float64, func(v reflect.Value) { v.SetFloat(x) })
+	visit(v, reflect.Int, func(v reflect.Value) { v.SetInt(n) })
+	visit(v, reflect.Int64, func(v reflect.Value) { v.SetInt(n) })
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	worst := sampleAnalysis()
+	worst.Kind, worst.Options, worst.Average = "worstcase", Options{}, nil
+	for _, a := range []*Analysis{worst, sampleAnalysis(), samplePartitioned(), {}} {
+		checkEncode(t, "kind "+a.Kind, a)
+	}
+	checkEncode(t, "every field set", filledAnalysis(t))
+
+	// Each slice nil and empty, one at a time, nested ones included.
+	slices := 0
+	visit(reflect.ValueOf(filledAnalysis(t)), reflect.Slice, func(reflect.Value) { slices++ })
+	for i := 0; i < slices; i++ {
+		for _, empty := range []bool{false, true} {
+			a, j := filledAnalysis(t), 0
+			visit(reflect.ValueOf(a), reflect.Slice, func(v reflect.Value) {
+				if j++; j-1 != i {
+					return
+				}
+				if empty {
+					v.Set(reflect.MakeSlice(v.Type(), 0, 0))
+				} else {
+					v.Set(reflect.Zero(v.Type()))
+				}
+			})
+			checkEncode(t, "one slice nil or empty", a)
+		}
+	}
+
+	// Each omitempty option alone, then none.
+	opts := reflect.ValueOf(&Options{}).Elem()
+	for i := 0; i < opts.NumField(); i++ {
+		a := sampleAnalysis()
+		a.Options = Options{}
+		fill(t, reflect.ValueOf(&a.Options).Elem().Field(i))
+		checkEncode(t, "option "+opts.Type().Field(i).Name, a)
+	}
+
+	for _, s := range encodeStrings {
+		a := filledAnalysis(t)
+		visit(reflect.ValueOf(a), reflect.String, func(v reflect.Value) { v.SetString(s) })
+		checkEncode(t, "string "+s, a)
+	}
+	for _, x := range encodeFloats {
+		a := filledAnalysis(t)
+		setAll(reflect.ValueOf(a), "f", x, -3)
+		checkEncode(t, "float", a)
+	}
+	for _, n := range []int64{-1, math.MinInt64, math.MaxInt64} {
+		a := filledAnalysis(t)
+		setAll(reflect.ValueOf(a), "f", 0.5, n)
+		checkEncode(t, "integer", a)
+	}
+}
+
+// NaN and infinities have no JSON encoding; no analysis produces one, so
+// meeting one is a bug, and Encode panics as the reflection encoder did.
+func TestEncodePanicsOnNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := sampleAnalysis()
+		a.Average.MinP = x
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Encode with MinP = %v did not panic", x)
+				}
+			}()
+			a.Encode()
+		}()
+	}
+}
+
+func FuzzEncode(f *testing.F) {
+	for _, s := range encodeStrings {
+		f.Add(s, 0.5, int64(1))
+	}
+	for _, x := range encodeFloats {
+		f.Add("f", x, int64(-3))
+	}
+	f.Fuzz(func(t *testing.T, s string, x float64, n int64) {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return // both encoders refuse these; see TestEncodePanicsOnNonFinite
+		}
+		a := filledAnalysis(t)
+		setAll(reflect.ValueOf(a), s, x, n)
+		checkEncode(t, "fuzz", a)
+	})
 }
 
 // Golden texts for the table formatters: the paper-layout rendering is part

@@ -77,7 +77,7 @@ func TestMSA2TSetsMatchNaive(t *testing.T) {
 	}
 	for _, d := range fault.EnumerateSet(m, c, fault.UntargetedSet) {
 		forced := map[int]bool{int(d.A): d.V&1 != 0, int(d.B): d.V&2 != 0}
-		fname := m.Provider(fault.UntargetedSet).Name(c, d)
+		fname := string(m.Provider(fault.UntargetedSet).AppendName(nil, c, d))
 		i, isKept := keptIdx[d]
 		detectable := false
 		for v := 0; v < size; v++ {
@@ -114,7 +114,7 @@ func TestMSA2TSetsMatchNaive(t *testing.T) {
 		naive := NaiveStuckAtTSet(c, d.StuckAt())
 		for v := 0; v < size; v++ {
 			if tT[i].Contains(v) != naive.Contains(v) {
-				t.Fatalf("target %s: vector %d disagrees with naive", m.Provider(fault.TargetSet).Name(c, d), v)
+				t.Fatalf("target %s: vector %d disagrees with naive", string(m.Provider(fault.TargetSet).AppendName(nil, c, d)), v)
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func TestTransitionTSetsMatchNaive(t *testing.T) {
 			}
 			for _, d := range fault.EnumerateSet(m, c, fault.UntargetedSet) {
 				naiveDet := NaiveStuckAtTSet(c, d.StuckAt())
-				fname := m.Provider(fault.UntargetedSet).Name(c, d)
+				fname := string(m.Provider(fault.UntargetedSet).AppendName(nil, c, d))
 				i, isKept := keptIdx[d]
 				detectable := false
 				for v1 := 0; v1 < size; v1++ {
@@ -103,7 +103,7 @@ func TestTransitionTSetsMatchNaive(t *testing.T) {
 			}
 			for i, d := range targets {
 				naive := NaiveStuckAtTSet(c, d.StuckAt())
-				fname := m.Provider(fault.TargetSet).Name(c, d)
+				fname := string(m.Provider(fault.TargetSet).AppendName(nil, c, d))
 				for v1 := 0; v1 < size; v1++ {
 					for v2 := 0; v2 < size; v2++ {
 						want := naive.Contains(v1) || naive.Contains(v2)

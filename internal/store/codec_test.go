@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
@@ -110,6 +111,59 @@ func TestUniverseCodecRoundTripTransition(t *testing.T) {
 	}
 	if got.StuckAt() != nil {
 		t.Fatal("transition universe must not offer single stuck-at targets")
+	}
+}
+
+// AssembleUniverse names each fault set into one shared string; every
+// name sliced from it, in a fresh universe and in one decoded from an
+// artifact, must be exactly the provider's rendering of that one fault.
+func TestAssembleUniverseNamesMatchPerFault(t *testing.T) {
+	var circuits []*circuit.Circuit
+	for _, name := range []string{"c17", "s27"} {
+		c, err := circuit.EmbeddedBench(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	bb, _ := bench.ByName("bbtas")
+	r, err := bb.SynthesizeDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, r.Circuit)
+
+	check := func(what string, u *ndetect.CircuitUniverse) {
+		t.Helper()
+		tp, up := u.Model.Provider(fault.TargetSet), u.Model.Provider(fault.UntargetedSet)
+		for i, f := range u.Targets {
+			if want := string(tp.AppendName(nil, u.Circuit, u.TargetFaults[i])); f.Name != want {
+				t.Fatalf("%s: target %d named %q, want %q", what, i, f.Name, want)
+			}
+		}
+		for i, g := range u.Untargeted {
+			if want := string(up.AppendName(nil, u.Circuit, u.UntargetedFaults[i])); g.Name != want {
+				t.Fatalf("%s: untargeted %d named %q, want %q", what, i, g.Name, want)
+			}
+		}
+	}
+	for _, c := range circuits {
+		for _, id := range fault.ModelIDs() {
+			m, _ := fault.Lookup(id)
+			u, err := ndetect.BuildUniverse(c, m, ndetect.AnalyzeOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(u.Untargeted) == 0 {
+				t.Fatalf("%s %s: no untargeted faults to name", c.Name, id)
+			}
+			check(c.Name+" "+id+" fresh", u)
+			got, err := DecodeUniverse(c, m, EncodeUniverse(u))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(c.Name+" "+id+" decoded", got)
+		}
 	}
 }
 

@@ -245,29 +245,50 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildUniverse times the default model's whole universe
+// construction (simulation, target T-sets, the factored bridge universe
+// and assembly) on two heavy-tail surrogates, with the circuit
+// synthesized before the timer starts.
+func BenchmarkBuildUniverse(b *testing.B) {
+	for _, name := range []string{"dvram", "keyb"} {
+		b.Run(name, func(b *testing.B) {
+			c := mustCircuit(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.BuildUniverse(c, fault.Default(), core.AnalyzeOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAssembleUniverse times binding fault tables and T-sets into a
 // universe, which names every fault, on two heavy-tail surrogates; the
-// tables and T-sets are built before the timer starts. The artifact
-// store's universe decode ends in the same call.
+// tables and the builder's T-sets are built before the timer starts. The
+// artifact store's universe decode ends in the same call.
 func BenchmarkAssembleUniverse(b *testing.B) {
 	for _, name := range []string{"dvram", "keyb"} {
 		b.Run(name, func(b *testing.B) {
-			u, err := LoadBenchmark(name)
+			c, m := mustCircuit(b, name), fault.Default()
+			e, err := sim.Run(c)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tT := make([]*bitset.Set, len(u.Targets))
-			for i, f := range u.Targets {
-				tT[i] = f.T
+			build, err := sim.ModelTSetsFor(m.ID())
+			if err != nil {
+				b.Fatal(err)
 			}
-			uT := make([]*bitset.Set, len(u.Untargeted))
-			for i, g := range u.Untargeted {
-				uT[i] = g.T
+			targets := fault.EnumerateSet(m, c, fault.TargetSet)
+			ts, err := build(e, targets, fault.EnumerateSet(m, c, fault.UntargetedSet), func(string) {})
+			if err != nil {
+				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.AssembleUniverse(u.Circuit, u.Model, u.TargetFaults, u.UntargetedFaults, tT, uT); err != nil {
+				if _, err := core.AssembleUniverse(c, m, targets, ts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -110,7 +110,7 @@ func main() {
 	// Stuck-at coverage.
 	saDet, saDetectable := 0, 0
 	for _, f := range u.Targets {
-		if !f.T.IsEmpty() {
+		if f.N() > 0 {
 			saDetectable++
 			if ts.Detects(f) {
 				saDet++
@@ -167,8 +167,9 @@ func main() {
 // set, processing tests in insertion order.
 func def2Count(checker ndetect.DistinctChecker, i int, f ndetect.Fault, ts *ndetect.TestSet) int {
 	var counted []int
+	t := f.Set()
 	for _, v := range ts.Vectors() {
-		if !f.T.Contains(v) {
+		if !t.Contains(v) {
 			continue
 		}
 		ok := true

@@ -83,7 +83,7 @@ func main() {
 			}
 		}
 		fmt.Printf("  %-26s nmin = %-5d |T(g)| = %-4d overlapping targets: %d (smallest N(f) among them: %d)\n",
-			g.Name, wc.NMin[j], g.T.Count(), len(contribs), minN)
+			g.Name, wc.NMin[j], g.N(), len(contribs), minN)
 	}
 
 	// Average-case: of the faults not guaranteed at n = 10, how many does a

@@ -63,7 +63,7 @@ func main() {
 		}
 	}
 	g := u.Untargeted[hardest]
-	fmt.Printf("\nTable-1 style breakdown for %s (T(g) = %s):\n", g.Name, g.T)
+	fmt.Printf("\nTable-1 style breakdown for %s (T(g) = %s):\n", g.Name, g.Set())
 	fmt.Printf("  %-14s %-6s %-8s %s\n", "target f", "N(f)", "M(g,f)", "nmin(g,f)")
 	for _, pc := range ndetect.ContributingFaults(g, u.Targets) {
 		fmt.Printf("  %-14s %-6d %-8d %d\n", pc.Name, pc.N, pc.M, pc.NMin)

@@ -30,29 +30,33 @@ func (g Bridge) Name(c *circuit.Circuit) string {
 // Bridges enumerates the candidate untargeted fault universe of the paper:
 // four-way bridging faults between outputs of multi-input gates, with
 // feedback bridges (a structural path between the two lines, in either
-// direction) excluded. Detectability is a semantic property and is filtered
-// later, after T-sets are computed (see sim.BridgeTSets).
+// direction) excluded. Detectability is a semantic property and is decided
+// later, by the fault model's T-set builder. The non-feedback pairs are
+// counted first, so the result is allocated once at its final size.
 func Bridges(c *circuit.Circuit) []Bridge {
-	var sites []int
-	for _, n := range c.Nodes {
-		if n.IsMultiInputGateOutput() {
-			sites = append(sites, n.ID)
+	sites := BridgeSites(c)
+	// Transitive fanin once per site, by site position: pair (u,w) is a
+	// feedback bridge iff u ∈ TFI(w) or w ∈ TFI(u).
+	tfi := make([][]bool, len(sites))
+	for i, s := range sites {
+		tfi[i] = c.TransitiveFanin(s)
+	}
+	feedback := func(i, j int) bool { return tfi[j][sites[i]] || tfi[i][sites[j]] }
+	pairs := 0
+	for i := range sites {
+		for j := i + 1; j < len(sites); j++ {
+			if !feedback(i, j) {
+				pairs++
+			}
 		}
 	}
-	// Precompute transitive fanin sets once per site: pair (u,w) is a
-	// feedback bridge iff u ∈ TFI(w) or w ∈ TFI(u).
-	tfi := make(map[int][]bool, len(sites))
-	for _, s := range sites {
-		tfi[s] = c.TransitiveFanin(s)
-	}
-
-	var out []Bridge
-	for i := 0; i < len(sites); i++ {
+	out := make([]Bridge, 0, 4*pairs)
+	for i := range sites {
 		for j := i + 1; j < len(sites); j++ {
-			u, w := sites[i], sites[j]
-			if tfi[w][u] || tfi[u][w] {
+			if feedback(i, j) {
 				continue
 			}
+			u, w := sites[i], sites[j]
 			out = append(out,
 				Bridge{Dominant: u, Victim: w, Value: false},
 				Bridge{Dominant: u, Victim: w, Value: true},

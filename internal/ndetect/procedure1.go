@@ -187,8 +187,14 @@ func newProc1(u *Universe, opts *Procedure1Options) *proc1 {
 	for i, f := range u.Targets {
 		p.nf[i] = f.T.Count()
 	}
+	buf := make([]uint64, (u.Size+63)/64)
 	for j, g := range u.Untargeted {
-		g.T.ForEach(func(v int) { p.gAt[v] = append(p.gAt[v], int32(j)) })
+		for wi, w := range g.Words(buf) {
+			for ; w != 0; w &= w - 1 {
+				v := wi*64 + bits.TrailingZeros64(w)
+				p.gAt[v] = append(p.gAt[v], int32(j))
+			}
+		}
 	}
 	return p
 }

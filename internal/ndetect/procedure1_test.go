@@ -321,7 +321,7 @@ func referenceProcedure1(u *Universe, opts Procedure1Options) (*Procedure1Result
 
 	gAt := make([][]int32, u.Size)
 	for j, g := range u.Untargeted {
-		g.T.ForEach(func(v int) {
+		g.Set().ForEach(func(v int) {
 			gAt[v] = append(gAt[v], int32(j))
 		})
 	}

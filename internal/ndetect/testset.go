@@ -43,12 +43,12 @@ func (t *TestSet) Set() *bitset.Set { return t.member }
 
 // Detections returns the Definition 1 detection count |T(f) ∩ T| of a fault.
 func (t *TestSet) Detections(f Fault) int {
-	return t.member.IntersectionCount(f.T)
+	return t.member.IntersectionCount(f.Set())
 }
 
 // Detects reports whether the test set detects the fault at least once.
 func (t *TestSet) Detects(f Fault) bool {
-	return t.member.Intersects(f.T)
+	return t.member.Intersects(f.Set())
 }
 
 // reset empties the test set, keeping its storage.

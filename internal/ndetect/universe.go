@@ -26,14 +26,64 @@ import (
 	"ndetect/internal/sim"
 )
 
-// Fault is a named fault with its exhaustive detection set.
+// Fault is a named fault with its exhaustive detection set T(f). Read the
+// set through Words or Set. T holds it for targets and for the untargeted
+// faults of a materialized model (msa2, transition). The default model's
+// bridges are factored instead: T is nil, and the fault keeps two shared
+// sets with T(f) = s ∩ d, its victim class's target T-set and its
+// dominant's column (sim.FactorBridges). A direct read of T therefore
+// panics on a factored fault rather than reading a factor.
 type Fault struct {
 	Name string
 	T    *bitset.Set
+	s, d *bitset.Set
 }
 
 // N returns N(f) = |T(f)|.
-func (f Fault) N() int { return f.T.Count() }
+func (f Fault) N() int {
+	if f.T != nil {
+		return f.T.Count()
+	}
+	return f.s.IntersectionCount(f.d)
+}
+
+// Words returns T(f)'s words: the stored words of a materialized fault,
+// or s & d written into dst (reallocated when too short) for a factored
+// one. The result may alias the fault's storage; do not modify it.
+func (f Fault) Words(dst []uint64) []uint64 {
+	if f.T != nil {
+		return f.T.Words()
+	}
+	sw, dw := f.s.Words(), f.d.Words()
+	if cap(dst) < len(sw) {
+		dst = make([]uint64, len(sw))
+	}
+	dst, dw = dst[:len(sw)], dw[:len(sw)]
+	for i, w := range sw {
+		dst[i] = w & dw[i]
+	}
+	return dst
+}
+
+// Set returns T(f): the stored set of a materialized fault, or a fresh
+// s ∩ d. Do not modify the result.
+func (f Fault) Set() *bitset.Set {
+	if f.T != nil {
+		return f.T
+	}
+	t := f.s.Clone()
+	t.IntersectWith(f.d)
+	return t
+}
+
+// over reports whether f's detection set ranges over a universe of size
+// vectors.
+func (f Fault) over(size int) bool {
+	if f.T != nil {
+		return f.T.Size() == size
+	}
+	return f.s != nil && f.d != nil && f.s.Size() == size && f.d.Size() == size
+}
 
 // Universe is an instance of the paper's analysis: a vector space, a target
 // set F and an untargeted set G.
@@ -46,12 +96,12 @@ type Universe struct {
 // Validate checks internal consistency.
 func (u *Universe) Validate() error {
 	for i, f := range u.Targets {
-		if f.T == nil || f.T.Size() != u.Size {
+		if !f.over(u.Size) {
 			return fmt.Errorf("ndetect: target %d (%s) has T-set over wrong universe", i, f.Name)
 		}
 	}
 	for i, g := range u.Untargeted {
-		if g.T == nil || g.T.Size() != u.Size {
+		if !g.over(u.Size) {
 			return fmt.Errorf("ndetect: untargeted %d (%s) has T-set over wrong universe", i, g.Name)
 		}
 	}
@@ -70,6 +120,9 @@ type CircuitUniverse struct {
 	TargetFaults []fault.Descriptor
 	// UntargetedFaults[i] is the structural fault behind Untargeted[i].
 	UntargetedFaults []fault.Descriptor
+	// Columns are the dominant columns a factored universe's untargeted
+	// faults share; nil when the untargeted sets are materialized.
+	Columns *sim.Columns
 }
 
 // StuckAt returns the structural stuck-at faults behind Targets, or nil
@@ -147,10 +200,11 @@ func FromCircuitOptions(c *circuit.Circuit, opts AnalyzeOptions) (*CircuitUniver
 // bitsets against the compiled engine (dropping undetectable untargeted
 // faults), and AssembleUniverse binds the result.
 //
-// The T-sets are streamed — only the per-fault result bitsets span the
-// model's test-index space — so the construction is bounded by explicit
-// memory-budget checks on those results (sim.MemoryBudget) instead of by
-// materialized per-node values.
+// The T-sets are streamed — only the result bitsets span the model's
+// test-index space: one per fault, or under the factored default model
+// one per target plus two columns per bridge dominant — so the
+// construction is bounded by explicit memory-budget checks on those
+// results (sim.MemoryBudget) instead of by materialized per-node values.
 func BuildUniverse(c *circuit.Circuit, m fault.Model, opts AnalyzeOptions) (*CircuitUniverse, error) {
 	build, err := sim.ModelTSetsFor(m.ID())
 	if err != nil {
@@ -170,23 +224,25 @@ func BuildUniverse(c *circuit.Circuit, m fault.Model, opts AnalyzeOptions) (*Cir
 	}
 	targets := fault.EnumerateSet(m, c, fault.TargetSet)
 	untargeted := fault.EnumerateSet(m, c, fault.UntargetedSet)
-	tT, uT, kept, err := build(e, targets, untargeted, func(stage string) { step(stage) })
+	ts, err := build(e, targets, untargeted, func(stage string) { step(stage) })
 	if err != nil {
 		return nil, err
 	}
 	step("universe")
-	return AssembleUniverse(c, m, targets, kept, tT, uT)
+	return AssembleUniverse(c, m, targets, ts)
 }
 
-// AssembleUniverse binds precomputed fault tables and their T-sets to a
-// circuit under a model, producing the same CircuitUniverse BuildUniverse
-// would build had it computed them itself: fault names are rendered by the
-// model from the circuit, and Targets[i]/Untargeted[i] pair with
-// TargetFaults[i]/UntargetedFaults[i] in table order. It is the assembly
-// tail of BuildUniverse, shared with the artifact store's universe codec
-// so that a deserialized universe is indistinguishable from a freshly
-// constructed one (DESIGN.md §11).
-func AssembleUniverse(c *circuit.Circuit, m fault.Model, targets, untargeted []fault.Descriptor, tT, uT []*bitset.Set) (*CircuitUniverse, error) {
+// AssembleUniverse binds the target descriptors and a builder's T-sets
+// (ts.Kept are the untargeted descriptors) to a circuit under a model,
+// producing the same CircuitUniverse BuildUniverse would build had it
+// computed them itself: fault names are rendered by the model from the
+// circuit, and Targets[i]/Untargeted[i] pair with
+// TargetFaults[i]/UntargetedFaults[i] in table order. A factored ts gives
+// factored untargeted faults. It is the assembly tail of BuildUniverse,
+// shared with the artifact store's universe codec so that a deserialized
+// universe is indistinguishable from a freshly constructed one
+// (DESIGN.md §11).
+func AssembleUniverse(c *circuit.Circuit, m fault.Model, targets []fault.Descriptor, ts *sim.TSets) (*CircuitUniverse, error) {
 	size, err := fault.SpaceSize(m, c)
 	if err != nil {
 		return nil, err
@@ -194,35 +250,42 @@ func AssembleUniverse(c *circuit.Circuit, m fault.Model, targets, untargeted []f
 	return &CircuitUniverse{
 		Universe: Universe{
 			Size:       size,
-			Targets:    namedFaults(c, m.Provider(fault.TargetSet), targets, tT),
-			Untargeted: namedFaults(c, m.Provider(fault.UntargetedSet), untargeted, uT),
+			Targets:    namedFaults(c, m.Provider(fault.TargetSet), targets, ts.Targets, nil, nil),
+			Untargeted: namedFaults(c, m.Provider(fault.UntargetedSet), ts.Kept, ts.Untargeted, ts.S, ts.D),
 		},
 		Circuit:          c,
 		Model:            m,
 		TargetFaults:     targets,
-		UntargetedFaults: untargeted,
+		UntargetedFaults: ts.Kept,
+		Columns:          ts.Columns,
 	}, nil
 }
 
-// namedFaults pairs one fault set's descriptors with their T-sets. The
-// set's names are written once into a single string of exactly their
-// total length, measured in a first pass, and each Fault.Name is a slice
-// of it: one allocation per set, not one per fault.
-func namedFaults(c *circuit.Circuit, p fault.SetProvider, ds []fault.Descriptor, ts []*bitset.Set) []Fault {
+// namedFaults pairs one fault set's descriptors with their sets: t[i]
+// when t is non-nil, else the factors s[i] and d[i]. The set's names are
+// written once into a single string of exactly their total length,
+// measured in a first pass, and each Fault.Name is a slice of it: one
+// allocation per set, not one per fault.
+func namedFaults(c *circuit.Circuit, p fault.SetProvider, ds []fault.Descriptor, t, s, d []*bitset.Set) []Fault {
 	var name []byte
 	total := 0
-	for _, d := range ds {
-		name = p.AppendName(name[:0], c, d)
+	for _, desc := range ds {
+		name = p.AppendName(name[:0], c, desc)
 		total += len(name)
 	}
 	var names strings.Builder
 	names.Grow(total)
 	out := make([]Fault, len(ds))
-	for i, d := range ds {
+	for i, desc := range ds {
 		start := names.Len()
-		name = p.AppendName(name[:0], c, d)
+		name = p.AppendName(name[:0], c, desc)
 		names.Write(name)
-		out[i] = Fault{Name: names.String()[start:], T: ts[i]}
+		out[i].Name = names.String()[start:]
+		if t != nil {
+			out[i].T = t[i]
+		} else {
+			out[i].s, out[i].d = s[i], d[i]
+		}
 	}
 	return out
 }

@@ -48,7 +48,7 @@ func TestFromCircuit(t *testing.T) {
 		t.Fatal("no untargeted faults")
 	}
 	for _, g := range u.Untargeted {
-		if g.T.IsEmpty() {
+		if g.Set().IsEmpty() {
 			t.Fatalf("undetectable bridge %s kept in G", g.Name)
 		}
 	}
@@ -61,7 +61,7 @@ func TestFromCircuit(t *testing.T) {
 	}
 	for i, g := range u.Bridges() {
 		want := sim.NaiveBridgeTSet(c, g)
-		if !u.Untargeted[i].T.Equal(want) {
+		if !u.Untargeted[i].Set().Equal(want) {
 			t.Fatalf("T(%s) mismatch", u.Untargeted[i].Name)
 		}
 	}
@@ -89,8 +89,8 @@ func TestFromCircuitBridgeUniverseShape(t *testing.T) {
 		if g.Value == false && c.Node(g.Dominant).Name == "g9" && c.Node(g.Victim).Name == "g10" {
 			found = true
 			want := bitset.FromMembers(16, 3, 7, 11)
-			if !u.Untargeted[i].T.Equal(want) {
-				t.Fatalf("T((g9,0,g10,1)) = %s, want %s", u.Untargeted[i].T, want)
+			if !u.Untargeted[i].Set().Equal(want) {
+				t.Fatalf("T((g9,0,g10,1)) = %s, want %s", u.Untargeted[i].Set(), want)
 			}
 		}
 	}

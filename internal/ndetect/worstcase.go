@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"ndetect/internal/bitset"
 	"ndetect/internal/sim"
@@ -18,18 +19,23 @@ const Unbounded = math.MaxInt
 // detecting f n times forces the test set to hit T(g). It returns Unbounded
 // when the test sets do not intersect (f ∉ F(g)).
 func NMinPair(g, f Fault) int {
-	m := f.T.IntersectionCount(g.T)
+	return nminPair(g.Set(), f.Set())
+}
+
+func nminPair(g, f *bitset.Set) int {
+	m := f.IntersectionCount(g)
 	if m == 0 {
 		return Unbounded
 	}
-	return f.T.Count() - m + 1
+	return f.Count() - m + 1
 }
 
 // NMin computes nmin(g) = min over f ∈ F(g) of nmin(g,f).
 func NMin(g Fault, targets []Fault) int {
+	gs := g.Set()
 	best := Unbounded
 	for _, f := range targets {
-		if v := NMinPair(g, f); v < best {
+		if v := nminPair(gs, f.Set()); v < best {
 			best = v
 		}
 	}
@@ -51,13 +57,15 @@ type PairContribution struct {
 // target faults whose test sets overlap T(g), with their nmin(g,f) values —
 // the data of the paper's Table 1.
 func ContributingFaults(g Fault, targets []Fault) []PairContribution {
+	gs := g.Set()
 	var out []PairContribution
 	for i, f := range targets {
-		m := f.T.IntersectionCount(g.T)
+		fs := f.Set()
+		m := fs.IntersectionCount(gs)
 		if m == 0 {
 			continue
 		}
-		n := f.T.Count()
+		n := fs.Count()
 		out = append(out, PairContribution{
 			TargetIndex: i,
 			Name:        f.Name,
@@ -98,19 +106,26 @@ func WorstCase(u *Universe) *WorstCaseResult {
 // targets are evaluated first (witness seeds), so most faults stop at a
 // seed that already meets the bound nmin(g) ≥ 1. A seed is an ordinary
 // candidate, so it can only tighten best toward the true minimum, never
-// past it.
+// past it. A factored T(g) is written once per fault into a per-worker
+// buffer (Fault.Words), so the pair kernel reads one word per index.
 func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 	r := &WorstCaseResult{NMin: make([]int, len(u.Untargeted))}
 	slab := newTargetSlab(u.Targets)
 	n := len(u.Untargeted)
 	blocks := (n + worstCaseBlock - 1) / worstCaseBlock
+	bufs := sync.Pool{New: func() any { return &gWords{w: make([]uint64, (u.Size+63)/64)} }}
 	sim.ParallelFor(workers, blocks, func(b int) {
 		lo := b * worstCaseBlock
 		hi := min(lo+worstCaseBlock, n)
-		slab.nminBlock(u.Untargeted[lo:hi], r.NMin[lo:hi])
+		buf := bufs.Get().(*gWords)
+		slab.nminBlock(u.Untargeted[lo:hi], r.NMin[lo:hi], buf.w)
+		bufs.Put(buf)
 	})
 	return r
 }
+
+// gWords is one worker's buffer for a factored T(g).
+type gWords struct{ w []uint64 }
 
 // worstCaseBlock is WorstCaseWorkers' fan-out unit, in untargeted faults.
 // Blocks are fixed by index, so the seeds each fault sees — and with them
@@ -185,13 +200,14 @@ func (s *targetSlab) pair(k int, g []uint64) (int, bool) {
 }
 
 // nminBlock writes nmin(g) for one block of consecutive untargeted faults
-// into out. seeds holds the slab entries that minimised the block's most
-// recent faults, most recent first.
-func (s *targetSlab) nminBlock(block []Fault, out []int) {
+// into out, with buf as the scratch for factored T-sets. seeds holds the
+// slab entries that minimised the block's most recent faults, most recent
+// first.
+func (s *targetSlab) nminBlock(block []Fault, out []int, buf []uint64) {
 	var seeds [maxSeeds]int
 	ns := 0
-	for j, g := range block {
-		gw := g.T.Words()
+	for j := range block {
+		gw := block[j].Words(buf)
 		best, arg := Unbounded, -1
 		for _, k := range seeds[:ns] {
 			if best == 1 {
@@ -202,7 +218,10 @@ func (s *targetSlab) nminBlock(block []Fault, out []int) {
 			}
 		}
 		if best > 1 {
-			ng := g.T.Count()
+			ng := 0
+			for _, w := range gw {
+				ng += bits.OnesCount64(w)
+			}
 			for k, nf := range s.n {
 				if nf+1-min(nf, ng) >= best {
 					break // all later targets have larger N(f), hence larger bounds
@@ -313,6 +332,6 @@ func (r *WorstCaseResult) Histogram(from int) (values []int, counts []int) {
 func TightnessWitness(u *Universe, j int) *bitset.Set {
 	w := bitset.New(u.Size)
 	w.Fill()
-	w.DifferenceWith(u.Untargeted[j].T)
+	w.DifferenceWith(u.Untargeted[j].Set())
 	return w
 }

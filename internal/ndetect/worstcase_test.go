@@ -325,11 +325,11 @@ func TestWorstCaseMatchesNMinOnEmbeddedCircuits(t *testing.T) {
 			}
 			targets := fault.EnumerateSet(m, c, fault.TargetSet)
 			untargeted := diffWindows(fault.EnumerateSet(m, c, fault.UntargetedSet))
-			tT, uT, kept, err := build(e, targets, untargeted, func(string) {})
+			ts, err := build(e, targets, untargeted, func(string) {})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, c.Name, err)
 			}
-			u, err := AssembleUniverse(c, m, targets, kept, tT, uT)
+			u, err := AssembleUniverse(c, m, targets, ts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", id, c.Name, err)
 			}

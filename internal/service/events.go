@@ -88,7 +88,9 @@ func (s *EventSub) Drain() []JobEvent {
 func (m *Manager) Events(id string) (snapshot JobEvent, sub *EventSub, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j, ok := m.inflight[id]; ok {
+	j, e, ok := m.lookupLocked(id)
+	switch {
+	case j != nil:
 		// Snapshot + attach under one critical section: no event published
 		// after this snapshot can be missed by the subscription.
 		sub = newEventSub()
@@ -96,8 +98,7 @@ func (m *Manager) Events(id string) (snapshot JobEvent, sub *EventSub, ok bool) 
 		m.met.streaming.Add(1)
 		info := j.info
 		return JobEvent{Seq: j.seq, Type: EventState, Info: &info}, sub, true
-	}
-	if e, ok := m.cache.get(id); ok {
+	case ok:
 		info := e.info
 		return JobEvent{Seq: e.seq, Type: EventState, Info: &info}, nil, true
 	}

@@ -684,16 +684,36 @@ func (m *Manager) Drain(ctx context.Context) error {
 	}
 }
 
+// lookupLocked resolves a job ID for the read paths (Status, Result,
+// Events): the in-flight job, else its completed entry in the memory LRU,
+// else — with m.mu released for the read — the store's result tier, so a
+// finished job whose result left the LRU is still found. The store hit is
+// not installed into the LRU; reads do not reorder it. Callers hold m.mu,
+// held again on return; ok is false for IDs known nowhere.
+func (m *Manager) lookupLocked(id string) (j *job, e *cacheEntry, ok bool) {
+	if j, ok := m.inflight[id]; ok {
+		return j, nil, true
+	}
+	if e, ok := m.cache.get(id); ok {
+		return nil, e, true
+	}
+	m.mu.Unlock()
+	e = m.fetchStoredResult(id)
+	m.mu.Lock()
+	return nil, e, e != nil
+}
+
 // Status returns the current snapshot of a job: in-flight, or completed
-// and still in the result cache. ok is false for IDs the manager no
-// longer (or never) knew — completed jobs evicted from the LRU included.
+// and still in the result cache or the store. ok is false for IDs the
+// manager no longer (or never) knew.
 func (m *Manager) Status(id string) (JobInfo, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j, ok := m.inflight[id]; ok {
+	j, e, ok := m.lookupLocked(id)
+	switch {
+	case j != nil:
 		return j.info, true
-	}
-	if e, ok := m.cache.get(id); ok {
+	case ok:
 		return e.info, true
 	}
 	return JobInfo{}, false
@@ -705,10 +725,11 @@ func (m *Manager) Status(id string) (JobInfo, bool) {
 func (m *Manager) Result(id string) (result []byte, info JobInfo, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j, ok := m.inflight[id]; ok {
+	j, e, ok := m.lookupLocked(id)
+	switch {
+	case j != nil:
 		return nil, j.info, true
-	}
-	if e, ok := m.cache.get(id); ok {
+	case ok:
 		return e.result, e.info, true
 	}
 	return nil, JobInfo{}, false

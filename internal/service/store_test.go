@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,5 +344,52 @@ func TestDrain(t *testing.T) {
 	defer cancel()
 	if err := m3.Drain(ctx); err == nil {
 		t.Fatal("drain with stuck work should return the context error")
+	}
+}
+
+// A finished job whose result left the memory LRU is still served from
+// the store: with a one-entry LRU and two finished jobs, the first job's
+// status, result and events come back from disk, its result byte for byte
+// the first response. Unknown IDs stay 404.
+func TestEvictedResultServedFromStore(t *testing.T) {
+	m := NewManager(Config{Workers: 2, Store: openStore(t, t.TempDir()), CacheEntries: 1})
+	ts := httptest.NewServer(NewServer(m).Handler())
+	defer ts.Close()
+
+	first, _, err := m.Submit(c17(t), averageReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstBody, err := m.Wait(first.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, _, err := m.Submit(c17(t), averageReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Wait(second.ID); err != nil {
+		t.Fatal(err)
+	}
+	if ctr := m.Counters(); ctr.CacheEntries != 1 {
+		t.Fatalf("cache entries = %d, want 1 (the first result evicted)", ctr.CacheEntries)
+	}
+
+	body, code := getBody(t, ts.URL+"/jobs/"+first.ID+"/result")
+	if code != http.StatusOK || body != string(firstBody) {
+		t.Fatalf("evicted result: HTTP %d, %d bytes, want 200 and the first response's %d bytes", code, len(body), len(firstBody))
+	}
+	body, code = getBody(t, ts.URL+"/jobs/"+first.ID)
+	var info JobInfo
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &info) != nil || info.State != JobDone || info.ID != first.ID {
+		t.Fatalf("evicted status: HTTP %d: %s", code, body)
+	}
+	if _, sub, ok := m.Events(first.ID); !ok || sub != nil {
+		t.Fatalf("evicted events: ok=%v sub=%v, want the terminal snapshot alone", ok, sub)
+	}
+	for _, path := range []string{"/jobs/feedface", "/jobs/feedface/result", "/jobs/feedface/events"} {
+		if _, code := getBody(t, ts.URL+path); code != http.StatusNotFound {
+			t.Fatalf("GET %s: HTTP %d, want 404", path, code)
+		}
 	}
 }

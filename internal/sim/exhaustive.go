@@ -3,8 +3,8 @@
 //
 //   - flip-propagation masks (per line, the vectors at which flipping the
 //     line is visible at a primary output),
-//   - the exhaustive detection sets T(f) for stuck-at faults and T(g) for
-//     four-way bridging faults, and
+//   - the exhaustive detection sets T(f) for stuck-at faults, and T(g) for
+//     four-way bridging faults in factored form (FactorBridges), and
 //   - 3-valued (0/1/X) simulation with fault injection, used by the paper's
 //     Definition 2 of distinct detections.
 //
@@ -71,7 +71,7 @@ func CheckSpaceBudget(name string, space int64, sets int) error {
 }
 
 // Exhaustive is a compiled view of a circuit's exhaustive input space: the
-// analyses derived from it (PropMasks, StuckAtTSets, BridgeTSets) stream U
+// analyses derived from it (PropMasks, StuckAtTSets, goodColumns) stream U
 // in word blocks through the compiled program, never materializing per-node
 // value bitsets.
 type Exhaustive struct {

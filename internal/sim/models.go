@@ -15,13 +15,29 @@ import (
 // naming) lives in package fault, which cannot import the engine; the
 // shared ID ties the halves together (DESIGN.md §12).
 
-// ModelTSets builds both T-set families of one fault model: tT are the
-// target sets in enumeration order (never filtered — undetectable targets
-// stay, as in the paper), uT and kept are the untargeted sets with
-// undetectable faults dropped, in enumeration order. step is called once
-// per major stage with a short stage name for progress reporting.
+// TSets is what a model's T-set builder hands back: the target T-sets and
+// the detectable untargeted faults with theirs, materialized or factored.
+type TSets struct {
+	// Targets[i] is T(f) of the i-th target in enumeration order, never
+	// filtered: undetectable targets stay, as in the paper.
+	Targets []*bitset.Set
+	// Kept are the detectable untargeted faults, in enumeration order.
+	Kept []fault.Descriptor
+	// Untargeted[j] is T(Kept[j]) under a materialized model (msa2,
+	// transition); nil under a factored one.
+	Untargeted []*bitset.Set
+	// Under a factored model (the default), T(Kept[j]) = S[j] ∩ D[j]:
+	// S[j] is one of Targets and D[j] one of Columns' sets. Columns is nil
+	// under a materialized model.
+	S, D    []*bitset.Set
+	Columns *Columns
+}
+
+// ModelTSets builds both T-set families of one fault model from its
+// enumerated descriptors. step is called once per major stage with a
+// short stage name for progress reporting.
 type ModelTSets func(e *Exhaustive, targets, untargeted []fault.Descriptor,
-	step func(stage string)) (tT, uT []*bitset.Set, kept []fault.Descriptor, err error)
+	step func(stage string)) (*TSets, error)
 
 var (
 	buildersMu sync.RWMutex
@@ -63,31 +79,63 @@ func toStuckAt(ds []fault.Descriptor) []fault.StuckAt {
 }
 
 // defaultModelTSets is the paper's configuration: stuck-at target T-sets
-// plus the detectable four-way bridge universe. Stage names and order
-// ("stuck-at-tsets", "bridge-tsets") are part of the progress contract.
+// plus the detectable four-way bridge universe, factored (FactorBridges):
+// no T(g) is materialized, only the dominants' columns. Stage names and
+// order ("stuck-at-tsets", "bridge-tsets") are part of the progress
+// contract.
 func defaultModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
-	step func(stage string)) ([]*bitset.Set, []*bitset.Set, []fault.Descriptor, error) {
-	if err := CheckResultBudget(e.Circuit, len(targets)+len(untargeted)); err != nil {
-		return nil, nil, nil, err
+	step func(stage string)) (*TSets, error) {
+	isDom := make([]bool, e.Circuit.NumNodes())
+	for _, d := range untargeted {
+		isDom[d.A] = true
 	}
-	brs := make([]fault.Bridge, len(untargeted))
-	for i, d := range untargeted {
-		brs[i] = d.Bridge()
-	}
-	step("stuck-at-tsets")
-	saT := e.StuckAtTSets(toStuckAt(targets))
-	step("bridge-tsets")
-	brT := e.BridgeTSets(brs)
-	var kept []fault.Descriptor
-	var uT []*bitset.Set
-	for i, t := range brT {
-		if !t.IsEmpty() {
-			kept = append(kept, untargeted[i])
-			uT = append(uT, t)
+	var doms []int32
+	for node, ok := range isDom {
+		if ok {
+			doms = append(doms, int32(node))
 		}
 	}
-	return saT, uT, kept, nil
+	// What is materialized: the targets and both polarities of each column.
+	if err := CheckResultBudget(e.Circuit, len(targets)+2*len(doms)); err != nil {
+		return nil, err
+	}
+	step("stuck-at-tsets")
+	tT := e.StuckAtTSets(toStuckAt(targets))
+	step("bridge-tsets")
+	cols := e.goodColumns(doms)
+	s, d, err := FactorBridges(e.Circuit, targets, tT, cols, untargeted)
+	if err != nil {
+		return nil, err
+	}
+	// Detectable means S ∩ D ≠ ∅. Chunks are fixed by index, so the work
+	// does not depend on the worker count.
+	detectable := make([]bool, len(untargeted))
+	chunks := (len(untargeted) + factorChunk - 1) / factorChunk
+	ParallelFor(e.Workers, chunks, func(ci int) {
+		for i := ci * factorChunk; i < min((ci+1)*factorChunk, len(untargeted)); i++ {
+			detectable[i] = s[i].Intersects(d[i])
+		}
+	})
+	kept := 0
+	for _, ok := range detectable {
+		if ok {
+			kept++
+		}
+	}
+	// Compact the factors in place; kept indices never pass their source.
+	ts := &TSets{Targets: tT, Kept: make([]fault.Descriptor, 0, kept), S: s[:0], D: d[:0], Columns: cols}
+	for i, ok := range detectable {
+		if ok {
+			ts.Kept = append(ts.Kept, untargeted[i])
+			ts.S = append(ts.S, s[i])
+			ts.D = append(ts.D, d[i])
+		}
+	}
+	return ts, nil
 }
+
+// factorChunk is the detectability check's fan-out unit, in bridges.
+const factorChunk = 4096
 
 func init() {
 	RegisterModelTSets(fault.DefaultModelID, defaultModelTSets)

@@ -21,23 +21,20 @@ import (
 
 // msa2ModelTSets is the registered T-set builder for model ID "msa2".
 func msa2ModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
-	step func(stage string)) ([]*bitset.Set, []*bitset.Set, []fault.Descriptor, error) {
+	step func(stage string)) (*TSets, error) {
 	if err := CheckResultBudget(e.Circuit, len(targets)+len(untargeted)); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	step("stuck-at-tsets")
-	saT := e.StuckAtTSets(toStuckAt(targets))
+	ts := &TSets{Targets: e.StuckAtTSets(toStuckAt(targets))}
 	step("msa2-tsets")
-	all := e.pairStuckAtTSets(untargeted)
-	var kept []fault.Descriptor
-	var uT []*bitset.Set
-	for i, t := range all {
+	for i, t := range e.pairStuckAtTSets(untargeted) {
 		if !t.IsEmpty() {
-			kept = append(kept, untargeted[i])
-			uT = append(uT, t)
+			ts.Kept = append(ts.Kept, untargeted[i])
+			ts.Untargeted = append(ts.Untargeted, t)
 		}
 	}
-	return saT, uT, kept, nil
+	return ts, nil
 }
 
 // pairStuckAtTSets computes T(g) for every descriptor {A, B, V}: the

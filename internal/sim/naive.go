@@ -42,25 +42,49 @@ func NaiveStuckAtTSet(c *circuit.Circuit, f fault.StuckAt) *bitset.Set {
 
 // NaiveBridgeTSet computes T(g) for a dominance bridge by scalar simulation.
 func NaiveBridgeTSet(c *circuit.Circuit, g fault.Bridge) *bitset.Set {
+	return NaiveBridgeTSets(c, []fault.Bridge{g})[0]
+}
+
+// NaiveBridgeTSets computes T(g) for every given dominance bridge by scalar
+// simulation of every vector: the good machine once per vector, then, at
+// each vector where a bridge is activated, the machine with its victim
+// forced to the dominant's value. Bridges with the same victim and value
+// share that forced run; nothing else is shared.
+func NaiveBridgeTSets(c *circuit.Circuit, gs []fault.Bridge) []*bitset.Set {
 	prog := engine.CompileAll(c)
 	size := c.VectorSpaceSize()
-	t := bitset.New(size)
+	out := bitset.NewBatch(size, len(gs))
 	good := make([]bool, prog.NumRegs)
 	bad := make([]bool, prog.NumRegs)
+	ranAt := make([]int, 2*c.NumNodes()) // 1 + the vector of a site's last forced run
+	differs := make([]bool, 2*c.NumNodes())
 	for v := 0; v < size; v++ {
 		prog.EvalScalar(uint64(v), good)
-		if good[g.Dominant] != g.Value || good[g.Victim] == g.Value {
-			continue // not activated
-		}
-		prog.EvalScalarForced(uint64(v), g.Victim, g.Value, bad)
-		for _, o := range c.Outputs {
-			if good[o] != bad[o] {
-				t.Add(v)
-				break
+		for i, g := range gs {
+			if good[g.Dominant] != g.Value || good[g.Victim] == g.Value {
+				continue // not activated
+			}
+			site := 2 * g.Victim
+			if g.Value {
+				site++
+			}
+			if ranAt[site] != v+1 {
+				ranAt[site] = v + 1
+				prog.EvalScalarForced(uint64(v), g.Victim, g.Value, bad)
+				differs[site] = false
+				for _, o := range c.Outputs {
+					if good[o] != bad[o] {
+						differs[site] = true
+						break
+					}
+				}
+			}
+			if differs[site] {
+				out[i].Add(v)
 			}
 		}
 	}
-	return t
+	return out
 }
 
 // NaiveExhaustive computes all node values with per-vector scalar

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"ndetect/internal/fault"
@@ -121,14 +122,9 @@ func TestRunWorkersDeterministic(t *testing.T) {
 			}
 		}
 
-		bridges := fault.Bridges(c)
-		b1 := e1.BridgeTSets(bridges)
-		bN := eN.BridgeTSets(bridges)
-		for i := range b1 {
-			if !b1[i].Equal(bN[i]) {
-				t.Fatalf("workers=%d: bridge T-set %d differs from serial", workers, i)
-			}
-		}
+		_, _, b1 := buildDefault(t, e1)
+		_, _, bN := buildDefault(t, eN)
+		sameTSets(t, "workers="+strconv.Itoa(workers), b1, bN)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -159,21 +160,60 @@ func TestStuckAtTSetsMatchNaiveRandom(t *testing.T) {
 	}
 }
 
+// TestBridgeTSetsMatchNaive checks the factored bridge universe against
+// the scalar reference, on random circuits and on every embedded circuit
+// with at most 8 inputs: for every candidate bridge, S ∩ D equals its
+// naive set (NaiveBridgeTSets, NaiveBridgeTSet batched), and the default
+// model's builder keeps exactly the candidates whose naive set is
+// non-empty, with those factors.
 func TestBridgeTSetsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
+	var circuits []*circuit.Circuit
 	for trial := 0; trial < 10; trial++ {
-		c := randomCircuit(t, rng, 4+rng.Intn(4), 8+rng.Intn(15))
+		circuits = append(circuits, randomCircuit(t, rng, 4+rng.Intn(4), 8+rng.Intn(15)))
+	}
+	circuits = append(circuits, embeddedCircuits(t, 8)...)
+	for _, c := range circuits {
 		e, err := Run(c)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		bridges := fault.Bridges(c)
-		tsets := e.BridgeTSets(bridges)
-		for i, g := range bridges {
-			want := NaiveBridgeTSet(c, g)
-			if !tsets[i].Equal(want) {
-				t.Fatalf("trial %d bridge %s: parallel %s, naive %s", trial, g.Name(c), tsets[i], want)
+		targets, bridges, ts := buildDefault(t, e)
+		doms := make([]int32, 0, len(bridges))
+		for _, b := range bridges {
+			doms = append(doms, b.A)
+		}
+		slices.Sort(doms)
+		s, d, err := FactorBridges(c, targets, ts.Targets, e.goodColumns(slices.Compact(doms)), bridges)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		gs := make([]fault.Bridge, len(bridges))
+		for i, b := range bridges {
+			gs[i] = b.Bridge()
+		}
+		naive := NaiveBridgeTSets(c, gs)
+		j := 0
+		for i, b := range bridges {
+			g, want := gs[i], naive[i]
+			if got := s[i].Intersection(d[i]); !got.Equal(want) {
+				t.Fatalf("%s bridge %s: factored %s, naive %s", c.Name, g.Name(c), got, want)
 			}
+			kept := j < len(ts.Kept) && ts.Kept[j] == b
+			switch {
+			case want.IsEmpty() && kept:
+				t.Fatalf("%s bridge %s: kept, but naive finds no test", c.Name, g.Name(c))
+			case !want.IsEmpty() && !kept:
+				t.Fatalf("%s bridge %s: dropped, but naive detects it", c.Name, g.Name(c))
+			case kept:
+				if got := ts.S[j].Intersection(ts.D[j]); !got.Equal(want) {
+					t.Fatalf("%s bridge %s: kept factors give %s, naive %s", c.Name, g.Name(c), got, want)
+				}
+				j++
+			}
+		}
+		if j != len(ts.Kept) {
+			t.Fatalf("%s: builder kept %d bridges, matched %d", c.Name, len(ts.Kept), j)
 		}
 	}
 }

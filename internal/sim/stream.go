@@ -8,7 +8,7 @@ import (
 )
 
 // The streaming kernel: every exhaustive analysis — prop masks, stuck-at
-// T-sets, bridge T-sets — reduces to "for every requested line, the vectors
+// T-sets, transition factors — reduces to "for every requested line, the vectors
 // at which flipping that line reaches an output", filtered by a per-fault
 // activation condition. streamLines computes exactly that, block by block:
 // the good machine is evaluated over a cache-sized word block of U, each

@@ -38,20 +38,20 @@ import (
 // transitionModelTSets is the registered T-set builder for model ID
 // "transition".
 func transitionModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
-	step func(stage string)) ([]*bitset.Set, []*bitset.Set, []fault.Descriptor, error) {
+	step func(stage string)) (*TSets, error) {
 	c := e.Circuit
 	size := c.VectorSpaceSize()
 	pairSize, err := pairSpaceSize(e)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	// Budget: the lifted pair sets plus the transient single-vector
 	// factors (2 per untargeted fault, 1 per target).
 	if err := CheckSpaceBudget(c.Name, int64(pairSize), len(targets)+len(untargeted)); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if err := CheckResultBudget(c, len(targets)+2*len(untargeted)); err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 
 	step("stuck-at-tsets")
@@ -70,15 +70,14 @@ func transitionModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 		}
 		lifted[j] = liftProduct(inits[j], dets[j], size, pairSize)
 	})
-	var kept []fault.Descriptor
-	var uT []*bitset.Set
+	ts := &TSets{Targets: tT}
 	for j, t := range lifted {
 		if t != nil {
-			kept = append(kept, untargeted[j])
-			uT = append(uT, t)
+			ts.Kept = append(ts.Kept, untargeted[j])
+			ts.Untargeted = append(ts.Untargeted, t)
 		}
 	}
-	return tT, uT, kept, nil
+	return ts, nil
 }
 
 // pairSpaceSize returns |U|² with the same overflow guard fault.SpaceSize

@@ -34,14 +34,14 @@ func buildModelTSets(t *testing.T, c *circuit.Circuit, id string) (fault.Model, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	tT, uT, kept, err := build(e,
+	ts, err := build(e,
 		fault.EnumerateSet(m, c, fault.TargetSet),
 		fault.EnumerateSet(m, c, fault.UntargetedSet),
 		func(string) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, tT, uT, kept
+	return m, ts.Targets, ts.Untargeted, ts.Kept
 }
 
 // TestTransitionTSetsMatchNaive cross-checks the outer-product transition

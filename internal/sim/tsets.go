@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 
@@ -78,59 +79,83 @@ func (e *Exhaustive) StuckAtTSets(faults []fault.StuckAt) []*bitset.Set {
 	return out
 }
 
-// BridgeTSets computes the exhaustive detection set of every given bridging
-// fault: T = {v : dominant carries Value, victim carries ¬Value, and
-// flipping the victim propagates}.
-func (e *Exhaustive) BridgeTSets(bridges []fault.Bridge) []*bitset.Set {
-	lineOf := make([]int, len(bridges))
-	for i, g := range bridges {
-		lineOf[i] = g.Victim
-	}
-	lines, faultsOf := groupByLine(lineOf)
+// Columns holds good-machine value columns over U for an ascending list
+// of nodes: One[i] = {v : node Nodes[i] carries 1 at v} and Zero[i] =
+// U − One[i]. The activation condition l1 = a1 of a dominance bridge is
+// one of them (DESIGN.md §3).
+type Columns struct {
+	Nodes     []int32
+	One, Zero []*bitset.Set
+}
 
+// NewColumns allocates empty columns over a universe of size vectors for
+// the given ascending nodes, both polarities in one batch.
+func NewColumns(size int, nodes []int32) *Columns {
+	sets := bitset.NewBatch(size, 2*len(nodes))
+	return &Columns{Nodes: nodes, One: sets[:len(nodes)], Zero: sets[len(nodes):]}
+}
+
+// Store writes column i's words [lo, lo+len(ones)): ones into One[i] and
+// their complement into Zero[i].
+func (c *Columns) Store(i, lo int, ones []uint64) {
+	c.One[i].SetRange(lo, ones)
+	c.Zero[i].SetRangeNot(lo, ones)
+}
+
+// goodColumns computes the value columns of the given ascending nodes in
+// one good-machine pass over U.
+func (e *Exhaustive) goodColumns(nodes []int32) *Columns {
 	size := e.Circuit.VectorSpaceSize()
-	out := bitset.NewBatch(size, len(bridges))
-	e.streamLines(lines, func(li, lo int, prop []uint64, x *engine.Exec) {
-		vw := x.Node(lines[li])
-		for _, gi := range faultsOf[li] {
-			g := bridges[gi]
-			t := out[gi]
-			dw := x.Node(g.Dominant)
-			if g.Value {
-				t.SetRangeAndAndNot(lo, prop, dw, vw) // dom=1, victim=0
-			} else {
-				t.SetRangeAndAndNot(lo, prop, vw, dw) // dom=0, victim=1
-			}
+	cols := NewColumns(size, nodes)
+	nWords := universeWords(size)
+	streamBlocks(e.prog, e.Workers, nWords, blockWordsFor(nWords, e.Workers), func(lo, _ int, x *engine.Exec) {
+		for i, n := range nodes {
+			cols.Store(i, lo, x.Node(int(n)))
 		}
 	})
-	return out
+	return cols
 }
 
-// FilterDetectable drops faults with empty T-sets, returning parallel
-// filtered slices. It is used to realize the paper's "detectable ...
-// four-way bridging faults" universe and, when desired, a detectable target
-// set.
-func FilterDetectableBridges(bridges []fault.Bridge, tsets []*bitset.Set) ([]fault.Bridge, []*bitset.Set) {
-	var fb []fault.Bridge
-	var ft []*bitset.Set
-	for i, t := range tsets {
-		if !t.IsEmpty() {
-			fb = append(fb, bridges[i])
-			ft = append(ft, t)
+// FactorBridges returns the two factors of T(g) = S ∩ D for every
+// dominance bridge g = (l1, a1, l2, ¬a1), without materializing T(g):
+//
+//   - S = T(l2 stuck-at a1): g is detected exactly where that stuck-at
+//     fault is and l1 carries a1. The fault is structurally equivalent to
+//     one of the targets, whose T-set tT holds; the class map of the
+//     target descriptors picks it.
+//   - D = {v : l1 = a1}, the dominant's column at polarity a1.
+//
+// The bridges must name nodes of c (fault.BridgeProvider.Validate). It
+// fails when a victim's class has no target or a dominant has no column,
+// which only a list or artifact inconsistent with the circuit can cause.
+func FactorBridges(c *Circuit, targets []fault.Descriptor, tT []*bitset.Set, cols *Columns,
+	bridges []fault.Descriptor) (s, d []*bitset.Set, err error) {
+	classes, err := fault.StuckAtClasses(c, targets)
+	if err != nil {
+		return nil, nil, err
+	}
+	colOf := make([]int32, c.NumNodes()) // 1 + column index, 0 = none
+	for i, node := range cols.Nodes {
+		colOf[node] = int32(i) + 1
+	}
+	s = make([]*bitset.Set, len(bridges))
+	d = make([]*bitset.Set, len(bridges))
+	for i, b := range bridges {
+		a1 := b.V != 0
+		k, ok := classes.Target(int(b.B), a1)
+		if !ok {
+			return nil, nil, fmt.Errorf("sim: bridge %d: victim %d stuck-at %d has no target", i, b.B, b.V)
+		}
+		s[i] = tT[k]
+		ci := colOf[b.A] - 1
+		switch {
+		case ci < 0:
+			return nil, nil, fmt.Errorf("sim: bridge %d: dominant %d has no column", i, b.A)
+		case a1:
+			d[i] = cols.One[ci]
+		default:
+			d[i] = cols.Zero[ci]
 		}
 	}
-	return fb, ft
-}
-
-// FilterDetectableStuckAt drops stuck-at faults with empty T-sets.
-func FilterDetectableStuckAt(faults []fault.StuckAt, tsets []*bitset.Set) ([]fault.StuckAt, []*bitset.Set) {
-	var ff []fault.StuckAt
-	var ft []*bitset.Set
-	for i, t := range tsets {
-		if !t.IsEmpty() {
-			ff = append(ff, faults[i])
-			ft = append(ft, t)
-		}
-	}
-	return ff, ft
+	return s, d, nil
 }

@@ -9,6 +9,7 @@ import (
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
+	"ndetect/internal/sim"
 )
 
 // The universe artifact codec: a versioned binary serialization of the
@@ -20,7 +21,7 @@ import (
 // guarantees a decoded universe is assembled by the exact code path a
 // fresh construction uses (ndetect.AssembleUniverse).
 //
-// Version 2 layout (all integers little-endian, no padding):
+// Version 3 layout (all integers little-endian, no padding):
 //
 //	magic   "NDUV"
 //	version uint16                        (bump on incompatible change)
@@ -28,16 +29,29 @@ import (
 //	size    uint64                        test-index space size — must
 //	                                      match the model over the circuit
 //	nT, nG  uint32, uint32                target / untargeted counts
+//	form    uint8                         0 materialized, 1 factored
+//	nC      uint32                        column count (0 if materialized)
 //	faults  (nT+nG) × {A u32, B u32, V u8}  model-neutral fault.Descriptor
 //	                                      records, targets first
-//	tsets   (nT+nG) × words               words = ⌈size/64⌉ uint64 each,
-//	                                      targets first, table order
+//	tsets   nT × words                    target T-sets, table order;
+//	                                      words = ⌈size/64⌉ uint64 each
+//	then, materialized:
+//	  usets nG × words                    untargeted T-sets, table order
+//	or factored (the default model's bridges):
+//	  nodes nC × u32                      dominant node IDs, ascending
+//	  cols  nC × words                    {v : node = 1} per dominant
 //	crc     uint32                        IEEE CRC-32 of everything above
 //
+// A factored artifact stores no T(g): decode pairs each bridge with its
+// victim class's target T-set and its dominant's column
+// (sim.FactorBridges), exactly as the fresh build does.
+//
+// Version 2 is version 3 without form and nC, always materialized.
 // Version 1 artifacts (pre-registry: 5-byte stuck-at + 9-byte bridge
 // records, size always |U|) carried no model field; they decode as the
 // implicit default model and are rejected — rebuild, never migrate — when
-// the reader expects any other model.
+// the reader expects any other model. Both decode to materialized
+// universes, which read the same through ndetect.Fault's accessors.
 //
 // Every decode error is ErrBadArtifact-wrapped so callers can distinguish
 // "stale or corrupt artifact, rebuild it" from real failures.
@@ -48,11 +62,19 @@ const universeMagic = "NDUV"
 // UniverseCodecVersion is the current artifact layout version. Decoders
 // reject versions they cannot read, which readers treat as a cache miss —
 // stale artifacts are rebuilt, never migrated.
-const UniverseCodecVersion = 2
+const UniverseCodecVersion = 3
 
-// universeCodecV1 is the pre-registry layout, still decodable under the
-// default model.
-const universeCodecV1 = 1
+// Older layouts, still decodable.
+const (
+	universeCodecV1 = 1
+	universeCodecV2 = 2
+)
+
+// Values of the v3 form byte.
+const (
+	formMaterialized = 0
+	formFactored     = 1
+)
 
 // ErrBadArtifact wraps every decode failure: wrong magic, wrong version,
 // truncation, checksum mismatch, model skew, or inconsistency with the
@@ -64,12 +86,17 @@ func badArtifact(format string, args ...any) error {
 }
 
 // EncodeUniverse serializes a universe's fault tables and T-sets in the
-// current (v2) layout.
+// current (v3) layout, factored when the universe is.
 func EncodeUniverse(u *ndetect.CircuitUniverse) []byte {
 	model := u.Model.ID()
 	words := (u.Size + 63) / 64
 	nT, nG := len(u.TargetFaults), len(u.UntargetedFaults)
-	n := 4 + 2 + 2 + len(model) + 8 + 4 + 4 + 9*(nT+nG) + 8*words*(nT+nG) + 4
+	form, nC, tail := byte(formMaterialized), 0, 8*words*nG
+	if u.Columns != nil {
+		form, nC = formFactored, len(u.Columns.Nodes)
+		tail = nC * (4 + 8*words)
+	}
+	n := 4 + 2 + 2 + len(model) + 8 + 4 + 4 + 1 + 4 + 9*(nT+nG) + 8*words*nT + tail + 4
 	buf := make([]byte, 0, n)
 	buf = append(buf, universeMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, UniverseCodecVersion)
@@ -78,6 +105,8 @@ func EncodeUniverse(u *ndetect.CircuitUniverse) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(u.Size))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(nT))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(nG))
+	buf = append(buf, form)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(nC))
 	for _, ds := range [2][]fault.Descriptor{u.TargetFaults, u.UntargetedFaults} {
 		for _, d := range ds {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.A))
@@ -85,17 +114,29 @@ func EncodeUniverse(u *ndetect.CircuitUniverse) []byte {
 			buf = append(buf, d.V)
 		}
 	}
-	for _, f := range u.Targets {
-		for _, w := range f.T.Words() {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
+	buf = appendWords(buf, u.Targets)
+	if u.Columns == nil {
+		buf = appendWords(buf, u.Untargeted)
+	} else {
+		for _, node := range u.Columns.Nodes {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(node))
 		}
-	}
-	for _, g := range u.Untargeted {
-		for _, w := range g.T.Words() {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
+		for _, col := range u.Columns.One {
+			for _, w := range col.Words() {
+				buf = binary.LittleEndian.AppendUint64(buf, w)
+			}
 		}
 	}
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+func appendWords(buf []byte, fs []ndetect.Fault) []byte {
+	for _, f := range fs {
+		for _, w := range f.Words(nil) {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+	}
+	return buf
 }
 
 // DecodeUniverse rebuilds a universe for the given canonical circuit and
@@ -117,8 +158,8 @@ func DecodeUniverse(c *circuit.Circuit, m fault.Model, data []byte) (*ndetect.Ci
 	}
 	r := reader{buf: body[4:]}
 	switch v := r.u16(); v {
-	case UniverseCodecVersion:
-		return decodeV2(c, m, &r)
+	case UniverseCodecVersion, universeCodecV2:
+		return decodeModel(c, m, &r, v)
 	case universeCodecV1:
 		if m.ID() != fault.DefaultModelID {
 			return nil, badArtifact("v1 artifact is implicitly %s, reader wants model %s",
@@ -130,7 +171,9 @@ func DecodeUniverse(c *circuit.Circuit, m fault.Model, data []byte) (*ndetect.Ci
 	}
 }
 
-func decodeV2(c *circuit.Circuit, m fault.Model, r *reader) (*ndetect.CircuitUniverse, error) {
+// decodeModel reads the v2 and v3 layouts, which differ only in v3's form
+// and column count.
+func decodeModel(c *circuit.Circuit, m fault.Model, r *reader, version uint16) (*ndetect.CircuitUniverse, error) {
 	if len(r.buf)-r.off < 2 {
 		return nil, badArtifact("truncated model field")
 	}
@@ -152,9 +195,26 @@ func decodeV2(c *circuit.Circuit, m fault.Model, r *reader) (*ndetect.CircuitUni
 		return nil, badArtifact("space size %d does not match model %s over circuit (%d)", size, m.ID(), wantSize)
 	}
 	nT, nG := int(r.u32()), int(r.u32())
+	form, nC := byte(formMaterialized), 0
+	if version == UniverseCodecVersion {
+		if len(r.buf)-r.off < 1+4 {
+			return nil, badArtifact("truncated form field")
+		}
+		form, nC = r.u8(), int(r.u32())
+		switch {
+		case form == formFactored && m.ID() != fault.DefaultModelID:
+			return nil, badArtifact("model %s has no factored form", m.ID())
+		case form == formMaterialized && nC != 0, form > formFactored:
+			return nil, badArtifact("form %d with %d columns", form, nC)
+		}
+	}
 	words := (size + 63) / 64
-	need := 9*(nT+nG) + 8*words*(nT+nG)
-	if nT < 0 || nG < 0 || len(r.buf)-r.off != need {
+	tail := 8 * words * nG
+	if form == formFactored {
+		tail = nC * (4 + 8*words)
+	}
+	need := 9*(nT+nG) + 8*words*nT + tail
+	if nT < 0 || nG < 0 || nC < 0 || len(r.buf)-r.off != need {
 		return nil, badArtifact("payload is %d bytes, want %d", len(r.buf)-r.off, need)
 	}
 	readDescs := func(set fault.Set, n int) ([]fault.Descriptor, error) {
@@ -177,13 +237,42 @@ func decodeV2(c *circuit.Circuit, m fault.Model, r *reader) (*ndetect.CircuitUni
 	if err != nil {
 		return nil, err
 	}
-	tT := readSets(r, nT, size, words)
-	uT := readSets(r, nG, size, words)
-	u, err := ndetect.AssembleUniverse(c, m, targets, untargeted, tT, uT)
+	ts := &sim.TSets{Targets: readSets(r, nT, size, words), Kept: untargeted}
+	if form == formMaterialized {
+		ts.Untargeted = readSets(r, nG, size, words)
+	} else if err := readColumns(c, r, ts, targets, nC, size, words); err != nil {
+		return nil, err
+	}
+	u, err := ndetect.AssembleUniverse(c, m, targets, ts)
 	if err != nil {
 		return nil, badArtifact("%v", err)
 	}
 	return u, nil
+}
+
+// readColumns reads a factored artifact's dominant columns into ts and
+// pairs every bridge in ts.Kept with its factors.
+func readColumns(c *circuit.Circuit, r *reader, ts *sim.TSets, targets []fault.Descriptor, nC, size, words int) error {
+	nodes := make([]int32, nC)
+	for i := range nodes {
+		nodes[i] = int32(r.u32())
+		if nodes[i] < 0 || int(nodes[i]) >= c.NumNodes() || i > 0 && nodes[i] <= nodes[i-1] {
+			return badArtifact("column %d names node %d (of %d, ascending)", i, nodes[i], c.NumNodes())
+		}
+	}
+	ts.Columns = sim.NewColumns(size, nodes)
+	col := make([]uint64, words)
+	for i := range nodes {
+		for w := range col {
+			col[w] = r.u64()
+		}
+		ts.Columns.Store(i, 0, col)
+	}
+	var err error
+	if ts.S, ts.D, err = sim.FactorBridges(c, targets, ts.Targets, ts.Columns, ts.Kept); err != nil {
+		return badArtifact("%v", err)
+	}
+	return nil
 }
 
 // decodeV1 reads the pre-registry layout: stuck-at records of 5 bytes,
@@ -217,9 +306,12 @@ func decodeV1(c *circuit.Circuit, m fault.Model, r *reader) (*ndetect.CircuitUni
 		}
 		untargeted[i] = fault.BridgeDescriptor(fault.Bridge{Dominant: dom, Victim: vic, Value: r.u8() != 0})
 	}
-	tT := readSets(r, nT, size, words)
-	uT := readSets(r, nG, size, words)
-	u, err := ndetect.AssembleUniverse(c, m, targets, untargeted, tT, uT)
+	ts := &sim.TSets{
+		Targets:    readSets(r, nT, size, words),
+		Kept:       untargeted,
+		Untargeted: readSets(r, nG, size, words),
+	}
+	u, err := ndetect.AssembleUniverse(c, m, targets, ts)
 	if err != nil {
 		return nil, badArtifact("%v", err)
 	}

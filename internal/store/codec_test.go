@@ -59,7 +59,7 @@ func TestUniverseCodecRoundTrip(t *testing.T) {
 		if gotBR[i] != wantBR[i] {
 			t.Fatalf("bridge %d: %+v != %+v", i, gotBR[i], wantBR[i])
 		}
-		if got.Untargeted[i].Name != u.Untargeted[i].Name || !got.Untargeted[i].T.Equal(u.Untargeted[i].T) {
+		if got.Untargeted[i].Name != u.Untargeted[i].Name || !got.Untargeted[i].Set().Equal(u.Untargeted[i].Set()) {
 			t.Fatalf("untargeted %d differs", i)
 		}
 	}
@@ -246,7 +246,7 @@ func encodeUniverseV1(t *testing.T, u *ndetect.CircuitUniverse) []byte {
 		}
 	}
 	for _, g := range u.Untargeted {
-		for _, w := range g.T.Words() {
+		for _, w := range g.Words(nil) {
 			buf = binary.LittleEndian.AppendUint64(buf, w)
 		}
 	}
@@ -274,7 +274,7 @@ func TestUniverseCodecV1BackwardCompat(t *testing.T) {
 		}
 	}
 	for i := range u.Untargeted {
-		if got.Untargeted[i].Name != u.Untargeted[i].Name || !got.Untargeted[i].T.Equal(u.Untargeted[i].T) {
+		if got.Untargeted[i].Name != u.Untargeted[i].Name || !got.Untargeted[i].Set().Equal(u.Untargeted[i].Set()) {
 			t.Fatalf("untargeted %d differs", i)
 		}
 	}

@@ -1,0 +1,173 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"slices"
+	"testing"
+
+	"ndetect/internal/bench"
+	"ndetect/internal/bitset"
+	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
+	"ndetect/internal/ndetect"
+	"ndetect/internal/sim"
+)
+
+// codecCircuits are c17, s27 and bbtas, canonicalized as the store keys them.
+func codecCircuits(t *testing.T) []*circuit.Circuit {
+	t.Helper()
+	var out []*circuit.Circuit
+	for _, name := range []string{"c17", "s27"} {
+		c, err := circuit.EmbeddedBench(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, c)
+	}
+	bb, _ := bench.ByName("bbtas")
+	r, err := bb.SynthesizeDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, r.Circuit)
+	for i, c := range out {
+		if out[i], err = circuit.Canonicalize(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// sameFaultWords fails unless two universes hold the same descriptors,
+// names and detection words, fault by fault, read through Fault.Words.
+func sameFaultWords(t *testing.T, what string, got, want *ndetect.CircuitUniverse) {
+	t.Helper()
+	if got.Size != want.Size || len(got.Targets) != len(want.Targets) || len(got.Untargeted) != len(want.Untargeted) {
+		t.Fatalf("%s: shape (%d, %d, %d), want (%d, %d, %d)", what, got.Size, len(got.Targets), len(got.Untargeted),
+			want.Size, len(want.Targets), len(want.Untargeted))
+	}
+	for i := range want.Targets {
+		if got.TargetFaults[i] != want.TargetFaults[i] || got.Targets[i].Name != want.Targets[i].Name ||
+			!slices.Equal(got.Targets[i].Words(nil), want.Targets[i].Words(nil)) {
+			t.Fatalf("%s: target %d differs", what, i)
+		}
+	}
+	for j := range want.Untargeted {
+		if got.UntargetedFaults[j] != want.UntargetedFaults[j] || got.Untargeted[j].Name != want.Untargeted[j].Name ||
+			!slices.Equal(got.Untargeted[j].Words(nil), want.Untargeted[j].Words(nil)) {
+			t.Fatalf("%s: untargeted %d differs", what, j)
+		}
+	}
+}
+
+// Every model round-trips through v3: the default model factored (its
+// columns restored, no T(g) stored), msa2 and transition materialized.
+// Re-encoding the decoded universe gives the same bytes.
+func TestUniverseCodecV3RoundTripAllModels(t *testing.T) {
+	for _, c := range codecCircuits(t) {
+		for _, id := range fault.ModelIDs() {
+			m, _ := fault.Lookup(id)
+			u, err := ndetect.BuildUniverse(c, m, ndetect.AnalyzeOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := EncodeUniverse(u)
+			if v := binary.LittleEndian.Uint16(data[4:]); v != 3 {
+				t.Fatalf("%s %s: version %d, want 3", c.Name, id, v)
+			}
+			got, err := DecodeUniverse(c, m, data)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.Name, id, err)
+			}
+			if factored := id == fault.DefaultModelID; (u.Columns != nil) != factored || (got.Columns != nil) != factored {
+				t.Fatalf("%s %s: factored fresh %v decoded %v, want %v", c.Name, id, u.Columns != nil, got.Columns != nil, factored)
+			}
+			sameFaultWords(t, c.Name+" "+id, got, u)
+			if !bytes.Equal(EncodeUniverse(got), data) {
+				t.Fatalf("%s %s: re-encoding the decoded universe changed its bytes", c.Name, id)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// encodeUniverseV2 reproduces the version 2 layout: v3 without the form
+// byte and column count, every untargeted T-set stored as words.
+func encodeUniverseV2(u *ndetect.CircuitUniverse) []byte {
+	model := u.Model.ID()
+	buf := []byte("NDUV")
+	buf = binary.LittleEndian.AppendUint16(buf, 2)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(model)))
+	buf = append(buf, model...)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(u.Size))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(u.TargetFaults)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(u.UntargetedFaults)))
+	for _, ds := range [2][]fault.Descriptor{u.TargetFaults, u.UntargetedFaults} {
+		for _, d := range ds {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.A))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(d.B))
+			buf = append(buf, d.V)
+		}
+	}
+	for _, fs := range [2][]ndetect.Fault{u.Targets, u.Untargeted} {
+		for _, f := range fs {
+			for _, w := range f.Words(nil) {
+				buf = binary.LittleEndian.AppendUint64(buf, w)
+			}
+		}
+	}
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// A version 2 default-model artifact still decodes, as a materialized
+// universe with the same words for every fault; its worst case agrees.
+func TestUniverseCodecV2DecodesMaterialized(t *testing.T) {
+	for _, c := range codecCircuits(t) {
+		u, err := ndetect.FromCircuitWorkers(c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeUniverse(c, fault.Default(), encodeUniverseV2(u))
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if got.Columns != nil {
+			t.Fatalf("%s: a v2 artifact must decode materialized", c.Name)
+		}
+		sameFaultWords(t, c.Name+" v2", got, u)
+		if !slices.Equal(ndetect.WorstCase(&got.Universe).NMin, ndetect.WorstCase(&u.Universe).NMin) {
+			t.Fatalf("%s: worst case over the v2 decode differs", c.Name)
+		}
+	}
+}
+
+// A factored artifact whose bridges name a dominant with no column, or
+// whose columns are out of order, is ErrBadArtifact.
+func TestUniverseCodecV3RejectsBadColumns(t *testing.T) {
+	c, u := c17Universe(t)
+	cols := u.Columns
+	if cols == nil || len(cols.Nodes) < 2 {
+		t.Fatalf("c17 needs a factored universe with two columns, got %+v", cols)
+	}
+	withColumns := func(c *sim.Columns) []byte {
+		v := *u
+		v.Columns = c
+		return EncodeUniverse(&v)
+	}
+	missing := withColumns(&sim.Columns{Nodes: cols.Nodes[1:], One: cols.One[1:], Zero: cols.Zero[1:]})
+	swapped := withColumns(&sim.Columns{
+		Nodes: append([]int32{cols.Nodes[1], cols.Nodes[0]}, cols.Nodes[2:]...),
+		One:   append([]*bitset.Set{cols.One[1], cols.One[0]}, cols.One[2:]...),
+		Zero:  cols.Zero,
+	})
+	for name, data := range map[string][]byte{"missing column": missing, "unordered columns": swapped} {
+		if _, err := DecodeUniverse(c, fault.Default(), data); !errors.Is(err, ErrBadArtifact) {
+			t.Fatalf("%s: err = %v, want ErrBadArtifact", name, err)
+		}
+	}
+}

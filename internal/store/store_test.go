@@ -198,7 +198,7 @@ func TestStoreUniverseSource(t *testing.T) {
 			t.Fatal("universe shape differs from direct construction")
 		}
 		for i := range want.Untargeted {
-			if u.Untargeted[i].Name != want.Untargeted[i].Name || !u.Untargeted[i].T.Equal(want.Untargeted[i].T) {
+			if u.Untargeted[i].Name != want.Untargeted[i].Name || !u.Untargeted[i].Set().Equal(want.Untargeted[i].Set()) {
 				t.Fatalf("untargeted %d differs", i)
 			}
 		}

@@ -69,6 +69,10 @@ type (
 	// Bridge is a four-way dominance bridging fault.
 	Bridge = fault.Bridge
 	// Fault is a named fault with its exhaustive detection set T(f).
+	// Read the set through Words (its words, written into the caller's
+	// buffer when needed) or Set (the set itself): the default model's
+	// bridges are factored, T(g) = S ∩ D over two shared sets, and leave
+	// the T field nil.
 	Fault = core.Fault
 	// Universe is a target set F and untargeted set G over a vector space.
 	Universe = core.Universe

@@ -150,17 +150,6 @@ func SplitRangeAnd(andSet, andNotSet *Set, lo int, p, m []uint64) {
 	andNotSet.maskTail(lo + len(p))
 }
 
-// SetRangeAndAndNot overwrites words [lo, lo+len(p)) with
-// p[w] & a[w] &^ b[w].
-func (s *Set) SetRangeAndAndNot(lo int, p, a, b []uint64) {
-	dst := s.words[lo : lo+len(p)]
-	a, b = a[:len(p)], b[:len(p)]
-	for w := range dst {
-		dst[w] = p[w] & a[w] &^ b[w]
-	}
-	s.maskTail(lo + len(p))
-}
-
 func (s *Set) check(i int) {
 	if i < 0 || i >= s.size {
 		panic(fmt.Sprintf("bitset: index %d out of universe [0,%d)", i, s.size))

@@ -41,14 +41,16 @@ func (t *TestSet) Vectors() []int { return t.vectors }
 // Set returns the membership bitset. The set is shared; do not modify.
 func (t *TestSet) Set() *bitset.Set { return t.member }
 
-// Detections returns the Definition 1 detection count |T(f) ∩ T| of a fault.
+// Detections returns the Definition 1 detection count |T(f) ∩ T| of a
+// fault. It allocates nothing, for a factored fault too.
 func (t *TestSet) Detections(f Fault) int {
-	return t.member.IntersectionCount(f.Set())
+	return f.countIn(t.member)
 }
 
 // Detects reports whether the test set detects the fault at least once.
+// It allocates nothing, for a factored fault too.
 func (t *TestSet) Detects(f Fault) bool {
-	return t.member.Intersects(f.Set())
+	return f.meets(t.member)
 }
 
 // reset empties the test set, keeping its storage.

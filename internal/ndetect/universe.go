@@ -18,6 +18,7 @@ package ndetect
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"ndetect/internal/bitset"
@@ -45,6 +46,37 @@ func (f Fault) N() int {
 		return f.T.Count()
 	}
 	return f.s.IntersectionCount(f.d)
+}
+
+// countIn returns |T(f) ∩ x|. A factored fault counts s & d & x in one
+// word loop, without building T(f).
+func (f Fault) countIn(x *bitset.Set) int {
+	if f.T != nil {
+		return x.IntersectionCount(f.T)
+	}
+	xw := x.Words()
+	sw, dw := f.s.Words()[:len(xw)], f.d.Words()[:len(xw)]
+	n := 0
+	for i, w := range xw {
+		n += bits.OnesCount64(w & sw[i] & dw[i])
+	}
+	return n
+}
+
+// meets reports whether T(f) ∩ x ≠ ∅, reading a factored fault as countIn
+// does.
+func (f Fault) meets(x *bitset.Set) bool {
+	if f.T != nil {
+		return x.Intersects(f.T)
+	}
+	xw := x.Words()
+	sw, dw := f.s.Words()[:len(xw)], f.d.Words()[:len(xw)]
+	for i, w := range xw {
+		if w&sw[i]&dw[i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Words returns T(f)'s words: the stored words of a materialized fault,
@@ -91,6 +123,13 @@ type Universe struct {
 	Size       int // |U| = 2^inputs
 	Targets    []Fault
 	Untargeted []Fault
+
+	// A universe AssembleUniverse factored also keeps its factors by
+	// index: T(Untargeted[j]) = T(Targets[victim[j]]) ∩ cols.Set(column[j])
+	// (sim.TSets). The worst case reads them (unitRows); cols is nil
+	// otherwise, subsets and hand-built universes included.
+	victim, column []int32
+	cols           *sim.Columns
 }
 
 // Validate checks internal consistency.
@@ -238,7 +277,8 @@ func BuildUniverse(c *circuit.Circuit, m fault.Model, opts AnalyzeOptions) (*Cir
 // computed them itself: fault names are rendered by the model from the
 // circuit, and Targets[i]/Untargeted[i] pair with
 // TargetFaults[i]/UntargetedFaults[i] in table order. A factored ts gives
-// factored untargeted faults. It is the assembly tail of BuildUniverse,
+// factored untargeted faults, and the universe keeps ts's factor indices
+// for the worst case. It is the assembly tail of BuildUniverse,
 // shared with the artifact store's universe codec so that a deserialized
 // universe is indistinguishable from a freshly constructed one
 // (DESIGN.md §11).
@@ -247,26 +287,40 @@ func AssembleUniverse(c *circuit.Circuit, m fault.Model, targets []fault.Descrip
 	if err != nil {
 		return nil, err
 	}
-	return &CircuitUniverse{
+	u := &CircuitUniverse{
 		Universe: Universe{
 			Size:       size,
-			Targets:    namedFaults(c, m.Provider(fault.TargetSet), targets, ts.Targets, nil, nil),
-			Untargeted: namedFaults(c, m.Provider(fault.UntargetedSet), ts.Kept, ts.Untargeted, ts.S, ts.D),
+			Targets:    namedFaults(c, m.Provider(fault.TargetSet), targets),
+			Untargeted: namedFaults(c, m.Provider(fault.UntargetedSet), ts.Kept),
+			victim:     ts.Victim,
+			column:     ts.Column,
+			cols:       ts.Columns,
 		},
 		Circuit:          c,
 		Model:            m,
 		TargetFaults:     targets,
 		UntargetedFaults: ts.Kept,
 		Columns:          ts.Columns,
-	}, nil
+	}
+	for i := range u.Targets {
+		u.Targets[i].T = ts.Targets[i]
+	}
+	for j := range u.Untargeted {
+		g := &u.Untargeted[j]
+		if ts.Columns == nil {
+			g.T = ts.Untargeted[j]
+		} else {
+			g.s, g.d = ts.Targets[ts.Victim[j]], ts.Columns.Set(ts.Column[j])
+		}
+	}
+	return u, nil
 }
 
-// namedFaults pairs one fault set's descriptors with their sets: t[i]
-// when t is non-nil, else the factors s[i] and d[i]. The set's names are
-// written once into a single string of exactly their total length,
-// measured in a first pass, and each Fault.Name is a slice of it: one
-// allocation per set, not one per fault.
-func namedFaults(c *circuit.Circuit, p fault.SetProvider, ds []fault.Descriptor, t, s, d []*bitset.Set) []Fault {
+// namedFaults returns one fault set's faults, named and without sets. The
+// set's names are written once into a single string of exactly their
+// total length, measured in a first pass, and each Fault.Name is a slice
+// of it: one allocation per set, not one per fault.
+func namedFaults(c *circuit.Circuit, p fault.SetProvider, ds []fault.Descriptor) []Fault {
 	var name []byte
 	total := 0
 	for _, desc := range ds {
@@ -281,11 +335,6 @@ func namedFaults(c *circuit.Circuit, p fault.SetProvider, ds []fault.Descriptor,
 		name = p.AppendName(name[:0], c, desc)
 		names.Write(name)
 		out[i].Name = names.String()[start:]
-		if t != nil {
-			out[i].T = t[i]
-		} else {
-			out[i].s, out[i].d = s[i], d[i]
-		}
 	}
 	return out
 }

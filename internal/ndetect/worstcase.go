@@ -99,18 +99,25 @@ func WorstCase(u *Universe) *WorstCaseResult {
 // The analysis is output-sensitive but exact (DESIGN.md §1). Each pair is
 // evaluated as nmin(g,f) − 1 = |T(f) − T(g)| over a sparse slab of the
 // target T-sets (targetSlab), which holds only each target's nonzero
-// words, and targets are visited in ascending N(f) until the lower bound
-// nmin(g,f) ≥ N(f) + 1 − min(N(f), |T(g)|) reaches the best value found.
-// The untargeted faults fan out in fixed blocks of worstCaseBlock
+// words, and stops reading once that count shows the pair cannot lower
+// the best value found. Targets are visited in ascending N(f) until the
+// lower bound nmin(g,f) ≥ N(f) + 1 − min(N(f), |T(g)|) reaches the best
+// value. The untargeted faults fan out in fixed blocks of worstCaseBlock
 // consecutive indices; within a block, the last few distinct minimising
 // targets are evaluated first (witness seeds), so most faults stop at a
 // seed that already meets the bound nmin(g) ≥ 1. A seed is an ordinary
 // candidate, so it can only tighten best toward the true minimum, never
 // past it. A factored T(g) is written once per fault into a per-worker
 // buffer (Fault.Words), so the pair kernel reads one word per index.
+//
+// A universe that keeps its factors (AssembleUniverse) first decides
+// nmin(g) = 1 from them: with T(g) = S ∩ D, some target has
+// ∅ ≠ T(f) ⊆ T(g) exactly when In(S) ∩ In(D) ≠ ∅ (unitRows). Such a
+// fault skips the words, the seeds and the scan.
 func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 	r := &WorstCaseResult{NMin: make([]int, len(u.Untargeted))}
 	slab := newTargetSlab(u.Targets)
+	units := newUnitRows(slab, u, workers)
 	n := len(u.Untargeted)
 	blocks := (n + worstCaseBlock - 1) / worstCaseBlock
 	bufs := sync.Pool{New: func() any { return &gWords{w: make([]uint64, (u.Size+63)/64)} }}
@@ -118,7 +125,7 @@ func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 		lo := b * worstCaseBlock
 		hi := min(lo+worstCaseBlock, n)
 		buf := bufs.Get().(*gWords)
-		slab.nminBlock(u.Untargeted[lo:hi], r.NMin[lo:hi], buf.w)
+		slab.nminBlock(u.Untargeted[lo:hi], r.NMin[lo:hi], buf.w, units, lo)
 		bufs.Put(buf)
 	})
 	return r
@@ -182,38 +189,50 @@ func newTargetSlab(targets []Fault) *targetSlab {
 	return s
 }
 
-// pair returns nmin(g,f) for slab entry k, given T(g)'s words, and false
-// when T(f) and T(g) do not intersect (f ∉ F(g)).
-func (s *targetSlab) pair(k int, g []uint64) (int, bool) {
+// entry returns slab entry k's nonzero words and their word indices.
+func (s *targetSlab) entry(k int) ([]uint64, []int32) {
 	ws := s.words[s.off[k]:s.off[k+1]]
-	is := s.idx[s.off[k]:s.off[k+1]]
-	// Equal lengths let the compiler drop the is[i] bounds check.
-	is = is[:len(ws)]
-	d := 0 // |T(f) − T(g)| = N(f) − M(g,f)
+	// Equal lengths let the compiler drop the index bounds check.
+	return ws, s.idx[s.off[k] : s.off[k]+len(ws)]
+}
+
+// pair returns nmin(g,f) for slab entry k, given T(g)'s words, and true
+// when f ∈ F(g) and nmin(g,f) < best. It counts |T(f) − T(g)| =
+// N(f) − M(g,f) and stops reading once the count reaches
+// min(best − 1, N(f)): from there the pair cannot lower best, or T(f)
+// misses T(g) entirely (DESIGN.md §1).
+func (s *targetSlab) pair(k int, g []uint64, best int) (int, bool) {
+	ws, is := s.entry(k)
+	lim := min(best-1, s.n[k])
+	d := 0
 	for i, w := range ws {
-		d += bits.OnesCount64(w &^ g[is[i]])
-	}
-	if d == s.n[k] {
-		return 0, false
+		if d += bits.OnesCount64(w &^ g[is[i]]); d >= lim {
+			return 0, false
+		}
 	}
 	return d + 1, true
 }
 
-// nminBlock writes nmin(g) for one block of consecutive untargeted faults
-// into out, with buf as the scratch for factored T-sets. seeds holds the
-// slab entries that minimised the block's most recent faults, most recent
-// first.
-func (s *targetSlab) nminBlock(block []Fault, out []int, buf []uint64) {
+// nminBlock writes nmin(g) for one block of consecutive untargeted faults,
+// the first at index lo, into out, with buf as the scratch for factored
+// T-sets; units, when non-nil, decides the faults with nmin(g) = 1 first.
+// seeds holds the slab entries that minimised the block's most recent
+// scanned faults, most recent first.
+func (s *targetSlab) nminBlock(block []Fault, out []int, buf []uint64, units *unitRows, lo int) {
 	var seeds [maxSeeds]int
 	ns := 0
 	for j := range block {
+		if units.unit(lo + j) {
+			out[j] = 1
+			continue
+		}
 		gw := block[j].Words(buf)
 		best, arg := Unbounded, -1
 		for _, k := range seeds[:ns] {
 			if best == 1 {
 				break // nmin(g) ≥ 1: no candidate can do better
 			}
-			if v, ok := s.pair(k, gw); ok && v < best {
+			if v, ok := s.pair(k, gw, best); ok {
 				best, arg = v, k
 			}
 		}
@@ -226,7 +245,7 @@ func (s *targetSlab) nminBlock(block []Fault, out []int, buf []uint64) {
 				if nf+1-min(nf, ng) >= best {
 					break // all later targets have larger N(f), hence larger bounds
 				}
-				if v, ok := s.pair(k, gw); ok && v < best {
+				if v, ok := s.pair(k, gw, best); ok {
 					best, arg = v, k
 				}
 			}
@@ -249,6 +268,129 @@ func (s *targetSlab) nminBlock(block []Fault, out []int, buf []uint64) {
 		}
 		copy(seeds[1:p+1], seeds[:p])
 		seeds[0] = arg
+	}
+}
+
+// unitRows decides nmin(g) = 1 for the faults of a universe that keeps
+// its factors, T(g) = S ∩ D, without reading T(g). For a set X of
+// vectors, In(X) is the set of slab entries f with T(f) ⊆ X; every slab
+// entry has T(f) ≠ ∅. nmin(g) = 1 exactly when some f has ∅ ≠ T(f) and
+// |T(f) − T(g)| = 0, that is T(f) ⊆ S and T(f) ⊆ D: exactly when
+// In(S) ∩ In(D) ≠ ∅ (DESIGN.md §1). Each row is one such In(X) as a
+// bitset over the slab: first every victim target S that occurs, in
+// target order, then every column set in sim.Columns.Set order.
+type unitRows struct {
+	words          int      // words per row
+	rows           []uint64 // row i is rows[i*words : (i+1)*words]
+	rowOf          []int32  // target index → its victim row
+	col0           int      // the row of column set 0
+	victim, column []int32  // the universe's factor indices
+}
+
+// newUnitRows builds the In() rows over slab s of a universe that keeps
+// its factors, and returns nil for any other. It fans out one task per
+// victim target and one per column, each filling only its own rows, so
+// neither the rows nor the work depend on the worker count.
+func newUnitRows(s *targetSlab, u *Universe, workers int) *unitRows {
+	if u.cols == nil {
+		return nil
+	}
+	r := &unitRows{words: (len(s.n) + 63) / 64, rowOf: make([]int32, len(u.Targets)), victim: u.victim, column: u.column}
+	isVictim := make([]bool, len(u.Targets))
+	for _, k := range u.victim {
+		isVictim[k] = true
+	}
+	var victims []int
+	for k, ok := range isVictim {
+		if ok {
+			r.rowOf[k] = int32(len(victims))
+			victims = append(victims, k)
+		}
+	}
+	nC := len(u.cols.Nodes)
+	r.col0 = len(victims)
+	r.rows = make([]uint64, (r.col0+2*nC)*r.words)
+	sim.ParallelFor(workers, r.col0+nC, func(t int) {
+		if t < r.col0 {
+			x := u.Targets[victims[t]].T
+			s.inRow(r.row(t), x.Words(), x.Count())
+			return
+		}
+		c := t - r.col0
+		one := u.cols.One[c]
+		s.columnRows(r.row(r.col0+c), r.row(r.col0+nC+c), one.Words(), one.Count(), u.Size)
+	})
+	return r
+}
+
+func (r *unitRows) row(i int) []uint64 { return r.rows[i*r.words : (i+1)*r.words] }
+
+// unit reports whether untargeted fault j has nmin(g) = 1 by its factors;
+// it is false on a nil r.
+func (r *unitRows) unit(j int) bool {
+	if r == nil {
+		return false
+	}
+	a, b := r.row(int(r.rowOf[r.victim[j]])), r.row(r.col0+int(r.column[j]))
+	for i, w := range a {
+		if w&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// inRow sets row bit k for every slab entry k with T(f) ⊆ X, given X's
+// words and |X|. T(f) ⊆ X needs N(f) ≤ |X|, and N(f) ascends along the
+// slab, so the scan stops at the first larger entry.
+func (s *targetSlab) inRow(row, x []uint64, nx int) {
+next:
+	for k, nf := range s.n {
+		if nf > nx {
+			return
+		}
+		ws, is := s.entry(k)
+		for i, w := range ws {
+			if w&^x[is[i]] != 0 {
+				continue next
+			}
+		}
+		row[k/64] |= 1 << (k % 64)
+	}
+}
+
+// columnRows sets the rows In(One) and In(Zero) of one column from a
+// single pass over its One words, given |One| and |U|: T(f) ⊆ Zero
+// exactly when T(f) ∩ One = ∅, since T(f) ⊆ U. As in inRow, each
+// polarity needs N(f) at most its own count.
+func (s *targetSlab) columnRows(inOne, inZero, one []uint64, nOne, size int) {
+	for k, nf := range s.n {
+		// The bits of T(f) − One and T(f) ∩ One read so far; a polarity
+		// whose count is below N(f) starts out failed.
+		var outside, inside uint64
+		if nf > nOne {
+			outside = 1
+		}
+		if nf > size-nOne {
+			inside = 1
+		}
+		if outside != 0 && inside != 0 {
+			return
+		}
+		ws, is := s.entry(k)
+		for i, w := range ws {
+			outside |= w &^ one[is[i]]
+			inside |= w & one[is[i]]
+			if outside != 0 && inside != 0 {
+				break
+			}
+		}
+		if outside == 0 {
+			inOne[k/64] |= 1 << (k % 64)
+		}
+		if inside == 0 {
+			inZero[k/64] |= 1 << (k % 64)
+		}
 	}
 }
 

@@ -240,13 +240,12 @@ func TestEmptyUntargetedCoverage(t *testing.T) {
 }
 
 // checkAgainstNMin compares WorstCaseWorkers at one and three workers with
-// the direct definition, NMin(g, u.Targets), on every untargeted fault.
-func checkAgainstNMin(t *testing.T, label string, u *Universe) {
+// the direct definition, NMin(g, u.Targets), on every untargeted fault,
+// and returns the NMin values.
+func checkAgainstNMin(t *testing.T, label string, u *Universe) []int {
 	t.Helper()
 	want := make([]int, len(u.Untargeted))
-	for j, g := range u.Untargeted {
-		want[j] = NMin(g, u.Targets)
-	}
+	sim.ParallelFor(0, len(want), func(j int) { want[j] = NMin(u.Untargeted[j], u.Targets) })
 	for _, workers := range []int{1, 3} {
 		got := WorstCaseWorkers(u, workers).NMin
 		if len(got) != len(want) {
@@ -259,6 +258,7 @@ func checkAgainstNMin(t *testing.T, label string, u *Universe) {
 			}
 		}
 	}
+	return want
 }
 
 // diffWindows returns the untargeted faults the embedded differential test

@@ -24,6 +24,9 @@ type cacheEntry struct {
 	// resume cursor stays monotone across completion. Zero for entries
 	// loaded from the disk tier — their event history is gone.
 	seq int64
+	// done is the computing job's done channel, closed once its store
+	// write has finished; nil for entries loaded from the disk tier.
+	done chan struct{}
 }
 
 func newResultCache(capacity int) *resultCache {

@@ -612,7 +612,7 @@ func (m *Manager) runJob(j *job, grant int) {
 		m.ctr.Completed++
 	}
 	m.publishStateLocked(j) // terminal: ends every subscriber's stream
-	m.cache.add(&cacheEntry{id: j.info.ID, info: j.info, result: encoded, seq: j.seq})
+	m.cache.add(&cacheEntry{id: j.info.ID, info: j.info, result: encoded, seq: j.seq, done: j.done})
 	if j.ukey != "" {
 		m.releaseUniverseLocked(j.ukey)
 	}
@@ -735,8 +735,9 @@ func (m *Manager) Result(id string) (result []byte, info JobInfo, ok bool) {
 	return nil, JobInfo{}, false
 }
 
-// Wait blocks until the job reaches a terminal state and returns its
-// result bytes (nil with a non-nil error for failed jobs).
+// Wait blocks until the job reaches a terminal state and its result's
+// store write has finished, and returns its result bytes (nil with a
+// non-nil error for failed jobs).
 func (m *Manager) Wait(id string) ([]byte, error) {
 	m.mu.Lock()
 	j, inflight := m.inflight[id]
@@ -745,6 +746,9 @@ func (m *Manager) Wait(id string) ([]byte, error) {
 		m.mu.Unlock()
 		if !ok {
 			return nil, fmt.Errorf("service: unknown job %s", id)
+		}
+		if e.done != nil {
+			<-e.done // runJob moves the job here before its store write
 		}
 		if e.info.State == JobFailed {
 			return nil, fmt.Errorf("service: job %s failed: %s", id, e.info.Error)

@@ -205,6 +205,60 @@ func TestUniverseTierWarmStart(t *testing.T) {
 	}
 }
 
+// holdResultPuts is a store observer that holds the first result-tier
+// write open, before it touches the disk, until release is closed; started
+// is closed as that write begins.
+type holdResultPuts struct {
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (h *holdResultPuts) Op(tier, op string) func(int, bool) {
+	if tier == store.ResultTier && op == "put" {
+		h.once.Do(func() {
+			close(h.started)
+			<-h.release
+		})
+	}
+	return func(int, bool) {}
+}
+
+// Wait returns only once the job's result is on disk. runJob moves a
+// finished job from the in-flight table into the memory LRU before its
+// store write, so a Wait that answered from the LRU alone let a caller
+// remove the store directory under that write. Here the write is held
+// open: Wait, called once the job has left the in-flight table, must not
+// return until the write is released, and the stored result must then be
+// readable.
+func TestWaitReturnsAfterStoreWrite(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	m := NewManager(Config{Workers: 1, Store: st})
+	hold := &holdResultPuts{started: make(chan struct{}), release: make(chan struct{})}
+	st.SetObserver(hold)
+	info, _, err := m.Submit(c17(t), worstcaseReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-hold.started // the job is out of the in-flight table, its write held
+	returned := make(chan error, 1)
+	go func() {
+		_, err := m.Wait(info.ID)
+		returned <- err
+	}()
+	select {
+	case <-returned:
+		t.Fatal("Wait returned while the job's store write was still open")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(hold.release)
+	if err := <-returned; err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := st.GetResult(info.ID); !ok {
+		t.Fatal("result not in the store after Wait returned")
+	}
+}
+
 // Eviction then recompute under concurrency: once a completed ID is
 // evicted from the LRU, a burst of identical requests re-coalesces onto
 // exactly one new computation whose bytes match the original.

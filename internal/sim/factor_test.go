@@ -62,7 +62,7 @@ func sameTSets(t *testing.T, what string, a, b *TSets) {
 		}
 	}
 	for j := range a.Kept {
-		if a.Kept[j] != b.Kept[j] || !a.S[j].Equal(b.S[j]) || !a.D[j].Equal(b.D[j]) {
+		if a.Kept[j] != b.Kept[j] || a.Victim[j] != b.Victim[j] || a.Column[j] != b.Column[j] {
 			t.Fatalf("%s: kept bridge %d differs", what, j)
 		}
 	}

@@ -26,11 +26,11 @@ type TSets struct {
 	// Untargeted[j] is T(Kept[j]) under a materialized model (msa2,
 	// transition); nil under a factored one.
 	Untargeted []*bitset.Set
-	// Under a factored model (the default), T(Kept[j]) = S[j] ∩ D[j]:
-	// S[j] is one of Targets and D[j] one of Columns' sets. Columns is nil
-	// under a materialized model.
-	S, D    []*bitset.Set
-	Columns *Columns
+	// Under a factored model (the default), T(Kept[j]) = S ∩ D with
+	// S = Targets[Victim[j]] and D = Columns.Set(Column[j])
+	// (FactorBridges). Columns is nil under a materialized model.
+	Victim, Column []int32
+	Columns        *Columns
 }
 
 // ModelTSets builds both T-set families of one fault model from its
@@ -103,7 +103,7 @@ func defaultModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 	tT := e.StuckAtTSets(toStuckAt(targets))
 	step("bridge-tsets")
 	cols := e.goodColumns(doms)
-	s, d, err := FactorBridges(e.Circuit, targets, tT, cols, untargeted)
+	victim, column, err := FactorBridges(e.Circuit, targets, cols, untargeted)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +113,7 @@ func defaultModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 	chunks := (len(untargeted) + factorChunk - 1) / factorChunk
 	ParallelFor(e.Workers, chunks, func(ci int) {
 		for i := ci * factorChunk; i < min((ci+1)*factorChunk, len(untargeted)); i++ {
-			detectable[i] = s[i].Intersects(d[i])
+			detectable[i] = tT[victim[i]].Intersects(cols.Set(column[i]))
 		}
 	})
 	kept := 0
@@ -123,12 +123,12 @@ func defaultModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 		}
 	}
 	// Compact the factors in place; kept indices never pass their source.
-	ts := &TSets{Targets: tT, Kept: make([]fault.Descriptor, 0, kept), S: s[:0], D: d[:0], Columns: cols}
+	ts := &TSets{Targets: tT, Kept: make([]fault.Descriptor, 0, kept), Victim: victim[:0], Column: column[:0], Columns: cols}
 	for i, ok := range detectable {
 		if ok {
 			ts.Kept = append(ts.Kept, untargeted[i])
-			ts.S = append(ts.S, s[i])
-			ts.D = append(ts.D, d[i])
+			ts.Victim = append(ts.Victim, victim[i])
+			ts.Column = append(ts.Column, column[i])
 		}
 	}
 	return ts, nil

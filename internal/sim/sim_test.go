@@ -184,7 +184,8 @@ func TestBridgeTSetsMatchNaive(t *testing.T) {
 			doms = append(doms, b.A)
 		}
 		slices.Sort(doms)
-		s, d, err := FactorBridges(c, targets, ts.Targets, e.goodColumns(slices.Compact(doms)), bridges)
+		cols := e.goodColumns(slices.Compact(doms))
+		victim, column, err := FactorBridges(c, targets, cols, bridges)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -196,7 +197,7 @@ func TestBridgeTSetsMatchNaive(t *testing.T) {
 		j := 0
 		for i, b := range bridges {
 			g, want := gs[i], naive[i]
-			if got := s[i].Intersection(d[i]); !got.Equal(want) {
+			if got := ts.Targets[victim[i]].Intersection(cols.Set(column[i])); !got.Equal(want) {
 				t.Fatalf("%s bridge %s: factored %s, naive %s", c.Name, g.Name(c), got, want)
 			}
 			kept := j < len(ts.Kept) && ts.Kept[j] == b
@@ -206,7 +207,7 @@ func TestBridgeTSetsMatchNaive(t *testing.T) {
 			case !want.IsEmpty() && !kept:
 				t.Fatalf("%s bridge %s: dropped, but naive detects it", c.Name, g.Name(c))
 			case kept:
-				if got := ts.S[j].Intersection(ts.D[j]); !got.Equal(want) {
+				if got := ts.Targets[ts.Victim[j]].Intersection(ts.Columns.Set(ts.Column[j])); !got.Equal(want) {
 					t.Fatalf("%s bridge %s: kept factors give %s, naive %s", c.Name, g.Name(c), got, want)
 				}
 				j++

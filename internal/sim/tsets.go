@@ -95,6 +95,16 @@ func NewColumns(size int, nodes []int32) *Columns {
 	return &Columns{Nodes: nodes, One: sets[:len(nodes)], Zero: sets[len(nodes):]}
 }
 
+// Set returns the column set a FactorBridges column index names: One[i]
+// for i < len(Nodes), else Zero[i − len(Nodes)], the order NewColumns
+// allocates them in.
+func (c *Columns) Set(i int32) *bitset.Set {
+	if n := int32(len(c.Nodes)); i >= n {
+		return c.Zero[i-n]
+	}
+	return c.One[i]
+}
+
 // Store writes column i's words [lo, lo+len(ones)): ones into One[i] and
 // their complement into Zero[i].
 func (c *Columns) Store(i, lo int, ones []uint64) {
@@ -117,19 +127,21 @@ func (e *Exhaustive) goodColumns(nodes []int32) *Columns {
 }
 
 // FactorBridges returns the two factors of T(g) = S ∩ D for every
-// dominance bridge g = (l1, a1, l2, ¬a1), without materializing T(g):
+// dominance bridge g = (l1, a1, l2, ¬a1) as indices, without
+// materializing T(g):
 //
-//   - S = T(l2 stuck-at a1): g is detected exactly where that stuck-at
-//     fault is and l1 carries a1. The fault is structurally equivalent to
-//     one of the targets, whose T-set tT holds; the class map of the
-//     target descriptors picks it.
-//   - D = {v : l1 = a1}, the dominant's column at polarity a1.
+//   - victim[i] indexes targets: S = T(l2 stuck-at a1), since g is
+//     detected exactly where that stuck-at fault is and l1 carries a1. The
+//     fault is structurally equivalent to one of the targets, whose T-set
+//     S is; the class map of the target descriptors picks it.
+//   - column[i] names D = {v : l1 = a1} through cols.Set: the dominant's
+//     column index at a1 = 1, that index plus len(cols.Nodes) at a1 = 0.
 //
 // The bridges must name nodes of c (fault.BridgeProvider.Validate). It
 // fails when a victim's class has no target or a dominant has no column,
 // which only a list or artifact inconsistent with the circuit can cause.
-func FactorBridges(c *Circuit, targets []fault.Descriptor, tT []*bitset.Set, cols *Columns,
-	bridges []fault.Descriptor) (s, d []*bitset.Set, err error) {
+func FactorBridges(c *Circuit, targets []fault.Descriptor, cols *Columns,
+	bridges []fault.Descriptor) (victim, column []int32, err error) {
 	classes, err := fault.StuckAtClasses(c, targets)
 	if err != nil {
 		return nil, nil, err
@@ -138,24 +150,23 @@ func FactorBridges(c *Circuit, targets []fault.Descriptor, tT []*bitset.Set, col
 	for i, node := range cols.Nodes {
 		colOf[node] = int32(i) + 1
 	}
-	s = make([]*bitset.Set, len(bridges))
-	d = make([]*bitset.Set, len(bridges))
+	victim = make([]int32, len(bridges))
+	column = make([]int32, len(bridges))
 	for i, b := range bridges {
 		a1 := b.V != 0
 		k, ok := classes.Target(int(b.B), a1)
 		if !ok {
 			return nil, nil, fmt.Errorf("sim: bridge %d: victim %d stuck-at %d has no target", i, b.B, b.V)
 		}
-		s[i] = tT[k]
+		victim[i] = int32(k)
 		ci := colOf[b.A] - 1
 		switch {
 		case ci < 0:
 			return nil, nil, fmt.Errorf("sim: bridge %d: dominant %d has no column", i, b.A)
-		case a1:
-			d[i] = cols.One[ci]
-		default:
-			d[i] = cols.Zero[ci]
+		case !a1:
+			ci += int32(len(cols.Nodes))
 		}
+		column[i] = ci
 	}
-	return s, d, nil
+	return victim, column, nil
 }

@@ -269,7 +269,7 @@ func readColumns(c *circuit.Circuit, r *reader, ts *sim.TSets, targets []fault.D
 		ts.Columns.Store(i, 0, col)
 	}
 	var err error
-	if ts.S, ts.D, err = sim.FactorBridges(c, targets, ts.Targets, ts.Columns, ts.Kept); err != nil {
+	if ts.Victim, ts.Column, err = sim.FactorBridges(c, targets, ts.Columns, ts.Kept); err != nil {
 		return badArtifact("%v", err)
 	}
 	return nil

@@ -171,3 +171,45 @@ func TestUniverseCodecV3RejectsBadColumns(t *testing.T) {
 		}
 	}
 }
+
+// A decoded factored universe carries its factor indices into the worst
+// case, which decides nmin(g) = 1 from them: at 1 and 3 workers it
+// equals the fresh universe's worst case and the direct definition NMin.
+// Without the indices, the decoded universe could not take that path; a
+// decode that kept the columns but lost the indices fails here.
+func TestUniverseCodecV3WorstCase(t *testing.T) {
+	circuits := codecCircuits(t)
+	bb, _ := bench.ByName("bbara")
+	r, err := bb.SynthesizeDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := circuit.Canonicalize(r.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range append(circuits, c) {
+		u, err := ndetect.FromCircuitWorkers(c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeUniverse(c, fault.Default(), EncodeUniverse(u))
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if got.Columns == nil {
+			t.Fatalf("%s: a v3 default-model artifact must decode factored", c.Name)
+		}
+		want := ndetect.WorstCaseWorkers(&u.Universe, 1).NMin
+		for j, g := range got.Untargeted {
+			if n := ndetect.NMin(g, got.Targets); n != want[j] {
+				t.Fatalf("%s: fresh worst case gives nmin(%s) = %d, NMin %d", c.Name, g.Name, want[j], n)
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			if !slices.Equal(ndetect.WorstCaseWorkers(&got.Universe, workers).NMin, want) {
+				t.Fatalf("%s workers=%d: worst case over the decoded universe differs", c.Name, workers)
+			}
+		}
+	}
+}

@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -42,21 +43,34 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it parses args, prints the requested
+// tables to stdout and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paper", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		tableF   = flag.String("table", "2,3", `tables to produce: "2","3","5","6","all" or comma list`)
-		figure2F = flag.String("figure2", "dvram", "circuit for the Figure 2 histogram (empty disables)")
-		circF    = flag.String("circuits", "", "comma-separated circuit subset (default all)")
-		k5F      = flag.Int("k5", 1000, "test sets per n for Table 5 (paper: 10000)")
-		k6F      = flag.Int("k6", 200, "test sets per n for Table 6 (paper: 1000)")
-		nmaxF    = flag.Int("nmax", 10, "deepest n-detection level")
-		seedF    = flag.Int64("seed", 1, "RNG seed")
-		capF     = flag.Int("ge11cap", 500, "cap on nmin≥11 subset per circuit for Tables 5/6 (0 = none)")
-		workersF = flag.Int("workers", 0, "worker pool size at every level (0 = one per CPU, 1 = serial)")
-		compareF = flag.Bool("compare", false, "also print the paper's published rows")
-		csvF     = flag.Bool("csv", false, "emit CSV")
-		verboseF = flag.Bool("v", false, "progress to stderr")
+		tableF   = fs.String("table", "2,3", `tables to produce: "2","3","5","6","all" or comma list`)
+		figure2F = fs.String("figure2", "dvram", "circuit for the Figure 2 histogram (empty disables)")
+		circF    = fs.String("circuits", "", "comma-separated circuit subset (default all)")
+		k5F      = fs.Int("k5", 1000, "test sets per n for Table 5 (paper: 10000)")
+		k6F      = fs.Int("k6", 200, "test sets per n for Table 6 (paper: 1000)")
+		nmaxF    = fs.Int("nmax", 10, "deepest n-detection level")
+		seedF    = fs.Int64("seed", 1, "RNG seed")
+		capF     = fs.Int("ge11cap", 500, "cap on nmin≥11 subset per circuit for Tables 5/6 (0 = none)")
+		workersF = fs.Int("workers", 0, "worker pool size at every level (0 = one per CPU, 1 = serial)")
+		compareF = fs.Bool("compare", false, "also print the paper's published rows")
+		csvF     = fs.Bool("csv", false, "emit CSV")
+		verboseF = fs.Bool("v", false, "progress to stderr")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	want := map[string]bool{}
 	for _, t := range strings.Split(*tableF, ",") {
@@ -82,8 +96,8 @@ func main() {
 		for _, c := range strings.Split(*circF, ",") {
 			c = strings.TrimSpace(c)
 			if _, ok := bench.ByName(c); !ok {
-				fmt.Fprintf(os.Stderr, "unknown circuit %q; known: %s\n", c, strings.Join(bench.Names(), " "))
-				os.Exit(2)
+				fmt.Fprintf(stderr, "unknown circuit %q; known: %s\n", c, strings.Join(bench.Names(), " "))
+				return 2
 			}
 			cfg.Circuits = append(cfg.Circuits, c)
 		}
@@ -92,8 +106,8 @@ func main() {
 	fig2 := *figure2F
 	if fig2 != "" {
 		if _, ok := bench.ByName(fig2); !ok {
-			fmt.Fprintf(os.Stderr, "unknown -figure2 circuit %q\n", fig2)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown -figure2 circuit %q\n", fig2)
+			return 2
 		}
 		if len(cfg.Circuits) > 0 && !contains(cfg.Circuits, fig2) {
 			fig2 = "" // subset excludes it
@@ -104,52 +118,53 @@ func main() {
 	var observe func(string)
 	if *verboseF {
 		observe = func(name string) {
-			fmt.Fprintf(os.Stderr, "[%6.1fs] %s done\n", time.Since(start).Seconds(), name)
+			fmt.Fprintf(stderr, "[%6.1fs] %s done\n", time.Since(start).Seconds(), name)
 		}
 	}
 
 	res, err := exp.RunAll(cfg, fig2, want["5"], want["6"], observe)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
 	}
 
 	if want["2"] {
 		if *csvF {
-			fmt.Print(report.CSVTable2(res.Table2))
+			fmt.Fprint(stdout, report.CSVTable2(res.Table2))
 		} else {
-			fmt.Println(report.FormatTable2(res.Table2))
+			fmt.Fprintln(stdout, report.FormatTable2(res.Table2))
 		}
 		if *compareF {
-			fmt.Println(paperTable2())
+			fmt.Fprintln(stdout, paperTable2())
 		}
 	}
 	if want["3"] {
 		if *csvF {
-			fmt.Print(report.CSVTable3(res.Table3))
+			fmt.Fprint(stdout, report.CSVTable3(res.Table3))
 		} else {
-			fmt.Println(report.FormatTable3(res.Table3))
+			fmt.Fprintln(stdout, report.FormatTable3(res.Table3))
 		}
 		if *compareF {
-			fmt.Println(paperTable3())
+			fmt.Fprintln(stdout, paperTable3())
 		}
 	}
 	if fig2 != "" {
-		fmt.Println(res.Figure2)
+		fmt.Fprintln(stdout, res.Figure2)
 	}
 	if want["5"] {
 		if *csvF {
-			fmt.Print(report.CSVTable5(res.Table5))
+			fmt.Fprint(stdout, report.CSVTable5(res.Table5))
 		} else {
-			fmt.Println(report.FormatTable5(res.Table5))
+			fmt.Fprintln(stdout, report.FormatTable5(res.Table5))
 		}
 		if *compareF {
-			fmt.Println(paperTable5())
+			fmt.Fprintln(stdout, paperTable5())
 		}
 	}
 	if want["6"] {
-		fmt.Println(report.FormatTable6(res.Table6))
+		fmt.Fprintln(stdout, report.FormatTable6(res.Table6))
 	}
+	return 0
 }
 
 func contains(xs []string, x string) bool {

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"ndetect/internal/circuit"
+	"ndetect/internal/exp"
 	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 	"ndetect/internal/report"
@@ -59,7 +60,7 @@ func renderText(doc *report.Analysis, worst, hist int) ([]byte, error) {
 		b.WriteByte('\n')
 	}
 	if hist > 0 {
-		values, counts := (&ndetect.WorstCaseResult{NMin: coreNMins(wc.NMin)}).Histogram(hist)
+		values, counts := exp.WorstCaseOf(wc.NMin).Histogram(hist)
 		fmt.Fprintln(&b, report.FormatFigure2(ci.Name, hist, values, counts, wc.Unbounded))
 	}
 	if doc.Average != nil {
@@ -79,7 +80,7 @@ func writeTail(b *bytes.Buffer, tail []report.TailPoint) {
 // first. Ties keep document order: canonical fault order for a worst-case
 // document, sorted names for a partitioned merge.
 func writeHardest(b *bytes.Buffer, kind string, faults []report.FaultNMin, n int) {
-	nmin := coreNMins(faults)
+	nmin := exp.WorstCaseOf(faults).NMin
 	order := make([]int, len(faults))
 	for i := range order {
 		order[i] = i
@@ -94,20 +95,6 @@ func writeHardest(b *bytes.Buffer, kind string, faults []report.FaultNMin, n int
 		}
 		fmt.Fprintf(b, "  %-28s nmin = %s\n", faults[i].Name, nm)
 	}
-}
-
-// coreNMins maps document verdicts back onto in-memory nmin values, the
-// document's -1 onto ndetect.Unbounded, so ordering and the histogram
-// follow the analysis's own rules.
-func coreNMins(faults []report.FaultNMin) []int {
-	out := make([]int, len(faults))
-	for i, f := range faults {
-		out[i] = f.NMin
-		if f.NMin == report.UnboundedJSON {
-			out[i] = ndetect.Unbounded
-		}
-	}
-	return out
 }
 
 // writeAverage renders the Procedure 1 summary over the faults the worst

@@ -293,6 +293,21 @@ func jsonNMin(v int) int {
 	return v
 }
 
+// WorstCaseOf maps a document's per-fault verdicts back onto in-memory
+// nmin values, the document's -1 onto ndetect.Unbounded, so that readers
+// of a document count, order and histogram them by the analysis's own
+// rules.
+func WorstCaseOf(faults []report.FaultNMin) *ndetect.WorstCaseResult {
+	nmin := make([]int, len(faults))
+	for i, f := range faults {
+		nmin[i] = f.NMin
+		if f.NMin == report.UnboundedJSON {
+			nmin[i] = ndetect.Unbounded
+		}
+	}
+	return &ndetect.WorstCaseResult{NMin: nmin}
+}
+
 func coveragePoints(coverageAt func(int) float64) []report.CoveragePoint {
 	pts := make([]report.CoveragePoint, 0, len(report.NMinColumns))
 	for _, n := range report.NMinColumns {

@@ -5,24 +5,35 @@ import (
 	"strings"
 	"testing"
 
+	"ndetect/internal/bench"
+	"ndetect/internal/circuit"
 	"ndetect/internal/ndetect"
 	"ndetect/internal/report"
 )
 
-func TestRunCircuit(t *testing.T) {
-	run, err := runCircuit("lion", 0)
+// synthesized returns a benchmark's default synthesized circuit, as
+// RunAll analyses it.
+func synthesized(t *testing.T, name string) *circuit.Circuit {
+	t.Helper()
+	b, ok := bench.ByName(name)
+	if !ok {
+		t.Fatalf("unknown benchmark %q", name)
+	}
+	r, err := b.SynthesizeDefault()
 	if err != nil {
-		t.Fatalf("runCircuit: %v", err)
+		t.Fatal(err)
 	}
-	if run.Name != "lion" || run.Universe == nil || run.WC == nil {
-		t.Fatal("incomplete run")
+	return r.Circuit
+}
+
+// worstCaseDoc returns the worst-case document of a synthesized benchmark.
+func worstCaseDoc(t *testing.T, name string) *report.WorstCase {
+	t.Helper()
+	doc, err := AnalyzeCircuit(synthesized(t, name), AnalysisRequest{Kind: WorstCaseAnalysis})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(run.WC.NMin) != len(run.Universe.Untargeted) {
-		t.Fatal("result length mismatch")
-	}
-	if _, err := runCircuit("nope", 0); err == nil {
-		t.Fatal("runCircuit accepted unknown name")
-	}
+	return doc.WorstCase
 }
 
 func TestTable2RowsConsistent(t *testing.T) {
@@ -114,15 +125,12 @@ func TestTable5RowShape(t *testing.T) {
 }
 
 func TestGe11SubsetSampling(t *testing.T) {
-	run, err := runCircuit("log", 0)
-	if err != nil {
-		t.Fatalf("runCircuit: %v", err)
+	wc := WorstCaseOf(worstCaseDoc(t, "log").NMin)
+	full := capEvenly(wc.IndicesAtLeast(11), wc.NMin, 0)
+	if len(full) != wc.CountAtLeast(11) {
+		t.Fatalf("uncapped subset size %d != CountAtLeast(11) %d", len(full), wc.CountAtLeast(11))
 	}
-	full := ge11Subset(run, 0)
-	if len(full) != run.WC.CountAtLeast(11) {
-		t.Fatalf("uncapped subset size %d != CountAtLeast(11) %d", len(full), run.WC.CountAtLeast(11))
-	}
-	capped := ge11Subset(run, 10)
+	capped := capEvenly(wc.IndicesAtLeast(11), wc.NMin, 10)
 	if len(full) > 10 && len(capped) != 10 {
 		t.Fatalf("capped subset size = %d, want 10", len(capped))
 	}
@@ -132,7 +140,7 @@ func TestGe11SubsetSampling(t *testing.T) {
 			t.Fatal("duplicate index in capped subset")
 		}
 		seen[j] = true
-		if run.WC.NMin[j] < 11 {
+		if wc.NMin[j] < 11 {
 			t.Fatal("capped subset contains a fault below the nmin threshold")
 		}
 	}
@@ -222,18 +230,19 @@ func TestRunAllDeterministic(t *testing.T) {
 // n ≤ nmax is detected by every random n-detection test set Procedure 1
 // produces.
 func TestGuaranteeAcrossPipeline(t *testing.T) {
-	run, err := runCircuit("beecount", 0)
+	u, err := ndetect.FromCircuit(synthesized(t, "beecount"))
 	if err != nil {
-		t.Fatalf("runCircuit: %v", err)
+		t.Fatalf("FromCircuit: %v", err)
 	}
-	res, err := ndetect.Procedure1(&run.Universe.Universe, ndetect.Procedure1Options{
+	wc := ndetect.WorstCase(&u.Universe)
+	res, err := ndetect.Procedure1(&u.Universe, ndetect.Procedure1Options{
 		NMax: 5, K: 25, Seed: 13, KeepTestSets: true,
 	})
 	if err != nil {
 		t.Fatalf("Procedure1: %v", err)
 	}
-	for j, g := range run.Universe.Untargeted {
-		nm := run.WC.NMin[j]
+	for j, g := range u.Untargeted {
+		nm := wc.NMin[j]
 		if nm > 5 {
 			continue
 		}
@@ -249,13 +258,84 @@ func TestGuaranteeAcrossPipeline(t *testing.T) {
 }
 
 func TestTable2RowAgainstReport(t *testing.T) {
-	run, err := runCircuit("lion", 0)
-	if err != nil {
-		t.Fatalf("runCircuit: %v", err)
+	wc := worstCaseDoc(t, "lion")
+	row := table2Row("lion", wc)
+	if row.Faults != wc.Untargeted {
+		t.Fatalf("row has %d faults, document %d", row.Faults, wc.Untargeted)
 	}
-	row := Table2Row(run)
+	for i, p := range wc.Coverage {
+		if row.Pct[i] != p.Pct {
+			t.Fatalf("column %d: row %v, document %v", i, row.Pct[i], p.Pct)
+		}
+	}
 	out := report.FormatTable2([]report.Table2Row{row})
 	if !strings.Contains(out, "lion") {
 		t.Fatal("row lost its circuit name")
+	}
+}
+
+// WorstCaseOf inverts the document's encoding of nmin: -1 is Unbounded
+// again, and a real document's verdicts are the core worst case's.
+func TestWorstCaseOfInvertsDocument(t *testing.T) {
+	got := WorstCaseOf([]report.FaultNMin{{Name: "a", NMin: 3}, {Name: "b", NMin: report.UnboundedJSON}})
+	if fmt.Sprint(got.NMin) != fmt.Sprint([]int{3, ndetect.Unbounded}) {
+		t.Fatalf("WorstCaseOf = %v", got.NMin)
+	}
+
+	c, err := circuit.Canonicalize(synthesized(t, "bbara"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := ndetect.FromCircuit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ndetect.WorstCase(&u.Universe).NMin
+	if got := WorstCaseOf(worstCaseDoc(t, "bbara").NMin).NMin; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("WorstCaseOf of bbara's document differs from the core worst case")
+	}
+}
+
+// RunAll's Table 5 and 6 rows are the faults and threshold counts of the
+// average documents AnalyzeCircuit returns for the same circuit, NMax, K,
+// seed, definition and cap: the tables and `ndetect -avg` are one
+// pipeline.
+func TestRunAllMatchesAnalyzeCircuit(t *testing.T) {
+	cfg := Config{Circuits: []string{"bbara", "log"}, NMax: 10, K5: 30, K6: 15, Seed: 1, Ge11Limit: 500}
+	res, err := RunAll(cfg, "", true, true, nil)
+	if err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if len(res.Table5) != len(cfg.Circuits) || len(res.Table6) != len(cfg.Circuits) {
+		t.Fatalf("T5/T6 rows = %d/%d, want %d each", len(res.Table5), len(res.Table6), len(cfg.Circuits))
+	}
+	for i, name := range cfg.Circuits {
+		c := synthesized(t, name)
+		average := func(k int, def ndetect.Definition) *report.Average {
+			doc, err := AnalyzeCircuit(c, AnalysisRequest{
+				Kind: AverageAnalysis, NMax: cfg.NMax, K: k, Seed: cfg.Seed,
+				Definition: int(def), Ge11Limit: cfg.Ge11Limit,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return doc.Average
+		}
+		check := func(what, circuit string, faults int, counts []int, want *report.Average) {
+			t.Helper()
+			if circuit != name || faults != want.Faults || len(want.Thresholds) != len(counts) {
+				t.Fatalf("%s %s: row %s with %d faults, document %d faults and %d thresholds",
+					name, what, circuit, faults, want.Faults, len(want.Thresholds))
+			}
+			for j, th := range want.Thresholds {
+				if counts[j] != th.Count {
+					t.Fatalf("%s %s: p ≥ %.1f row count %d, document %d", name, what, th.P, counts[j], th.Count)
+				}
+			}
+		}
+		t5, t6 := res.Table5[i], res.Table6[i]
+		check("Table 5", t5.Circuit, t5.Faults, t5.Counts[:], average(cfg.K5, ndetect.Def1))
+		check("Table 6 Definition 1", t6.Circuit, t6.Faults, t6.Def1[:], average(cfg.K6, ndetect.Def1))
+		check("Table 6 Definition 2", t6.Circuit, t6.Faults, t6.Def2[:], average(cfg.K6, ndetect.Def2))
 	}
 }

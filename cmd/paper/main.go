@@ -155,14 +155,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *csvF {
 			fmt.Fprint(stdout, report.CSVTable5(res.Table5))
 		} else {
-			fmt.Fprintln(stdout, report.FormatTable5(res.Table5))
+			fmt.Fprintln(stdout, report.FormatTable5(res.Table5, res.NMax))
 		}
 		if *compareF {
 			fmt.Fprintln(stdout, paperTable5())
 		}
 	}
 	if want["6"] {
-		fmt.Fprintln(stdout, report.FormatTable6(res.Table6))
+		fmt.Fprintln(stdout, report.FormatTable6(res.Table6, res.NMax))
 	}
 	return 0
 }
@@ -222,5 +222,5 @@ func paperTable5() string {
 		}
 		rows = append(rows, r)
 	}
-	return "[paper] " + report.FormatTable5(rows)
+	return "[paper] " + report.FormatTable5(rows, 10)
 }

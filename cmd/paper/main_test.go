@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -51,5 +52,18 @@ func TestPaperGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Tables 5 and 6 name the run's n in their p(n,gj) header.
+func TestPaperTable5And6HeaderFollowsNMax(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-table", "5,6", "-circuits", "bbara", "-nmax", "5", "-k5", "5", "-k6", "3"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("paper %v: exit %d: %s", args, code, stderr.String())
+	}
+	out := stdout.String()
+	if strings.Count(out, "p(5,gj) ≥") != 2 || strings.Contains(out, "p(10,") {
+		t.Fatalf("paper %v: headers do not name n = 5:\n%s", args, out)
 	}
 }

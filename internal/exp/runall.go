@@ -10,6 +10,8 @@ import (
 
 // AllResults bundles everything one full reproduction pass computes.
 type AllResults struct {
+	// NMax is the n of Tables 5 and 6, p(n,g): Config.NMax after defaults.
+	NMax    int
 	Table2  []report.Table2Row
 	Table3  []report.Table3Row
 	Table5  []report.Table5Row
@@ -99,7 +101,7 @@ func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func
 		return nil, err
 	}
 
-	out := &AllResults{}
+	out := &AllResults{NMax: cfg.NMax}
 	for _, a := range per {
 		out.Table2 = append(out.Table2, a.t2)
 		if a.t3 != nil {

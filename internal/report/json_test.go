@@ -335,7 +335,7 @@ func TestFormatTable3Golden(t *testing.T) {
 func TestFormatTable5And6Golden(t *testing.T) {
 	t5 := trimLineEnds(FormatTable5([]Table5Row{
 		{Circuit: "ex4", Faults: 82, Counts: [11]int{32, 82, 82, 82, 82, 82, 82, 82, 82, 82, 82}},
-	}))
+	}, 10))
 	wantT5 := `Table 5: Average-case probabilities of detection  p(10,gj) ≥
 circuit     faults    1.0    0.9    0.8    0.7    0.6    0.5    0.4    0.3    0.2    0.1    0.0
 ex4             82     32     82
@@ -348,7 +348,7 @@ ex4             82     32     82
 		Circuit: "bbara", Faults: 21,
 		Def1: [11]int{1, 8, 14, 16, 16, 18, 19, 20, 21, 21, 21},
 		Def2: [11]int{10, 18, 19, 20, 21, 21, 21, 21, 21, 21, 21},
-	}}))
+	}}, 10))
 	wantT6 := `Table 6: Average-case probabilities of detection under Definitions 1 and 2  p(10,gj) ≥
 circuit     faults  def    1.0    0.9    0.8    0.7    0.6    0.5    0.4    0.3    0.2    0.1    0.0
 bbara           21    1      1      8     14     16     16     18     19     20     21

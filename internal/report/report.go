@@ -76,20 +76,21 @@ func FormatTable3(rows []Table3Row) string {
 }
 
 // Table5Row is one circuit's average-case row: counts of faults with
-// p(10,g) at or above each threshold.
+// p(n,g) at or above each threshold.
 type Table5Row struct {
 	Circuit string
 	Faults  int
 	Counts  [11]int
 }
 
-// FormatTable5 renders Table 5: "Average-case probabilities of detection".
-// Mirroring the paper, once a column reaches the full fault count the
-// remaining cells are blank ("we do not enter a number for a given
-// probability if all the faults have a higher probability of detection").
-func FormatTable5(rows []Table5Row) string {
+// FormatTable5 renders Table 5: "Average-case probabilities of detection"
+// p(n,gj), for the run's n (the paper's is 10). Mirroring the paper, once
+// a column reaches the full fault count the remaining cells are blank
+// ("we do not enter a number for a given probability if all the faults
+// have a higher probability of detection").
+func FormatTable5(rows []Table5Row, n int) string {
 	var b strings.Builder
-	b.WriteString("Table 5: Average-case probabilities of detection  p(10,gj) ≥\n")
+	fmt.Fprintf(&b, "Table 5: Average-case probabilities of detection  p(%d,gj) ≥\n", n)
 	fmt.Fprintf(&b, "%-10s %7s", "circuit", "faults")
 	for _, th := range Thresholds {
 		fmt.Fprintf(&b, " %6.1f", th)
@@ -130,10 +131,11 @@ type Table6Row struct {
 }
 
 // FormatTable6 renders Table 6: "Average-case probabilities of detection
-// under Definitions 1 and 2" — two rows per circuit as in the paper.
-func FormatTable6(rows []Table6Row) string {
+// under Definitions 1 and 2" p(n,gj), for the run's n — two rows per
+// circuit as in the paper.
+func FormatTable6(rows []Table6Row, n int) string {
 	var b strings.Builder
-	b.WriteString("Table 6: Average-case probabilities of detection under Definitions 1 and 2  p(10,gj) ≥\n")
+	fmt.Fprintf(&b, "Table 6: Average-case probabilities of detection under Definitions 1 and 2  p(%d,gj) ≥\n", n)
 	fmt.Fprintf(&b, "%-10s %7s %4s", "circuit", "faults", "def")
 	for _, th := range Thresholds {
 		fmt.Fprintf(&b, " %6.1f", th)

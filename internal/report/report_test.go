@@ -47,10 +47,21 @@ func TestFormatTable5Blanks(t *testing.T) {
 	rows := []Table5Row{
 		{Circuit: "ex4", Faults: 82, Counts: [11]int{32, 82, 82, 82, 82, 82, 82, 82, 82, 82, 82}},
 	}
-	out := FormatTable5(rows)
+	out := FormatTable5(rows, 10)
 	// After the count reaches 82 (threshold 0.9), later cells are blank.
 	if strings.Count(out, "82") != 2 { // fault count column + first saturated cell
 		t.Fatalf("expected blanks after saturation:\n%s", out)
+	}
+}
+
+// The p(n,gj) header names the run's n, not always the paper's 10.
+func TestFormatTable5And6HeaderN(t *testing.T) {
+	t5 := FormatTable5([]Table5Row{{Circuit: "x", Faults: 1, Counts: [11]int{1}}}, 5)
+	t6 := FormatTable6([]Table6Row{{Circuit: "x", Faults: 1, Def1: [11]int{1}, Def2: [11]int{1}}}, 5)
+	for name, out := range map[string]string{"Table 5": t5, "Table 6": t6} {
+		if !strings.Contains(out, "p(5,gj) ≥") || strings.Contains(out, "p(10,") {
+			t.Fatalf("%s header does not name n = 5:\n%s", name, out)
+		}
 	}
 }
 
@@ -60,7 +71,7 @@ func TestFormatTable6TwoRowsPerCircuit(t *testing.T) {
 		Def1: [11]int{1, 8, 14, 16, 16, 18, 19, 20, 21, 21, 21},
 		Def2: [11]int{10, 18, 19, 20, 21, 21, 21, 21, 21, 21, 21},
 	}}
-	out := FormatTable6(rows)
+	out := FormatTable6(rows, 10)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Fatalf("want title+header+2 rows, got %d lines:\n%s", len(lines), out)

@@ -29,7 +29,9 @@ import (
 //	size    uint64                        test-index space size — must
 //	                                      match the model over the circuit
 //	nT, nG  uint32, uint32                target / untargeted counts
-//	form    uint8                         0 materialized, 1 factored
+//	form    uint8                         1 factored for the default
+//	                                      model, 0 materialized for
+//	                                      every other model
 //	nC      uint32                        column count (0 if materialized)
 //	faults  (nT+nG) × {A u32, B u32, V u8}  model-neutral fault.Descriptor
 //	                                      records, targets first
@@ -46,12 +48,9 @@ import (
 // victim class's target T-set and its dominant's column
 // (sim.FactorBridges), exactly as the fresh build does.
 //
-// Version 2 is version 3 without form and nC, always materialized.
-// Version 1 artifacts (pre-registry: 5-byte stuck-at + 9-byte bridge
-// records, size always |U|) carried no model field; they decode as the
-// implicit default model and are rejected — rebuild, never migrate — when
-// the reader expects any other model. Both decode to materialized
-// universes, which read the same through ndetect.Fault's accessors.
+// Versions 1 and 2 stored every T(g) and no longer decode; neither does
+// a materialized default-model artifact. Each is ErrBadArtifact, and the
+// store rebuilds it: artifacts are rebuilt, never migrated.
 //
 // Every decode error is ErrBadArtifact-wrapped so callers can distinguish
 // "stale or corrupt artifact, rebuild it" from real failures.
@@ -59,16 +58,10 @@ import (
 // universeMagic identifies a universe artifact file.
 const universeMagic = "NDUV"
 
-// UniverseCodecVersion is the current artifact layout version. Decoders
-// reject versions they cannot read, which readers treat as a cache miss —
+// UniverseCodecVersion is the artifact layout version, the only one
+// DecodeUniverse reads. Readers treat any other version as a cache miss —
 // stale artifacts are rebuilt, never migrated.
 const UniverseCodecVersion = 3
-
-// Older layouts, still decodable.
-const (
-	universeCodecV1 = 1
-	universeCodecV2 = 2
-)
 
 // Values of the v3 form byte.
 const (
@@ -157,28 +150,14 @@ func DecodeUniverse(c *circuit.Circuit, m fault.Model, data []byte) (*ndetect.Ci
 		return nil, badArtifact("checksum mismatch")
 	}
 	r := reader{buf: body[4:]}
-	switch v := r.u16(); v {
-	case UniverseCodecVersion, universeCodecV2:
-		return decodeModel(c, m, &r, v)
-	case universeCodecV1:
-		if m.ID() != fault.DefaultModelID {
-			return nil, badArtifact("v1 artifact is implicitly %s, reader wants model %s",
-				fault.DefaultModelID, m.ID())
-		}
-		return decodeV1(c, m, &r)
-	default:
+	if v := r.u16(); v != UniverseCodecVersion {
 		return nil, badArtifact("version %d (want %d)", v, UniverseCodecVersion)
 	}
-}
-
-// decodeModel reads the v2 and v3 layouts, which differ only in v3's form
-// and column count.
-func decodeModel(c *circuit.Circuit, m fault.Model, r *reader, version uint16) (*ndetect.CircuitUniverse, error) {
 	if len(r.buf)-r.off < 2 {
 		return nil, badArtifact("truncated model field")
 	}
 	ml := int(r.u16())
-	if len(r.buf)-r.off < ml+8+4+4 {
+	if len(r.buf)-r.off < ml+8+4+4+1+4 {
 		return nil, badArtifact("truncated model field (%d bytes)", ml)
 	}
 	model := string(r.buf[r.off : r.off+ml])
@@ -195,18 +174,15 @@ func decodeModel(c *circuit.Circuit, m fault.Model, r *reader, version uint16) (
 		return nil, badArtifact("space size %d does not match model %s over circuit (%d)", size, m.ID(), wantSize)
 	}
 	nT, nG := int(r.u32()), int(r.u32())
-	form, nC := byte(formMaterialized), 0
-	if version == UniverseCodecVersion {
-		if len(r.buf)-r.off < 1+4 {
-			return nil, badArtifact("truncated form field")
-		}
-		form, nC = r.u8(), int(r.u32())
-		switch {
-		case form == formFactored && m.ID() != fault.DefaultModelID:
-			return nil, badArtifact("model %s has no factored form", m.ID())
-		case form == formMaterialized && nC != 0, form > formFactored:
-			return nil, badArtifact("form %d with %d columns", form, nC)
-		}
+	// The default model's bridges are stored factored; every other model
+	// is materialized, with no columns.
+	form, nC := r.u8(), int(r.u32())
+	wantForm := byte(formMaterialized)
+	if m.ID() == fault.DefaultModelID {
+		wantForm = formFactored
+	}
+	if form != wantForm || form == formMaterialized && nC != 0 {
+		return nil, badArtifact("form %d with %d columns, model %s is stored in form %d", form, nC, m.ID(), wantForm)
 	}
 	words := (size + 63) / 64
 	tail := 8 * words * nG
@@ -237,10 +213,10 @@ func decodeModel(c *circuit.Circuit, m fault.Model, r *reader, version uint16) (
 	if err != nil {
 		return nil, err
 	}
-	ts := &sim.TSets{Targets: readSets(r, nT, size, words), Kept: untargeted}
+	ts := &sim.TSets{Targets: readSets(&r, nT, size, words), Kept: untargeted}
 	if form == formMaterialized {
-		ts.Untargeted = readSets(r, nG, size, words)
-	} else if err := readColumns(c, r, ts, targets, nC, size, words); err != nil {
+		ts.Untargeted = readSets(&r, nG, size, words)
+	} else if err := readColumns(c, &r, ts, targets, nC, size, words); err != nil {
 		return nil, err
 	}
 	u, err := ndetect.AssembleUniverse(c, m, targets, ts)
@@ -273,49 +249,6 @@ func readColumns(c *circuit.Circuit, r *reader, ts *sim.TSets, targets []fault.D
 		return badArtifact("%v", err)
 	}
 	return nil
-}
-
-// decodeV1 reads the pre-registry layout: stuck-at records of 5 bytes,
-// bridge records of 9, size always |U|, no model field.
-func decodeV1(c *circuit.Circuit, m fault.Model, r *reader) (*ndetect.CircuitUniverse, error) {
-	size := int(r.u64())
-	if size != c.VectorSpaceSize() || size <= 0 {
-		return nil, badArtifact("universe size %d does not match circuit (|U| = %d)", size, c.VectorSpaceSize())
-	}
-	nT, nG := int(r.u32()), int(r.u32())
-	words := (size + 63) / 64
-	need := 5*nT + 9*nG + 8*words*(nT+nG)
-	if len(r.buf)-r.off != need {
-		return nil, badArtifact("payload is %d bytes, want %d", len(r.buf)-r.off, need)
-	}
-
-	nodes := c.NumNodes()
-	targets := make([]fault.Descriptor, nT)
-	for i := range targets {
-		node := int(r.u32())
-		if node < 0 || node >= nodes {
-			return nil, badArtifact("stuck-at %d names node %d of %d", i, node, nodes)
-		}
-		targets[i] = fault.StuckAtDescriptor(fault.StuckAt{Node: node, Value: r.u8() != 0})
-	}
-	untargeted := make([]fault.Descriptor, nG)
-	for i := range untargeted {
-		dom, vic := int(r.u32()), int(r.u32())
-		if dom < 0 || dom >= nodes || vic < 0 || vic >= nodes {
-			return nil, badArtifact("bridge %d names nodes (%d,%d) of %d", i, dom, vic, nodes)
-		}
-		untargeted[i] = fault.BridgeDescriptor(fault.Bridge{Dominant: dom, Victim: vic, Value: r.u8() != 0})
-	}
-	ts := &sim.TSets{
-		Targets:    readSets(r, nT, size, words),
-		Kept:       untargeted,
-		Untargeted: readSets(r, nG, size, words),
-	}
-	u, err := ndetect.AssembleUniverse(c, m, targets, ts)
-	if err != nil {
-		return nil, badArtifact("%v", err)
-	}
-	return u, nil
 }
 
 func readSets(r *reader, n, size, words int) []*bitset.Set {

@@ -253,31 +253,13 @@ func encodeUniverseV1(t *testing.T, u *ndetect.CircuitUniverse) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// Version 1 artifacts predate the fault-model registry: they decode as
-// the implicit default model — bit-for-bit the same universe — and are
-// rejected (rebuild, not reinterpret) under any other model.
-func TestUniverseCodecV1BackwardCompat(t *testing.T) {
+// Version 1 artifacts predate the fault-model registry and store every
+// T(g): they no longer decode under any model, and a store holding one
+// rebuilds the universe.
+func TestUniverseCodecV1Rebuilds(t *testing.T) {
 	c, u := c17Universe(t)
 	v1 := encodeUniverseV1(t, u)
-
-	got, err := DecodeUniverse(c, fault.Default(), v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Targets) != len(u.Targets) || len(got.Untargeted) != len(u.Untargeted) {
-		t.Fatalf("counts (%d,%d), want (%d,%d)",
-			len(got.Targets), len(got.Untargeted), len(u.Targets), len(u.Untargeted))
-	}
-	for i := range u.Targets {
-		if got.Targets[i].Name != u.Targets[i].Name || !got.Targets[i].T.Equal(u.Targets[i].T) {
-			t.Fatalf("target %d differs", i)
-		}
-	}
-	for i := range u.Untargeted {
-		if got.Untargeted[i].Name != u.Untargeted[i].Name || !got.Untargeted[i].Set().Equal(u.Untargeted[i].Set()) {
-			t.Fatalf("untargeted %d differs", i)
-		}
-	}
+	rejectedAndRebuilt(t, "v1", c, v1)
 
 	tr, err := fault.Resolve("transition")
 	if err != nil {

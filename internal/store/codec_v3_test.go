@@ -124,25 +124,50 @@ func encodeUniverseV2(u *ndetect.CircuitUniverse) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 }
 
-// A version 2 default-model artifact still decodes, as a materialized
-// universe with the same words for every fault; its worst case agrees.
-func TestUniverseCodecV2DecodesMaterialized(t *testing.T) {
+// A version 2 default-model artifact, and a v3 one with every T(g)
+// materialized, no longer decode; a store holding either rebuilds the
+// factored universe.
+func TestUniverseCodecV2Rebuilds(t *testing.T) {
 	for _, c := range codecCircuits(t) {
 		u, err := ndetect.FromCircuitWorkers(c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeUniverse(c, fault.Default(), encodeUniverseV2(u))
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		if got.Columns != nil {
-			t.Fatalf("%s: a v2 artifact must decode materialized", c.Name)
-		}
-		sameFaultWords(t, c.Name+" v2", got, u)
-		if !slices.Equal(ndetect.WorstCase(&got.Universe).NMin, ndetect.WorstCase(&u.Universe).NMin) {
-			t.Fatalf("%s: worst case over the v2 decode differs", c.Name)
-		}
+		rejectedAndRebuilt(t, c.Name+" v2", c, encodeUniverseV2(u))
+		materialized := *u
+		materialized.Columns = nil
+		rejectedAndRebuilt(t, c.Name+" materialized v3", c, EncodeUniverse(&materialized))
+	}
+}
+
+// rejectedAndRebuilt checks that a default-model artifact is
+// ErrBadArtifact, and that a store holding it in the circuit's slot drops
+// it, returns the universe a fresh build gives, and stores that
+// universe's v3 artifact in its place.
+func rejectedAndRebuilt(t *testing.T, what string, c *circuit.Circuit, artifact []byte) {
+	t.Helper()
+	if _, err := DecodeUniverse(c, fault.Default(), artifact); !errors.Is(err, ErrBadArtifact) {
+		t.Fatalf("%s: err = %v, want ErrBadArtifact", what, err)
+	}
+	s := openTemp(t, Options{})
+	hash := circuit.Hash(c)
+	if err := s.PutUniverse(hash, 0, "", artifact); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Universe(c, fault.Default(), ndetect.AnalyzeOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	fresh, err := ndetect.FromCircuitWorkers(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Columns == nil {
+		t.Fatalf("%s: the rebuilt universe must be factored", what)
+	}
+	sameFaultWords(t, what+" rebuilt", got, fresh)
+	if stored, ok := s.GetUniverse(hash, 0, ""); !ok || !bytes.Equal(stored, EncodeUniverse(fresh)) {
+		t.Fatalf("%s: the store kept the old artifact instead of the rebuilt one", what)
 	}
 }
 

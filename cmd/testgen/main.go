@@ -98,13 +98,6 @@ func main() {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "testgen:", err)
 	os.Exit(1)

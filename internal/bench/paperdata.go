@@ -116,10 +116,3 @@ var Table5Circuits = []string{
 	"bbara", "ex4", "keyb", "opus",
 	"bbsse", "cse", "dvram", "fetch", "log", "rie", "s1a",
 }
-
-// Table6Circuits lists the circuits of Table 6 in the paper's
-// (alphabetical) order.
-var Table6Circuits = []string{
-	"bbara", "bbsse", "beecount", "cse", "dvram", "ex2", "ex3", "ex4",
-	"ex6", "fetch", "keyb", "log", "mark1", "opus", "rie", "s1a",
-}

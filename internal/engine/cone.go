@@ -28,8 +28,9 @@ type ConeProgram struct {
 	Site int
 	// Sites lists every fault site of the cone in faulty-bank register
 	// order: register i belongs to Sites[i]. Single-site cones (CompileCone)
-	// have Sites = [Site]; multi-site cones (CompileCones) seed each site
-	// register with a forced constant via RunForced.
+	// have Sites = [Site]; multi-site cones (ConeCompiler.Compile over
+	// several sites) seed each site register with a forced constant via
+	// RunForced.
 	Sites   []int
 	Instrs  []Instr
 	NumRegs int
@@ -130,17 +131,6 @@ func (p *Program) NewConeCompiler() *ConeCompiler {
 // program's register file.
 func (p *Program) CompileCone(site int) *ConeProgram {
 	return p.NewConeCompiler().Compile([]int{site})
-}
-
-// CompileCones lowers the union of several sites' fanout cones into one
-// program: the faulty bank reserves registers 0..len(sites)-1 for the
-// sites themselves (seeded by Run or RunForced), every downstream node on a
-// path from any site to an output is recomputed, and side inputs outside
-// every cone read from the good bank. This is the kernel of multiple-fault
-// analysis: force all sites at once, replay the union cone, compare
-// reachable outputs.
-func (p *Program) CompileCones(sites []int) *ConeProgram {
-	return p.NewConeCompiler().Compile(sites)
 }
 
 func (cc *ConeCompiler) regOf(f int) int32 {

@@ -17,7 +17,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -262,14 +261,4 @@ func (l *TraceLog) Get(id string) ([]Span, bool) {
 	defer l.mu.Unlock()
 	s, ok := l.byID[id]
 	return s, ok
-}
-
-// IDs returns the retained trace IDs, most recent last.
-func (l *TraceLog) IDs() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, len(l.order))
-	copy(out, l.order)
-	sort.Strings(out)
-	return out
 }

@@ -221,10 +221,3 @@ func CSVTable5(rows []Table5Row) string {
 	}
 	return b.String()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -177,18 +177,6 @@ func (e *Exhaustive) newConeCompiler() *engine.ConeCompiler {
 	return cc
 }
 
-// coneFor returns the compiled fanout cone of a line, cached per line.
-func (e *Exhaustive) coneFor(id int) *engine.ConeProgram {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	cp := e.cones[id]
-	if cp == nil {
-		cp = e.newConeCompiler().Compile([]int{id})
-		e.cones[id] = cp
-	}
-	return cp
-}
-
 // conesFor returns the compiled fanout cones of all requested lines,
 // compiling cache misses as one parallel batch with pooled compiler
 // scratch (engine.ConeCompiler reuses its node-count marking arrays across

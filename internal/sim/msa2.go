@@ -13,7 +13,7 @@ import (
 // at once. Pair detection is computed exactly, with no single-fault
 // approximation: both sites are forced to their stuck values across a
 // whole word block (engine.RunForced on the union fanout cone compiled by
-// CompileCones), and a vector detects the pair iff any reachable output
+// ConeCompiler.Compile), and a vector detects the pair iff any reachable output
 // disagrees with the good machine — which accounts for masking between
 // the two faults, the phenomenon that makes the model interesting.
 // Targets are the ordinary collapsed stuck-at faults over the same

@@ -186,10 +186,3 @@ func LowerBound(u *ndetect.Universe, n int) int {
 	}
 	return best
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

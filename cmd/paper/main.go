@@ -2,6 +2,13 @@
 // Analysis of n-Detection Test Sets" (Pomeranz & Reddy, DATE 2005) on the
 // embedded benchmark suite: Tables 2, 3, 5 and 6 and Figure 2.
 //
+// Every row is read off the analysis documents of one exp.Sweep per
+// circuit (exp.RunAll), which analyses the canonical form of the
+// synthesized circuit exactly as `ndetect -json` and ndetectd do. A Table 5
+// row therefore equals the average-case section of
+// `ndetect -bench NAME -avg -nmax N -k K5 -seed S -ge11 CAP`, and a Table 6
+// row those of the same command at -k K6 with and without -def2.
+//
 // Usage:
 //
 //	paper [flags]
@@ -13,20 +20,25 @@
 //	-circuits comma-separated circuit subset (default: all 35)
 //	-k5      test sets per n for Table 5 (paper: 10000; default 1000)
 //	-k6      test sets per n for Table 6 (paper: 1000; default 200)
-//	-nmax    deepest n-detection level (default 10)
+//	-nmax    n of Tables 5 and 6: they estimate p(n,g) over the faults
+//	         with nmin > n, the paper's nmin ≥ 11 at the default 10
 //	-seed    RNG seed (default 1)
-//	-ge11cap cap on the nmin≥11 subset per circuit for Tables 5/6
+//	-ge11cap cap on that nmin > n subset per circuit for Tables 5/6
 //	         (0 = no cap; default 500)
 //	-workers parallelism at every level: circuits fan out across this many
-//	         goroutines and the same count drives the per-circuit simulation
-//	         and Procedure 1 (0 = one per CPU; 1 = serial). Tables are
-//	         identical for every value.
+//	         goroutines and each circuit's share drives its sweep's
+//	         simulation, worst case and Procedure 1 (0 = one per CPU;
+//	         1 = serial). Tables are identical for every value.
 //	-compare also print the paper's published rows for side-by-side reading
 //	-csv     emit CSV instead of formatted tables
 //	-v       progress to stderr
 //
 // Runtime scales with k5/k6; the defaults finish in a few minutes on a
 // laptop. Paper-scale statistics: -k5 10000 -k6 1000 -ge11cap 0.
+//
+// testdata/ pins what `paper -table 2,3` prints (all 35 circuits, Figure 2
+// on dvram) and a Tables 5 and 6 run; regenerate with
+// `go test ./cmd/paper -update` only for an intended change.
 package main
 
 import (
@@ -57,9 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		circF    = fs.String("circuits", "", "comma-separated circuit subset (default all)")
 		k5F      = fs.Int("k5", 1000, "test sets per n for Table 5 (paper: 10000)")
 		k6F      = fs.Int("k6", 200, "test sets per n for Table 6 (paper: 1000)")
-		nmaxF    = fs.Int("nmax", 10, "deepest n-detection level")
+		nmaxF    = fs.Int("nmax", 10, "n of Tables 5/6: p(n,g) over the faults with nmin > n")
 		seedF    = fs.Int64("seed", 1, "RNG seed")
-		capF     = fs.Int("ge11cap", 500, "cap on nmin≥11 subset per circuit for Tables 5/6 (0 = none)")
+		capF     = fs.Int("ge11cap", 500, "cap on the nmin > nmax subset per circuit for Tables 5/6 (0 = none)")
 		workersF = fs.Int("workers", 0, "worker pool size at every level (0 = one per CPU, 1 = serial)")
 		compareF = fs.Bool("compare", false, "also print the paper's published rows")
 		csvF     = fs.Bool("csv", false, "emit CSV")

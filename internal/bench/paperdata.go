@@ -1,8 +1,8 @@
 package bench
 
-// Published results from the paper, used by EXPERIMENTS.md generation and
-// the report package to print paper-vs-measured comparisons. All numbers
-// are copied from Tables 2, 3 and 5 of the paper.
+// Published results from the paper, which `paper -compare` prints beside
+// the reproduced tables. All numbers are copied from Tables 2, 3 and 5 of
+// the paper.
 
 // PaperTable2Row is one circuit's row of Table 2: the percentage of
 // four-way bridging faults with nmin(g) ≤ n for n = 1,2,3,4,5,10. A value

@@ -8,7 +8,6 @@ package exp
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"ndetect/internal/bench"
@@ -77,8 +76,9 @@ func (c *Config) circuitList() []string {
 // is split between the levels rather than multiplied (sim.SplitWorkers):
 // fn receives the inner worker count to thread into the per-circuit
 // Sweep, so total CPU-bound goroutines stay ≈ Workers instead of
-// Workers², and at most min(Workers, circuits) universes are live at once. On error the remaining unstarted circuits are abandoned
-// and the error of the earliest-indexed failed circuit is returned.
+// Workers², and at most min(Workers, circuits) universes are live at
+// once. On error the remaining unstarted circuits are abandoned and the
+// error of the earliest-indexed failed circuit is returned.
 func mapCircuits[T any](cfg *Config, fn func(name string, workers int) (T, error)) ([]T, error) {
 	names := cfg.circuitList()
 	vals := make([]T, len(names))
@@ -105,20 +105,6 @@ func mapCircuits[T any](cfg *Config, fn func(name string, workers int) (T, error
 		}
 	}
 	return vals, nil
-}
-
-// observer serializes a progress callback across the circuit workers.
-// Callbacks fire in completion order, not row order.
-func observer[T any](observe func(T)) func(T) {
-	if observe == nil {
-		return nil
-	}
-	var mu sync.Mutex
-	return func(v T) {
-		mu.Lock()
-		defer mu.Unlock()
-		observe(v)
-	}
 }
 
 // capEvenly caps a fault-index subset at limit entries by sampling evenly

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
 	"ndetect/internal/bench"
 	"ndetect/internal/ndetect"
@@ -39,7 +40,9 @@ type allCircuit struct {
 // ndetectd emit for the same options. Circuits fan out across cfg.Workers
 // goroutines; rows are assembled in circuitList() order afterwards, so the
 // tables are identical for any worker count. withT5/withT6 gate the
-// expensive average-case variants.
+// expensive average-case variants. observe, when non-nil, is called with
+// each circuit's name as it finishes, in completion order, one call at a
+// time.
 func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func(string)) (*AllResults, error) {
 	cfg.normalize()
 	average := func(k int, def ndetect.Definition) AnalysisRequest {
@@ -56,7 +59,7 @@ func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func
 		variants = append(variants, average(cfg.K6, ndetect.Def1), average(cfg.K6, ndetect.Def2))
 	}
 
-	obs := observer(observe)
+	var observeMu sync.Mutex
 	per, err := mapCircuits(&cfg, func(name string, workers int) (allCircuit, error) {
 		b, ok := bench.ByName(name)
 		if !ok {
@@ -92,8 +95,10 @@ func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func
 				thresholdCounts(a.t6.Def2[:], d2)
 			}
 		}
-		if obs != nil {
-			obs(name)
+		if observe != nil {
+			observeMu.Lock()
+			observe(name)
+			observeMu.Unlock()
 		}
 		return a, nil
 	})

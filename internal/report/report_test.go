@@ -54,17 +54,6 @@ func TestFormatTable5Blanks(t *testing.T) {
 	}
 }
 
-// The p(n,gj) header names the run's n, not always the paper's 10.
-func TestFormatTable5And6HeaderN(t *testing.T) {
-	t5 := FormatTable5([]Table5Row{{Circuit: "x", Faults: 1, Counts: [11]int{1}}}, 5)
-	t6 := FormatTable6([]Table6Row{{Circuit: "x", Faults: 1, Def1: [11]int{1}, Def2: [11]int{1}}}, 5)
-	for name, out := range map[string]string{"Table 5": t5, "Table 6": t6} {
-		if !strings.Contains(out, "p(5,gj) ≥") || strings.Contains(out, "p(10,") {
-			t.Fatalf("%s header does not name n = 5:\n%s", name, out)
-		}
-	}
-}
-
 func TestFormatTable6TwoRowsPerCircuit(t *testing.T) {
 	rows := []Table6Row{{
 		Circuit: "bbara", Faults: 21,

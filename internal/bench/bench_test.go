@@ -2,8 +2,10 @@ package bench
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"ndetect/internal/circuit"
 	"ndetect/internal/synth"
 )
 
@@ -194,6 +196,49 @@ func TestHandwrittenComplete(t *testing.T) {
 		}
 		if un := m.CheckComplete(); un != 0 {
 			t.Errorf("%s: %d unspecified (state,vector) pairs", name, un)
+		}
+	}
+}
+
+// Every caller of SynthesizeDefault, concurrent ones included, shares one
+// result per benchmark, and it is the circuit an unmemoized synthesis with
+// DefaultOptions builds.
+func TestSynthesizeDefaultShared(t *testing.T) {
+	for _, b := range All() {
+		const callers = 8
+		got := make([]*synth.Result, callers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				r, err := b.SynthesizeDefault()
+				if err != nil {
+					t.Errorf("%s: %v", b.Name, err)
+				}
+				got[i] = r
+			}(i)
+		}
+		wg.Wait()
+		again, _ := b.SynthesizeDefault()
+		for i, r := range append(got, again) {
+			if r != got[0] {
+				t.Fatalf("%s: call %d returned another result", b.Name, i)
+			}
+		}
+
+		fresh, err := b.Synthesize(DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if fresh == got[0] {
+			t.Fatalf("%s: Synthesize returned the memoized result", b.Name)
+		}
+		if got[0].Circuit.WriteString() != fresh.Circuit.WriteString() {
+			t.Errorf("%s: memoized netlist differs from a fresh synthesis", b.Name)
+		}
+		if circuit.Hash(got[0].Circuit) != circuit.Hash(fresh.Circuit) {
+			t.Errorf("%s: memoized hash differs from a fresh synthesis", b.Name)
 		}
 	}
 }

@@ -26,6 +26,10 @@ type Benchmark struct {
 	once sync.Once
 	stg  *kiss.STG
 	err  error
+
+	synthOnce sync.Once
+	synthRes  *synth.Result
+	synthErr  error
 }
 
 // STG parses (or generates) the machine, memoized.
@@ -63,9 +67,15 @@ func (b *Benchmark) Synthesize(opts synth.Options) (*synth.Result, error) {
 }
 
 // SynthesizeDefault builds the benchmark's combinational logic with
-// DefaultOptions.
+// DefaultOptions, memoized: every caller shares one *synth.Result per
+// benchmark, so the result and everything it points to (the circuit, the
+// STG and the encoding) are read-only. A caller that needs to change the
+// circuit rebuilds it, as circuit.Canonicalize does.
 func (b *Benchmark) SynthesizeDefault() (*synth.Result, error) {
-	return b.Synthesize(DefaultOptions())
+	b.synthOnce.Do(func() {
+		b.synthRes, b.synthErr = b.Synthesize(DefaultOptions())
+	})
+	return b.synthRes, b.synthErr
 }
 
 // TotalInputs returns primary inputs + minimal binary state bits: the input

@@ -41,7 +41,7 @@ type benchStmt struct {
 // base name).
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows on demand; lines up to 1 MiB
 
 	var inputs, outputs []string
 	var dffs []benchStmt

@@ -28,7 +28,7 @@ import (
 func Parse(r io.Reader) (*Circuit, error) {
 	var b *Builder
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows on demand; lines up to 1 MiB
 	lineNo := 0
 	outputs := []string{}
 	for sc.Scan() {

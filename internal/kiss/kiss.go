@@ -96,7 +96,7 @@ func Parse(name string, r io.Reader) (*STG, error) {
 	m := &STG{Name: name, NumInputs: -1, NumOutputs: -1}
 	declStates, declTerms := -1, -1
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // grows on demand; lines up to 1 MiB
 	lineNo := 0
 	ended := false
 	for sc.Scan() {

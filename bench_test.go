@@ -59,8 +59,8 @@ func BenchmarkFigure2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Figure2) == 0 {
-			b.Fatal("empty figure")
+		if res.Figure2 == nil {
+			b.Fatal("no figure")
 		}
 	}
 }

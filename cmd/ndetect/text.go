@@ -61,7 +61,9 @@ func renderText(doc *report.Analysis, worst, hist int) ([]byte, error) {
 	}
 	if hist > 0 {
 		values, counts := exp.WorstCaseOf(wc.NMin).Histogram(hist)
-		fmt.Fprintln(&b, report.FormatFigure2(ci.Name, hist, values, counts, wc.Unbounded))
+		fmt.Fprintln(&b, report.FormatFigure2(report.Figure2{
+			Circuit: ci.Name, Cutoff: hist, Values: values, Counts: counts, Unbounded: wc.Unbounded,
+		}))
 	}
 	if doc.Average != nil {
 		writeAverage(&b, doc.Average, doc.Options)

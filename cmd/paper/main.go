@@ -30,7 +30,9 @@
 //	         simulation, worst case and Procedure 1 (0 = one per CPU;
 //	         1 = serial). Tables are identical for every value.
 //	-compare also print the paper's published rows for side-by-side reading
-//	-csv     emit CSV instead of formatted tables
+//	-csv     emit CSV instead of formatted tables: each table under its
+//	         own header row, Figure 2 as nmin,count rows with the
+//	         unbounded faults as nmin "inf"
 //	-v       progress to stderr
 //
 // Runtime scales with k5/k6; the defaults finish in a few minutes on a
@@ -140,41 +142,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	if want["2"] {
+	// emit prints one table or the figure: its CSV form under -csv, else
+	// its formatted text.
+	emit := func(csv, text string) {
 		if *csvF {
-			fmt.Fprint(stdout, report.CSVTable2(res.Table2))
+			fmt.Fprint(stdout, csv)
 		} else {
-			fmt.Fprintln(stdout, report.FormatTable2(res.Table2))
+			fmt.Fprintln(stdout, text)
 		}
+	}
+	if want["2"] {
+		emit(report.CSVTable2(res.Table2), report.FormatTable2(res.Table2))
 		if *compareF {
 			fmt.Fprintln(stdout, paperTable2())
 		}
 	}
 	if want["3"] {
-		if *csvF {
-			fmt.Fprint(stdout, report.CSVTable3(res.Table3))
-		} else {
-			fmt.Fprintln(stdout, report.FormatTable3(res.Table3))
-		}
+		emit(report.CSVTable3(res.Table3), report.FormatTable3(res.Table3))
 		if *compareF {
 			fmt.Fprintln(stdout, paperTable3())
 		}
 	}
-	if fig2 != "" {
-		fmt.Fprintln(stdout, res.Figure2)
+	if f := res.Figure2; f != nil {
+		emit(report.CSVFigure2(*f), report.FormatFigure2(*f))
 	}
 	if want["5"] {
-		if *csvF {
-			fmt.Fprint(stdout, report.CSVTable5(res.Table5))
-		} else {
-			fmt.Fprintln(stdout, report.FormatTable5(res.Table5, res.NMax))
-		}
+		emit(report.CSVTable5(res.Table5), report.FormatTable5(res.Table5, res.NMax))
 		if *compareF {
 			fmt.Fprintln(stdout, paperTable5())
 		}
 	}
 	if want["6"] {
-		fmt.Fprintln(stdout, report.FormatTable6(res.Table6, res.NMax))
+		emit(report.CSVTable6(res.Table6), report.FormatTable6(res.Table6, res.NMax))
 	}
 	return 0
 }

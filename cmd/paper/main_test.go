@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
@@ -65,5 +66,35 @@ func TestPaperTable5And6HeaderFollowsNMax(t *testing.T) {
 	out := stdout.String()
 	if strings.Count(out, "p(5,gj) ≥") != 2 || strings.Contains(out, "p(10,") {
 		t.Fatalf("paper %v: headers do not name n = 5:\n%s", args, out)
+	}
+}
+
+// Under -csv every section is CSV, Table 6 and Figure 2 included: each
+// stdout line is one record with as many fields as its section's header.
+func TestPaperCSV(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-csv", "-table", "all", "-circuits", "bbara,log", "-k5", "5", "-k6", "5", "-figure2", "log"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("paper %v: exit %d: %s", args, code, stderr.String())
+	}
+	var headers []string
+	width := 0
+	for i, line := range strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n") {
+		rec, err := csv.NewReader(strings.NewReader(line)).Read()
+		if err != nil {
+			t.Fatalf("line %d %q: %v", i+1, line, err)
+		}
+		if rec[0] == "circuit" || rec[0] == "nmin" {
+			headers = append(headers, line)
+			width = len(rec)
+			continue
+		}
+		if len(rec) != width {
+			t.Fatalf("line %d %q: %d fields, its section header has %d", i+1, line, len(rec), width)
+		}
+	}
+	// Tables 2, 3, Figure 2, Tables 5 and 6.
+	if len(headers) != 5 || headers[2] != "nmin,count" || !strings.HasPrefix(headers[4], "circuit,faults,def,") {
+		t.Fatalf("paper %v: section headers %q", args, headers)
 	}
 }

@@ -92,7 +92,7 @@ func TestFigure2AdaptsCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
-	s := res.Figure2
+	s := report.FormatFigure2(*res.Figure2)
 	if !strings.Contains(s, "bbara") {
 		t.Fatalf("figure missing circuit name:\n%s", s)
 	}
@@ -181,7 +181,7 @@ func TestRunAllSinglePass(t *testing.T) {
 	if len(observed) != 2 {
 		t.Fatalf("observe callback fired %d times", len(observed))
 	}
-	if res.Figure2 == "" {
+	if res.Figure2 == nil {
 		t.Fatal("Figure2 missing")
 	}
 	// bbara has a (small) tail → appears in tables 3, 5, 6.

@@ -1,7 +1,7 @@
 package exp
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -28,7 +28,7 @@ func TestRunAllWorkersDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RunAll workers=%d: %v", workers, err)
 		}
-		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d results differ from serial:\n got %+v\nwant %+v", workers, got, want)
 		}
 	}
@@ -56,7 +56,7 @@ func TestTablesWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("workers=8 tables differ from serial:\n got %+v\nwant %+v", got, want)
 	}
 }

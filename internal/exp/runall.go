@@ -12,12 +12,14 @@ import (
 // AllResults bundles everything one full reproduction pass computes.
 type AllResults struct {
 	// NMax is the n of Tables 5 and 6, p(n,g): Config.NMax after defaults.
-	NMax    int
-	Table2  []report.Table2Row
-	Table3  []report.Table3Row
-	Table5  []report.Table5Row
-	Table6  []report.Table6Row
-	Figure2 string
+	NMax   int
+	Table2 []report.Table2Row
+	Table3 []report.Table3Row
+	Table5 []report.Table5Row
+	Table6 []report.Table6Row
+	// Figure2 is the histogram of RunAll's figure2Circuit; nil when none
+	// was asked for or the circuit was not run.
+	Figure2 *report.Figure2
 }
 
 // allCircuit is every row one circuit contributes, summarized from its
@@ -28,7 +30,7 @@ type allCircuit struct {
 	t3      *report.Table3Row
 	t5      *report.Table5Row
 	t6      *report.Table6Row
-	figure2 string
+	figure2 *report.Figure2
 }
 
 // RunAll regenerates every table (and, when figure2Circuit is non-empty,
@@ -118,7 +120,7 @@ func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func
 		if a.t6 != nil {
 			out.Table6 = append(out.Table6, *a.t6)
 		}
-		if a.figure2 != "" {
+		if a.figure2 != nil {
 			out.Figure2 = a.figure2
 		}
 	}
@@ -144,17 +146,17 @@ func table3Row(name string, wc *report.WorstCase) report.Table3Row {
 	}
 }
 
-// figure2 renders a worst-case document's nmin histogram (the paper's
+// figure2 reads a worst-case document's nmin histogram (the paper's
 // Figure 2). The cutoff starts at 100 and halves while it is above 10 and
 // no fault reaches it.
-func figure2(name string, wc *report.WorstCase) string {
+func figure2(name string, wc *report.WorstCase) *report.Figure2 {
 	res := WorstCaseOf(wc.NMin)
 	cutoff := 100
 	for cutoff > 10 && res.CountAtLeast(cutoff) == 0 {
 		cutoff /= 2
 	}
 	values, counts := res.Histogram(cutoff)
-	return report.FormatFigure2(name, cutoff, values, counts, wc.Unbounded)
+	return &report.Figure2{Circuit: name, Cutoff: cutoff, Values: values, Counts: counts, Unbounded: wc.Unbounded}
 }
 
 // thresholdCounts copies an average document's cumulative threshold

@@ -148,21 +148,31 @@ func FormatTable6(rows []Table6Row, n int) string {
 	return b.String()
 }
 
-// FormatFigure2 renders the distribution of nmin(g) values at or above a
-// cutoff as a horizontal ASCII histogram — the paper's Figure 2 (shown
-// there for dvram with cutoff 100). unbounded is the count of faults with
-// no finite guarantee, reported as its own bucket.
-func FormatFigure2(circuit string, cutoff int, values, counts []int, unbounded int) string {
+// Figure2 is the data of the paper's Figure 2 (shown there for dvram with
+// cutoff 100): how many untargeted faults have each nmin(g) value at or
+// above a cutoff.
+type Figure2 struct {
+	Circuit string
+	Cutoff  int
+	Values  []int // the nmin values ≥ Cutoff that occur, ascending
+	Counts  []int // Counts[i] faults have nmin = Values[i]
+	// Unbounded is the count of faults with no finite guarantee, reported
+	// as its own bucket.
+	Unbounded int
+}
+
+// FormatFigure2 renders the histogram as horizontal ASCII bars.
+func FormatFigure2(f Figure2) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 2: Distribution of nmin(gj) for %s (nmin ≥ %d)\n", circuit, cutoff)
+	fmt.Fprintf(&b, "Figure 2: Distribution of nmin(gj) for %s (nmin ≥ %d)\n", f.Circuit, f.Cutoff)
 	maxCount := 1
-	for _, c := range counts {
+	for _, c := range f.Counts {
 		if c > maxCount {
 			maxCount = c
 		}
 	}
-	if unbounded > maxCount {
-		maxCount = unbounded
+	if f.Unbounded > maxCount {
+		maxCount = f.Unbounded
 	}
 	const width = 50
 	bar := func(c int) string {
@@ -172,14 +182,14 @@ func FormatFigure2(circuit string, cutoff int, values, counts []int, unbounded i
 		}
 		return strings.Repeat("#", n)
 	}
-	for i, v := range values {
-		fmt.Fprintf(&b, "%7d | %-*s %d\n", v, width, bar(counts[i]), counts[i])
+	for i, v := range f.Values {
+		fmt.Fprintf(&b, "%7d | %-*s %d\n", v, width, bar(f.Counts[i]), f.Counts[i])
 	}
-	if unbounded > 0 {
-		fmt.Fprintf(&b, "%7s | %-*s %d\n", "∞", width, bar(unbounded), unbounded)
+	if f.Unbounded > 0 {
+		fmt.Fprintf(&b, "%7s | %-*s %d\n", "∞", width, bar(f.Unbounded), f.Unbounded)
 	}
-	if len(values) == 0 && unbounded == 0 {
-		fmt.Fprintf(&b, "  (no faults with nmin ≥ %d)\n", cutoff)
+	if len(f.Values) == 0 && f.Unbounded == 0 {
+		fmt.Fprintf(&b, "  (no faults with nmin ≥ %d)\n", f.Cutoff)
 	}
 	return b.String()
 }
@@ -208,16 +218,52 @@ func CSVTable3(rows []Table3Row) string {
 	return b.String()
 }
 
+// csvThresholds is the header of the p(n,gj) ≥ columns of Tables 5 and 6.
+const csvThresholds = "p1.0,p0.9,p0.8,p0.7,p0.6,p0.5,p0.4,p0.3,p0.2,p0.1,p0.0"
+
 // CSVTable5 renders Table 5 rows as CSV.
 func CSVTable5(rows []Table5Row) string {
 	var b strings.Builder
-	b.WriteString("circuit,faults,p1.0,p0.9,p0.8,p0.7,p0.6,p0.5,p0.4,p0.3,p0.2,p0.1,p0.0\n")
+	b.WriteString("circuit,faults," + csvThresholds + "\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%s,%d", r.Circuit, r.Faults)
-		for _, c := range r.Counts {
-			fmt.Fprintf(&b, ",%d", c)
-		}
-		b.WriteByte('\n')
+		writeCSVCounts(&b, r.Counts[:])
+	}
+	return b.String()
+}
+
+// CSVTable6 renders Table 6 rows as CSV: like the formatted table, two
+// rows per circuit, one per definition.
+func CSVTable6(rows []Table6Row) string {
+	var b strings.Builder
+	b.WriteString("circuit,faults,def," + csvThresholds + "\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%s,%d,1", r.Circuit, r.Faults)
+		writeCSVCounts(&b, r.Def1[:])
+		fmt.Fprintf(&b, "%s,%d,2", r.Circuit, r.Faults)
+		writeCSVCounts(&b, r.Def2[:])
+	}
+	return b.String()
+}
+
+// writeCSVCounts ends a CSV row with its threshold counts.
+func writeCSVCounts(b *strings.Builder, counts []int) {
+	for _, c := range counts {
+		fmt.Fprintf(b, ",%d", c)
+	}
+	b.WriteByte('\n')
+}
+
+// CSVFigure2 renders the Figure 2 histogram as CSV: one row per nmin
+// value, then the unbounded faults as nmin "inf".
+func CSVFigure2(f Figure2) string {
+	var b strings.Builder
+	b.WriteString("nmin,count\n")
+	for i, v := range f.Values {
+		fmt.Fprintf(&b, "%d,%d\n", v, f.Counts[i])
+	}
+	if f.Unbounded > 0 {
+		fmt.Fprintf(&b, "inf,%d\n", f.Unbounded)
 	}
 	return b.String()
 }

@@ -71,7 +71,7 @@ func TestFormatTable6TwoRowsPerCircuit(t *testing.T) {
 }
 
 func TestFormatFigure2(t *testing.T) {
-	out := FormatFigure2("dvram", 100, []int{105, 129}, []int{9, 10}, 0)
+	out := FormatFigure2(Figure2{Circuit: "dvram", Cutoff: 100, Values: []int{105, 129}, Counts: []int{9, 10}})
 	if !strings.Contains(out, "105") || !strings.Contains(out, "#") {
 		t.Fatalf("histogram malformed:\n%s", out)
 	}
@@ -83,11 +83,11 @@ func TestFormatFigure2(t *testing.T) {
 }
 
 func TestFormatFigure2Unbounded(t *testing.T) {
-	out := FormatFigure2("x", 100, nil, nil, 5)
+	out := FormatFigure2(Figure2{Circuit: "x", Cutoff: 100, Unbounded: 5})
 	if !strings.Contains(out, "∞") {
 		t.Fatalf("unbounded bucket missing:\n%s", out)
 	}
-	empty := FormatFigure2("x", 100, nil, nil, 0)
+	empty := FormatFigure2(Figure2{Circuit: "x", Cutoff: 100})
 	if !strings.Contains(empty, "no faults") {
 		t.Fatalf("empty histogram message missing:\n%s", empty)
 	}
@@ -106,10 +106,23 @@ func TestCSVOutputs(t *testing.T) {
 	if !strings.Contains(t5, "a,2,1,1,1,1,1,2") {
 		t.Fatalf("CSVTable5:\n%s", t5)
 	}
-	// Line counts: header + one row each.
-	for name, s := range map[string]string{"t2": t2, "t3": t3, "t5": t5} {
-		if got := strings.Count(s, "\n"); got != 2 {
-			t.Fatalf("%s has %d lines, want 2", name, got)
+	t6 := CSVTable6([]Table6Row{{Circuit: "a", Faults: 2,
+		Def1: [11]int{1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2}, Def2: [11]int{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}}})
+	if !strings.HasPrefix(t6, "circuit,faults,def,p1.0,") ||
+		!strings.Contains(t6, "\na,2,1,1,1,1,1,1,2,2,2,2,2,2\na,2,2,2,") {
+		t.Fatalf("CSVTable6:\n%s", t6)
+	}
+	fig := CSVFigure2(Figure2{Circuit: "a", Cutoff: 100, Values: []int{105, 129}, Counts: []int{9, 10}, Unbounded: 4})
+	if fig != "nmin,count\n105,9\n129,10\ninf,4\n" {
+		t.Fatalf("CSVFigure2:\n%s", fig)
+	}
+	// Line counts: header + one row each, two per circuit for Table 6.
+	for name, c := range map[string]struct {
+		s     string
+		lines int
+	}{"t2": {t2, 2}, "t3": {t3, 2}, "t5": {t5, 2}, "t6": {t6, 3}} {
+		if got := strings.Count(c.s, "\n"); got != c.lines {
+			t.Fatalf("%s has %d lines, want %d", name, got, c.lines)
 		}
 	}
 }

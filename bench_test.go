@@ -272,7 +272,7 @@ func BenchmarkAssembleUniverse(b *testing.B) {
 	for _, name := range []string{"dvram", "keyb"} {
 		b.Run(name, func(b *testing.B) {
 			c, m := mustCircuit(b, name), fault.Default()
-			e, err := sim.Run(c)
+			e, err := sim.RunWorkers(c, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -311,19 +311,6 @@ func mustCircuit(b *testing.B, name string) *Circuit {
 	return r.Circuit
 }
 
-// BenchmarkExhaustiveParallel measures 64-way bit-parallel materialization
-// of every node's universe bitset — the old production path, kept behind
-// sim.RunRetained as the ablation baseline for the streaming engine.
-func BenchmarkExhaustiveParallel(b *testing.B) {
-	c := mustCircuit(b, "bbara")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunRetained(c, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEngineCompile measures lowering a circuit into the engine's
 // levelized instruction programs: the pinned analysis program plus the
 // output-directed program with register reuse.
@@ -347,7 +334,7 @@ func BenchmarkEngineCompile(b *testing.B) {
 func BenchmarkEngineStream(b *testing.B) {
 	b.Run("bbara", func(b *testing.B) {
 		c := mustCircuit(b, "bbara")
-		u, err := Analyze(c)
+		u, err := Analyze(c, "", AnalyzeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +347,7 @@ func BenchmarkEngineStream(b *testing.B) {
 		b.SetBytes(int64((len(lines) + 1) * nWords * 8))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e, err := sim.Run(c)
+			e, err := sim.RunWorkers(c, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -391,7 +378,7 @@ func BenchmarkEngineStream(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for pi, p := range parts {
-				e, err := sim.Run(p.Circuit)
+				e, err := sim.RunWorkers(p.Circuit, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -429,7 +416,7 @@ func BenchmarkTransitionTSets(b *testing.B) {
 	c := mustCircuit(b, "bbtas")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u, err := AnalyzeModel(c, "transition", AnalyzeOptions{})
+		u, err := Analyze(c, "transition", AnalyzeOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -439,8 +426,8 @@ func BenchmarkTransitionTSets(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveNaive measures scalar per-vector simulation (the
-// ablation baseline).
+// BenchmarkExhaustiveNaive measures scalar per-vector simulation, the
+// ablation baseline for BenchmarkEngineStream's word-block streaming.
 func BenchmarkExhaustiveNaive(b *testing.B) {
 	c := mustCircuit(b, "bbara")
 	b.ResetTimer()
@@ -454,7 +441,7 @@ func BenchmarkExhaustiveNaive(b *testing.B) {
 // simulation view, isolating it from compile time.
 func BenchmarkTSetsViaPropMasks(b *testing.B) {
 	c := mustCircuit(b, "bbara")
-	e, err := sim.Run(c)
+	e, err := sim.RunWorkers(c, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -482,7 +469,7 @@ func BenchmarkTSetsPerFault(b *testing.B) {
 }
 
 func allStuckAt(c *Circuit) []StuckAt {
-	u, err := Analyze(c)
+	u, err := Analyze(c, "", AnalyzeOptions{})
 	if err != nil {
 		panic(err)
 	}
@@ -538,11 +525,11 @@ func BenchmarkEncodings(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				u, err := core.FromCircuit(r.Circuit)
+				u, err := core.BuildUniverse(r.Circuit, fault.Default(), core.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				core.WorstCase(&u.Universe)
+				core.WorstCaseWorkers(&u.Universe, 0)
 			}
 		})
 	}
@@ -570,11 +557,11 @@ func BenchmarkTwoLevelVsMultiLevel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				u, err := core.FromCircuit(r.Circuit)
+				u, err := core.BuildUniverse(r.Circuit, fault.Default(), core.AnalyzeOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				core.WorstCase(&u.Universe)
+				core.WorstCaseWorkers(&u.Universe, 0)
 			}
 		})
 	}

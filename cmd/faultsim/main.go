@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"ndetect"
+	"ndetect/internal/bench"
 )
 
 func main() {
@@ -65,30 +66,16 @@ func main() {
 		}
 		c = cc
 	case *benchF != "" && *netF == "":
-		b, ok := ndetect.BenchmarkByName(*benchF)
-		if !ok {
-			cc, err := ndetect.EmbeddedBenchCircuit(*benchF)
-			if err != nil {
-				var names []string
-				for _, bm := range ndetect.Benchmarks() {
-					names = append(names, bm.Name)
-				}
-				names = append(names, ndetect.EmbeddedBenchNames()...)
-				fail(fmt.Errorf("unknown benchmark %q; known: %s", *benchF, strings.Join(names, " ")))
-			}
-			c = cc
-			break
-		}
-		r, err := b.SynthesizeDefault()
+		cc, err := bench.CircuitByName(*benchF)
 		if err != nil {
 			fail(err)
 		}
-		c = r.Circuit
+		c = cc
 	default:
 		fail(fmt.Errorf("specify exactly one of -netlist or -bench"))
 	}
 
-	u, err := ndetect.AnalyzeParallel(c, *workersF)
+	u, err := ndetect.Analyze(c, "", ndetect.AnalyzeOptions{Workers: *workersF})
 	if err != nil {
 		fail(err)
 	}

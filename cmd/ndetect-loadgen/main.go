@@ -71,7 +71,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ndetect-loadgen: %v\n", err)
 		os.Exit(2)
 	}
-	schedule := obs.ArrivalSchedule(*arrival, *rate, *duration, *seed)
+	schedule, err := obs.ArrivalSchedule(*arrival, *rate, *duration, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ndetect-loadgen: %v\n", err)
+		os.Exit(2)
+	}
 	if len(schedule) == 0 {
 		fmt.Fprintln(os.Stderr, "ndetect-loadgen: empty schedule (need positive -rate and -duration)")
 		os.Exit(2)

@@ -46,12 +46,12 @@
 // over one circuit skip simulation and T-set construction. Partitioned
 // runs build their per-part universes afresh.
 //
-// -fault-model ID swaps the paper's stuck-at + bridging setup for another
-// registered fault model (DESIGN.md §12): "transition" analyses gross-delay
-// transition faults over two-pattern tests (the universe indexes ordered
-// vector pairs), "msa2" analyses pairwise double stuck-at faults. The model
-// is part of the result identity, so -json documents, job IDs and universe
-// artifacts are all model-tagged.
+// -fault-model ID swaps the paper's stuck-at + bridging setup for one of
+// the other two fault models (DESIGN.md §12): "transition" analyses
+// gross-delay transition faults over two-pattern tests (the universe
+// indexes ordered vector pairs), "msa2" analyses pairwise double stuck-at
+// faults. The model is part of the result identity, so -json documents,
+// job IDs and universe artifacts are all model-tagged.
 //
 // Examples:
 //
@@ -102,7 +102,7 @@ func main() {
 		histF    = flag.Int("hist", 0, "print the nmin histogram from this cutoff (0 = off)")
 		worstF   = flag.Int("worst", 10, "show the hardest N untargeted faults")
 		partF    = flag.Int("partition", 0, "partition into ≤N-input cones before analysis (0 = off)")
-		modelF   = flag.String("fault-model", "", `fault model for the analysis: "" = the default (collapsed stuck-at targets, four-way bridging untargeted faults), or a registered model like "transition" (two-pattern delay faults) or "msa2" (pairwise double stuck-at); part of the result identity (DESIGN.md §12)`)
+		modelF   = flag.String("fault-model", "", `fault model for the analysis: "" = the default (collapsed stuck-at targets, four-way bridging untargeted faults), "transition" (two-pattern delay faults) or "msa2" (pairwise double stuck-at); part of the result identity (DESIGN.md §12)`)
 		jsonF    = flag.Bool("json", false, "emit the machine-readable analysis document instead of text (byte-identical to the ndetectd server's result for the same circuit and options)")
 		sweepF   = flag.String("sweep", "", `run a grid of option variants over one shared universe and print each variant's JSON document, e.g. "nmax=10;k=1000;seed=1..5;def=1,2" (DESIGN.md §11)`)
 		storeF   = flag.String("store-dir", "", "persistent artifact store for universe reuse across runs (same layout as ndetectd's; DESIGN.md §11)")
@@ -286,18 +286,11 @@ func loadCircuit(benchName, netFile, kissFile, format string, twoLevel bool) (*c
 	switch {
 	case benchName != "":
 		b, ok := bench.ByName(benchName)
-		if !ok {
-			// Fall back to the embedded ISCAS .bench samples (c17, s27, w64).
-			if c, err := circuit.EmbeddedBench(benchName); err == nil {
-				return c, nil
-			}
-			return nil, fmt.Errorf("unknown benchmark %q; known: %s %s", benchName,
-				strings.Join(bench.Names(), " "), strings.Join(circuit.EmbeddedBenchNames(), " "))
+		if !ok || !twoLevel {
+			return bench.CircuitByName(benchName)
 		}
 		opts := bench.DefaultOptions()
-		if twoLevel {
-			opts.MultiLevel = false
-		}
+		opts.MultiLevel = false
 		r, err := b.Synthesize(opts)
 		if err != nil {
 			return nil, err

@@ -80,7 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 	if _, err := fault.Resolve(*modelF); err != nil {
-		log.Fatalf("ndetectd: %v (registered models: %v)", err, fault.ModelIDs())
+		log.Fatalf("ndetectd: %v", err)
 	}
 
 	var st *store.Store

@@ -30,6 +30,7 @@
 //	         simulation, worst case and Procedure 1 (0 = one per CPU;
 //	         1 = serial). Tables are identical for every value.
 //	-compare also print the paper's published rows for side-by-side reading
+//	         (formatted text only: it does not combine with -csv)
 //	-csv     emit CSV instead of formatted tables: each table under its
 //	         own header row, Figure 2 as nmin,count rows with the
 //	         unbounded faults as nmin "inf"
@@ -75,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seedF    = fs.Int64("seed", 1, "RNG seed")
 		capF     = fs.Int("ge11cap", 500, "cap on the nmin > nmax subset per circuit for Tables 5/6 (0 = none)")
 		workersF = fs.Int("workers", 0, "worker pool size at every level (0 = one per CPU, 1 = serial)")
-		compareF = fs.Bool("compare", false, "also print the paper's published rows")
+		compareF = fs.Bool("compare", false, "also print the paper's published rows (formatted text; not with -csv)")
 		csvF     = fs.Bool("csv", false, "emit CSV")
 		verboseF = fs.Bool("v", false, "progress to stderr")
 	)
@@ -83,6 +84,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == flag.ErrHelp {
 			return 0
 		}
+		return 2
+	}
+	if *compareF && *csvF {
+		fmt.Fprintln(stderr, "-compare prints the published rows as formatted text and does not combine with -csv")
 		return 2
 	}
 

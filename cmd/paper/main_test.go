@@ -71,6 +71,16 @@ func TestPaperTable5And6HeaderFollowsNMax(t *testing.T) {
 
 // Under -csv every section is CSV, Table 6 and Figure 2 included: each
 // stdout line is one record with as many fields as its section's header.
+// -compare prints the published rows as formatted text, so under -csv it
+// is refused before any analysis runs, with nothing on stdout.
+func TestPaperCSVRejectsCompare(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-csv", "-compare", "-table", "2,3", "-circuits", "lion,bbara", "-figure2", ""}
+	if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), "-compare") {
+		t.Fatalf("paper %v: exit %d, stdout %q, stderr %q; want exit 2 and a reason", args, code, stdout.String(), stderr.String())
+	}
+}
+
 func TestPaperCSV(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	args := []string{"-csv", "-table", "all", "-circuits", "bbara,log", "-k5", "5", "-k6", "5", "-figure2", "log"}

@@ -9,6 +9,7 @@
 //	testgen -netlist adder.net -n 3 -workers 8
 //	faultsim -bench keyb -tests tests.txt -verify 5
 //
+// -bench names a suite benchmark or an embedded .bench sample (c17, s27).
 // -workers bounds the fault-universe construction like every other binary
 // (0 = one per CPU, 1 = serial); the generated test set is identical for
 // every value (DESIGN.md §5). Generation itself is deterministic greedy
@@ -19,63 +20,79 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ndetect"
+	"ndetect/internal/bench"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command behind main: it writes the test set to stdout, or to
+// -o, and the summary and diagnostics to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("testgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchF   = flag.String("bench", "", "embedded benchmark name")
-		netF     = flag.String("netlist", "", "netlist file")
-		nF       = flag.Int("n", 1, "detections per target fault")
-		outF     = flag.String("o", "", "output file (default stdout)")
-		quietF   = flag.Bool("q", false, "suppress the stderr summary")
-		workersF = flag.Int("workers", 0, "worker pool size for the fault-universe construction (0 = one per CPU, 1 = serial; DESIGN.md §5)")
+		benchF   = fs.String("bench", "", "embedded benchmark name")
+		netF     = fs.String("netlist", "", "netlist file")
+		nF       = fs.Int("n", 1, "detections per target fault")
+		outF     = fs.String("o", "", "output file (default stdout)")
+		quietF   = fs.Bool("q", false, "suppress the stderr summary")
+		workersF = fs.Int("workers", 0, "worker pool size for the fault-universe construction (0 = one per CPU, 1 = serial; DESIGN.md §5)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "testgen:", err)
+		return 1
+	}
 	if *nF < 1 {
-		fail(fmt.Errorf("-n must be ≥ 1"))
+		return fail(fmt.Errorf("-n must be ≥ 1"))
 	}
 
 	var c *ndetect.Circuit
 	switch {
 	case *benchF != "" && *netF == "":
-		b, ok := ndetect.BenchmarkByName(*benchF)
-		if !ok {
-			fail(fmt.Errorf("unknown benchmark %q", *benchF))
-		}
-		r, err := b.SynthesizeDefault()
+		cc, err := bench.CircuitByName(*benchF)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		c = r.Circuit
+		c = cc
 	case *netF != "" && *benchF == "":
 		f, err := os.Open(*netF)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		cc, err := ndetect.ReadNetlist(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		c = cc
 	default:
-		fail(fmt.Errorf("specify exactly one of -bench or -netlist"))
+		return fail(fmt.Errorf("specify exactly one of -bench or -netlist"))
 	}
 
-	u, err := ndetect.AnalyzeParallel(c, *workersF)
+	u, err := ndetect.Analyze(c, "", ndetect.AnalyzeOptions{Workers: *workersF})
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	ts := ndetect.GenerateCompact(&u.Universe, *nF)
 
-	out := os.Stdout
+	out := stdout
 	if *outF != "" {
 		f, err := os.Create(*outF)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer f.Close()
 		out = f
@@ -86,19 +103,15 @@ func main() {
 		fmt.Fprintln(w, v)
 	}
 	if err := w.Flush(); err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	if !*quietF {
 		cov := ndetect.UntargetedCoverage(ts, u.Untargeted)
-		fmt.Fprintf(os.Stderr, "%s: %d vectors (lower bound %d) for n=%d over %d target faults\n",
+		fmt.Fprintf(stderr, "%s: %d vectors (lower bound %d) for n=%d over %d target faults\n",
 			c.Name, ts.Len(), ndetect.TestSetLowerBound(&u.Universe, *nF), *nF, len(u.Targets))
-		fmt.Fprintf(os.Stderr, "bridging coverage: %d/%d (%.2f%%)\n",
+		fmt.Fprintf(stderr, "bridging coverage: %d/%d (%.2f%%)\n",
 			cov, len(u.Untargeted), 100*float64(cov)/float64(max(len(u.Untargeted), 1)))
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "testgen:", err)
-	os.Exit(1)
+	return 0
 }

@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	u, err := ndetect.Analyze(c17)
+	u, err := ndetect.Analyze(c17, "", ndetect.AnalyzeOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("w64: %s\n", w64.ComputeStats())
-	if _, err := ndetect.Analyze(w64); err != nil {
+	if _, err := ndetect.Analyze(w64, "", ndetect.AnalyzeOptions{}); err != nil {
 		fmt.Printf("  full analysis rejected as expected: %v\n", err)
 	}
 

@@ -29,7 +29,7 @@ func main() {
 
 	var perPart []map[string]int
 	for i, p := range parts {
-		u, err := ndetect.Analyze(p.Circuit)
+		u, err := ndetect.Analyze(p.Circuit, "", ndetect.AnalyzeOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func main() {
 		default:
 			hist["n>10"]++
 		}
-		if v != ndetect.Unbounded && v > worstN {
+		if v != ndetect.Unbounded && (v > worstN || v == worstN && name < worstName) {
 			worstName, worstN = name, v
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -146,6 +147,31 @@ func TestByName(t *testing.T) {
 	}
 	if len(Names()) != len(All()) {
 		t.Fatal("Names and All disagree")
+	}
+}
+
+// CircuitByName is the one by-name fallback: an FSM surrogate's shared
+// default synthesis, else the shared embedded .bench sample, else an error
+// naming both sets.
+func TestCircuitByName(t *testing.T) {
+	b, _ := ByName("bbara")
+	r, err := b.SynthesizeDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := CircuitByName("bbara"); err != nil || c != r.Circuit {
+		t.Fatalf("CircuitByName(bbara) = %p, %v; want the shared synthesis %p", c, err, r.Circuit)
+	}
+	c17, err := circuit.EmbeddedBench("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := CircuitByName("c17"); err != nil || c != c17 {
+		t.Fatalf("CircuitByName(c17) = %p, %v; want the shared sample %p", c, err, c17)
+	}
+	_, err = CircuitByName("nope")
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), "lion") || !strings.Contains(err.Error(), "w64") {
+		t.Fatalf("CircuitByName(nope) error %v does not list both name sets", err)
 	}
 }
 

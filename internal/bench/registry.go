@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
+	"ndetect/internal/circuit"
 	"ndetect/internal/kiss"
 	"ndetect/internal/synth"
 )
@@ -201,4 +203,24 @@ func ByName(name string) (*Benchmark, bool) {
 	registryOnce.Do(buildRegistry)
 	b, ok := registry[name]
 	return b, ok
+}
+
+// CircuitByName resolves a circuit by name for every by-name caller: a
+// suite benchmark's default synthesis (SynthesizeDefault), else the
+// embedded .bench sample of that name (circuit.EmbeddedBench), else an
+// error listing both name sets. Either circuit is memoized and shared by
+// every caller in the process, so it is read-only.
+func CircuitByName(name string) (*circuit.Circuit, error) {
+	if b, ok := ByName(name); ok {
+		r, err := b.SynthesizeDefault()
+		if err != nil {
+			return nil, err
+		}
+		return r.Circuit, nil
+	}
+	if c, err := circuit.EmbeddedBench(name); err == nil {
+		return c, nil
+	}
+	return nil, fmt.Errorf("unknown benchmark %q (known: %s %s)", name,
+		strings.Join(Names(), " "), strings.Join(circuit.EmbeddedBenchNames(), " "))
 }

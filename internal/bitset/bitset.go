@@ -254,13 +254,6 @@ func (s *Set) Intersection(t *Set) *Set {
 	return c
 }
 
-// Union returns a new set s ∪ t.
-func (s *Set) Union(t *Set) *Set {
-	c := s.Clone()
-	c.UnionWith(t)
-	return c
-}
-
 // Difference returns a new set s − t.
 func (s *Set) Difference(t *Set) *Set {
 	c := s.Clone()
@@ -297,17 +290,6 @@ func (s *Set) Equal(t *Set) bool {
 	}
 	for i, w := range s.words {
 		if w != t.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every member of s is a member of t.
-func (s *Set) SubsetOf(t *Set) bool {
-	s.sameUniverse(t)
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
 			return false
 		}
 	}

@@ -1,7 +1,9 @@
 package circuit
 
 import (
+	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -229,5 +231,52 @@ func TestParseBenchCaseInsensitive(t *testing.T) {
 	n, _ := c.NodeByName("z")
 	if n.Kind != Nand {
 		t.Fatalf("nand parsed as %v", n.Kind)
+	}
+}
+
+// Each embedded sample is parsed once: every call, 8 concurrent first ones
+// included, returns the same shared circuit, equal to a fresh parse of its
+// file, and a call after the first allocates nothing.
+func TestEmbeddedBenchShared(t *testing.T) {
+	for _, name := range EmbeddedBenchNames() {
+		got := make([]*Circuit, 8)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				c, err := EmbeddedBench(name)
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				got[i] = c
+			}(i)
+		}
+		wg.Wait()
+		first := got[0]
+		for i, c := range got {
+			if c != first {
+				t.Fatalf("%s: concurrent call %d returned another circuit", name, i)
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if c, err := EmbeddedBench(name); err != nil || c != first {
+				t.Fatalf("%s: a repeat call returned another circuit (%v)", name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a repeat EmbeddedBench allocates %.0f times, want 0", name, allocs)
+		}
+		src, err := os.ReadFile("benchdata/" + name + ".bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := ParseBenchString(name, string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh == first || fresh.WriteString() != first.WriteString() {
+			t.Errorf("%s: the shared sample differs from a fresh parse", name)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Embedded .bench sample circuits. c17 is the smallest ISCAS-85 benchmark,
@@ -30,12 +31,39 @@ func EmbeddedBenchNames() []string {
 	return names
 }
 
-// EmbeddedBench parses one embedded .bench sample by name (e.g. "c17").
+// sample is one embedded .bench file, parsed on first use.
+type sample struct {
+	once sync.Once
+	c    *Circuit
+	err  error
+}
+
+// samples holds one entry per embedded file, keyed by sample name.
+var samples = func() map[string]*sample {
+	m := make(map[string]*sample)
+	for _, name := range EmbeddedBenchNames() {
+		m[name] = new(sample)
+	}
+	return m
+}()
+
+// EmbeddedBench returns one embedded .bench sample by name (e.g. "c17").
+// Each sample is parsed once per process and every caller shares the
+// circuit, so it is read-only: a caller that needs to change it rebuilds
+// it, as Canonicalize does.
 func EmbeddedBench(name string) (*Circuit, error) {
-	src, err := benchFS.ReadFile("benchdata/" + name + ".bench")
-	if err != nil {
+	s, ok := samples[name]
+	if !ok {
 		return nil, fmt.Errorf("circuit: no embedded bench sample %q (have %s)",
 			name, strings.Join(EmbeddedBenchNames(), " "))
 	}
-	return ParseBenchString(name, string(src))
+	s.once.Do(func() {
+		src, err := benchFS.ReadFile("benchdata/" + name + ".bench")
+		if err != nil {
+			s.err = err
+			return
+		}
+		s.c, s.err = ParseBenchString(name, string(src))
+	})
+	return s.c, s.err
 }

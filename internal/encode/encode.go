@@ -72,15 +72,3 @@ func (e *Encoding) CodeString(state int) string {
 	}
 	return string(buf)
 }
-
-// DecodeState returns the state index whose code equals code, or -1 if the
-// code is unused (possible when NumStates is not a power of two, or always
-// possible for one-hot).
-func (e *Encoding) DecodeState(code uint64) int {
-	for i, c := range e.Codes {
-		if c == code {
-			return i
-		}
-	}
-	return -1
-}

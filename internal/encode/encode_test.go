@@ -97,18 +97,7 @@ func TestCodesDistinct(t *testing.T) {
 				t.Fatalf("%s: duplicate code for state %d", style, i)
 			}
 			seen[c] = true
-			if got := e.DecodeState(c); got != i {
-				t.Fatalf("%s: DecodeState(Codes[%d]) = %d", style, i, got)
-			}
 		}
-	}
-}
-
-func TestDecodeUnusedCode(t *testing.T) {
-	m := machine(t, 5)
-	e, _ := New(Binary, m)
-	if got := e.DecodeState(7); got != -1 {
-		t.Fatalf("DecodeState(7) = %d, want -1 (unused code)", got)
 	}
 }
 

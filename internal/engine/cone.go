@@ -27,10 +27,10 @@ import (
 type ConeProgram struct {
 	Site int
 	// Sites lists every fault site of the cone in faulty-bank register
-	// order: register i belongs to Sites[i]. Single-site cones (CompileCone)
-	// have Sites = [Site]; multi-site cones (ConeCompiler.Compile over
-	// several sites) seed each site register with a forced constant via
-	// RunForced.
+	// order: register i belongs to Sites[i]. Single-site cones have
+	// Sites = [Site]; multi-site cones (ConeCompiler.Compile over several
+	// sites) seed each site register with a forced constant via
+	// PropForcedInto.
 	Sites   []int
 	Instrs  []Instr
 	NumRegs int
@@ -46,16 +46,17 @@ type ConeProgram struct {
 	// by a chain of Buf/Branch/Not nodes only. Such a chain commutes with
 	// complement, so the flipped site forces bad == ^good at that output at
 	// every vector, making the propagation mask all-ones without replaying
-	// anything. Only single-site flip semantics (Run/PropInto) support the
-	// argument — forced constants (RunForced) do not complement the site.
+	// anything. Only single-site flip semantics (PropInto) support the
+	// argument — forced constants (PropForcedInto) do not complement the
+	// site.
 	alwaysProp bool
 
 	// selfSeed records that the program's first emitted definition computes
 	// the flipped site itself (r0 ← NOT of the good-bank site register), so
-	// Run/PropInto skip the external seeding pass — and, more importantly,
+	// PropInto skips the external seeding pass — and, more importantly,
 	// the fusion pass may fold the seeding NOT into its consumers and then
 	// remove it entirely. Single-site cones only; forced replay
-	// (RunForced/PropForcedInto) rejects self-seeded programs, since the
+	// (PropForcedInto) rejects self-seeded programs, since the
 	// embedded complement would overwrite the forced constant.
 	selfSeed bool
 }
@@ -125,12 +126,6 @@ func (p *Program) NewConeCompiler() *ConeCompiler {
 	// compilation never regrows it one cone size at a time.
 	cc.fz.grow(n+1, len(p.Instrs)+1)
 	return cc
-}
-
-// CompileCone lowers the transitive fanout cone of site against this
-// program's register file.
-func (p *Program) CompileCone(site int) *ConeProgram {
-	return p.NewConeCompiler().Compile([]int{site})
 }
 
 func (cc *ConeCompiler) regOf(f int) int32 {
@@ -303,28 +298,12 @@ func (cx *ConeExec) Reserve(numRegs int) {
 	}
 }
 
-// Run replays the cone over x's current block: the site register is filled
-// with the flipped good value, then every cone instruction executes,
-// reading good-bank operands from x.
-func (cx *ConeExec) Run(cp *ConeProgram, x *Exec) {
-	cx.bind(cp, x)
-	if !cp.selfSeed {
-		notWords(cx.reg(0), x.Node(cp.Site))
-	}
-	cx.execInstrs(cp.Instrs, x)
-}
-
-// RunForced replays the cone with every site register held at a constant:
-// vals[i] is the value forced onto cp.Sites[i] across the whole block.
-// Comparing reachable outputs against the good machine afterwards (OrProp)
-// yields exactly the vectors at which the multiple stuck-at fault
+// seedForced binds cp and holds every site register at a constant: vals[i]
+// is the value forced onto cp.Sites[i] across the whole block. Comparing
+// reachable outputs against the good machine after the replay yields
+// exactly the vectors at which the multiple stuck-at fault
 // {Sites[i] stuck at vals[i]} is detected — activation is implicit in the
 // output comparison.
-func (cx *ConeExec) RunForced(cp *ConeProgram, x *Exec, vals []bool) {
-	cx.seedForced(cp, x, vals)
-	cx.execInstrs(cp.Instrs, x)
-}
-
 func (cx *ConeExec) seedForced(cp *ConeProgram, x *Exec, vals []bool) {
 	if cp.selfSeed {
 		panic("engine: forced replay on a self-seeded (single-site flip) cone program")
@@ -366,7 +345,7 @@ func (cx *ConeExec) PropInto(cp *ConeProgram, x *Exec, dst []uint64) {
 	cx.propSegments(cp, x, dst)
 }
 
-// PropForcedInto is PropInto for forced multi-site replay (RunForced
+// PropForcedInto is PropInto for forced multi-site replay (seedForced
 // semantics): it overwrites dst with the detection mask of the multiple
 // stuck-at fault {Sites[i] stuck at vals[i]}, with the same segmented
 // early exit.
@@ -453,16 +432,6 @@ func (cx *ConeExec) execInstrs(instrs []Instr, x *Exec) {
 			// Cones never contain inputs or constants: both are fanin-free.
 			panic(fmt.Sprintf("engine: op %v in cone program", ins.Op))
 		}
-	}
-}
-
-// OrProp ORs into dst (length ≥ block words) the words where any reachable
-// output of the cone disagrees with the good machine — the block's slice of
-// the site's flip-propagation mask. Run or RunForced must have executed for
-// x's current block.
-func (cx *ConeExec) OrProp(cp *ConeProgram, dst []uint64, x *Exec) {
-	for _, co := range cp.Outputs {
-		orDiffWords(dst[:cx.n], x.Reg(co.Good), cx.reg(co.Bad))
 	}
 }
 

@@ -17,7 +17,7 @@
 //   - dual-rail (width 64, 3-valued): two words per register carrying
 //     Kleene (p1, p0) rails, for batched partial-vector fault simulation.
 //
-// CompileCone additionally lowers the fanout cone of a single line into a
+// A ConeCompiler additionally lowers the fanout cone of a line into a
 // two-bank program (good values read from a full Program's block, faulty
 // values from a compact cone-local bank), which is the inner kernel of
 // streaming fault analysis: flip a line, replay only its cone, compare the
@@ -81,7 +81,7 @@ func (o Op) String() string {
 }
 
 // Instr is one instruction: Dst ← Op(A, B). Unary ops ignore B, consts
-// ignore both. In cone programs (CompileCone) a negative operand ^r reads
+// ignore both. In cone programs (ConeCompiler) a negative operand ^r reads
 // register r of the good-value bank; main programs never emit negative
 // operands.
 type Instr struct {

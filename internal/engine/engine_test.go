@@ -175,9 +175,14 @@ func TestDeadLogicElimination(t *testing.T) {
 	}
 }
 
+// compileCone lowers the transitive fanout cone of one site.
+func compileCone(p *Program, site int) *ConeProgram {
+	return p.NewConeCompiler().Compile([]int{site})
+}
+
 // TestConeMatchesFullFlip: replaying a line's compiled cone against a good
-// block must reproduce exactly the outputs of a full re-evaluation with the
-// line forced to its complement.
+// block (PropInto, the production replay) must reproduce exactly the
+// outputs of a full re-evaluation with the line forced to its complement.
 func TestConeMatchesFullFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 15; trial++ {
@@ -190,10 +195,9 @@ func TestConeMatchesFullFlip(t *testing.T) {
 		good := make([]bool, p.NumRegs)
 		bad := make([]bool, p.NumRegs)
 		for site := 0; site < c.NumNodes(); site++ {
-			cp := p.CompileCone(site)
-			cx.Run(cp, x)
+			cp := compileCone(p, site)
 			prop := make([]uint64, nWords)
-			cx.OrProp(cp, prop, x)
+			cx.PropInto(cp, x, prop)
 			for v := 0; v < c.VectorSpaceSize(); v++ {
 				p.EvalScalar(uint64(v), good)
 				p.EvalScalarForced(uint64(v), site, !good[site], bad)

@@ -28,9 +28,6 @@ func NewExec(p *Program, blockWords int) *Exec {
 	return &Exec{p: p, cap: blockWords, regs: make([]uint64, p.NumRegs*blockWords)}
 }
 
-// Program returns the compiled program this context executes.
-func (x *Exec) Program() *Program { return x.p }
-
 // Eval evaluates the program over the universe words [lo, hi): it fills the
 // input registers with the vector-index bit patterns of that range and runs
 // every instruction. hi−lo must not exceed the context's block capacity.

@@ -153,26 +153,19 @@ func TestSelfSeedConeRejectsForced(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	p := CompileAll(c)
-	cp := p.CompileCone(c.Outputs[0])
+	cp := compileCone(p, c.Outputs[0])
 	if !cp.selfSeed {
 		t.Fatal("single-site cone is not self-seeded")
 	}
 	x := NewExec(p, 1)
 	x.Eval(0, 1)
 	cx := NewConeExec(1)
-	for _, run := range []func(){
-		func() { cx.RunForced(cp, x, []bool{true}) },
-		func() { cx.PropForcedInto(cp, x, []bool{true}, make([]uint64, 1)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("forced replay on a self-seeded cone did not panic")
-				}
-			}()
-			run()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("forced replay on a self-seeded cone did not panic")
+		}
+	}()
+	cx.PropForcedInto(cp, x, []bool{true}, make([]uint64, 1))
 }
 
 // TestAlwaysPropConePropInto pins the inverter-chain shortcut: a site
@@ -201,7 +194,7 @@ func TestAlwaysPropConePropInto(t *testing.T) {
 		if !ok {
 			t.Fatalf("node %q missing", name)
 		}
-		cp := p.CompileCone(n.ID)
+		cp := compileCone(p, n.ID)
 		if !cp.AlwaysProp() {
 			t.Fatalf("cone of %q: AlwaysProp = false, want true", name)
 		}

@@ -46,12 +46,12 @@ type AnalysisRequest struct {
 	// but IdentityOptions (which mirrors report.Options) does not.
 	Kind AnalysisKind // ndetect:identity-envelope
 
-	// FaultModel selects the registered fault model the universe is built
-	// under (fault.Resolve); empty means the default model, and Normalize
+	// FaultModel selects the fault model the universe is built under
+	// (fault.Resolve); empty means the default model, and Normalize
 	// canonicalizes an explicit default ID to empty so the two spellings
 	// share one identity. Worst-case and average analyses accept any
-	// registered model (Definition 2 additionally requires stuck-at
-	// targets); the partitioned pipeline is default-model only.
+	// model (Definition 2 additionally requires stuck-at targets); the
+	// partitioned pipeline is default-model only.
 	FaultModel string
 
 	// Average-case identity options (used when Kind is AverageAnalysis).

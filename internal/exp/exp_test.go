@@ -7,6 +7,7 @@ import (
 
 	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 	"ndetect/internal/report"
 )
@@ -230,11 +231,11 @@ func TestRunAllDeterministic(t *testing.T) {
 // n ≤ nmax is detected by every random n-detection test set Procedure 1
 // produces.
 func TestGuaranteeAcrossPipeline(t *testing.T) {
-	u, err := ndetect.FromCircuit(synthesized(t, "beecount"))
+	u, err := ndetect.BuildUniverse(synthesized(t, "beecount"), fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
-	wc := ndetect.WorstCase(&u.Universe)
+	wc := ndetect.WorstCaseWorkers(&u.Universe, 0)
 	res, err := ndetect.Procedure1(&u.Universe, ndetect.Procedure1Options{
 		NMax: 5, K: 25, Seed: 13, KeepTestSets: true,
 	})
@@ -286,11 +287,11 @@ func TestWorstCaseOfInvertsDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := ndetect.FromCircuit(c)
+	u, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ndetect.WorstCase(&u.Universe).NMin
+	want := ndetect.WorstCaseWorkers(&u.Universe, 0).NMin
 	if got := WorstCaseOf(worstCaseDoc(t, "bbara").NMin).NMin; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatal("WorstCaseOf of bbara's document differs from the core worst case")
 	}

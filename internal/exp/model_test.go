@@ -13,9 +13,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the per-model golden files in testdata/")
 
-// modelsUnderTest returns the fault models this run covers: every
-// registered model, or only $NDETECT_MODEL when set — the CI fault-model
-// matrix runs one model per step that way.
+// modelsUnderTest returns the fault models this run covers: every model,
+// or only $NDETECT_MODEL when set — the CI fault-model matrix runs one
+// model per step that way.
 func modelsUnderTest(t *testing.T) []string {
 	t.Helper()
 	if id := os.Getenv("NDETECT_MODEL"); id != "" {

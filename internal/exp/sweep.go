@@ -158,9 +158,9 @@ const maxSweepVariants = 4096
 //
 //	analysis=average;model=stuckat+bridge4,transition;nmax=10;seed=1..5
 //
-// Keys: analysis (worstcase | average; default average), model (registered
-// fault-model IDs; default the default model), nmax, k, seed, def, ge11 —
-// the result-identity options of DESIGN.md §7. Omitted keys take the usual
+// Keys: analysis (worstcase | average; default average), model
+// (fault-model IDs; default the default model), nmax, k, seed, def, ge11
+// — the result-identity options of DESIGN.md §7. Omitted keys take the usual
 // defaults at Normalize time. Variants enumerate with the later keys of
 // the fixed order analysis, model, nmax, k, seed, def, ge11 varying
 // fastest, then normalize and de-duplicate (a worstcase variant ignores

@@ -3,25 +3,24 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"ndetect/internal/circuit"
 )
 
-// The fault-model registry. The paper's machinery — worst-case nmin,
+// The fault models. The paper's machinery — worst-case nmin,
 // Procedure 1, Definition 2 — consumes only per-fault detection bitsets
 // over a test-index space; the choice of structural fault universes is an
 // input. A Model packages that choice: the targeted set F a hypothetical
 // test generator aims at, the untargeted set G whose n-detection coverage
 // the analyses measure, and the index space their T-sets range over.
 //
-// A model's structural half lives here (enumeration, naming, validation —
-// pure functions of the circuit); its semantic half (building T-sets
-// against the compiled engine) is registered separately in package sim
-// under the same model ID, because this package cannot import the engine.
-// The two halves together are the provider; DESIGN.md §12 records the
-// split.
+// The set of models is closed: the three below, each one case in Resolve
+// and one in sim.ModelTSetsFor. A model's structural half lives here
+// (enumeration, naming, validation — pure functions of the circuit); its
+// semantic half (building T-sets against the compiled engine) lives in
+// package sim under the same model ID, because this package cannot import
+// the engine. The two halves together are the provider; DESIGN.md §12
+// records the split.
 
 // Set selects one of the two fault sets a model provides.
 type Set int
@@ -99,8 +98,8 @@ type SetProvider interface {
 	Label() string
 }
 
-// Model is one registered fault model: an ID, a test-index space, and the
-// two fault sets.
+// Model is one fault model: an ID, a test-index space, and the two fault
+// sets.
 type Model interface {
 	ID() string
 	Space() Space
@@ -134,7 +133,7 @@ func SpaceSize(m Model, c *circuit.Circuit) (int, error) {
 }
 
 // model is the one Model implementation: two providers composed under an
-// ID. Compose is how every model — built-in or future — is assembled.
+// ID.
 type model struct {
 	id         string
 	space      Space
@@ -153,69 +152,38 @@ func (m *model) Provider(set Set) SetProvider {
 	return m.untargeted
 }
 
-// Compose assembles a Model from a target and an untargeted SetProvider.
-func Compose(id string, space Space, def2Capable bool, targets, untargeted SetProvider) Model {
-	return &model{id: id, space: space, def2: def2Capable, targets: targets, untargeted: untargeted}
-}
-
 // DefaultModelID names the paper's own configuration: collapsed stuck-at
 // targets with the detectable non-feedback four-way bridge G universe.
 const DefaultModelID = "stuckat+bridge4"
 
+// The three models. Every model targets the collapsed stuck-at faults; the
+// untargeted sets are four-way bridges (the paper's setup), two-pattern
+// transition faults over U×U, and pairwise double stuck-at faults.
 var (
-	registryMu sync.RWMutex
-	registry   = map[string]Model{}
+	defaultModel    = &model{id: DefaultModelID, space: SingleVector, def2: true, targets: StuckAtProvider{}, untargeted: BridgeProvider{}}
+	transitionModel = &model{id: "transition", space: VectorPair, targets: StuckAtProvider{}, untargeted: TransitionProvider{}}
+	msa2Model       = &model{id: "msa2", space: SingleVector, def2: true, targets: StuckAtProvider{}, untargeted: PairStuckAtProvider{}}
 )
 
-// Register adds a model to the registry. Duplicate IDs panic: model IDs
-// join result identities and store keys, so a silent replacement would
-// corrupt both.
-func Register(m Model) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[m.ID()]; dup {
-		panic(fmt.Sprintf("fault: model %q registered twice", m.ID()))
-	}
-	registry[m.ID()] = m
-}
-
-// Lookup returns the model registered under id.
-func Lookup(id string) (Model, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	m, ok := registry[id]
-	return m, ok
-}
-
-// Resolve maps a user-supplied model ID onto a registered model; the
-// empty string means the default model.
+// Resolve maps a user-supplied model ID onto its model; the empty string
+// means the default model.
 func Resolve(id string) (Model, error) {
-	if id == "" {
-		id = DefaultModelID
-	}
-	if m, ok := Lookup(id); ok {
-		return m, nil
+	switch id {
+	case "", DefaultModelID:
+		return defaultModel, nil
+	case transitionModel.id:
+		return transitionModel, nil
+	case msa2Model.id:
+		return msa2Model, nil
 	}
 	return nil, fmt.Errorf("fault: unknown fault model %q (have %v)", id, ModelIDs())
 }
 
 // Default returns the default model.
-func Default() Model {
-	m, _ := Lookup(DefaultModelID)
-	return m
-}
+func Default() Model { return defaultModel }
 
-// ModelIDs lists every registered model ID, sorted.
-func ModelIDs() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+// ModelIDs lists every model ID, sorted.
+func ModelIDs() []string { return []string{msa2Model.id, DefaultModelID, transitionModel.id} }
 
 func validNode(c *circuit.Circuit, id int32) error {
 	if id < 0 || int(id) >= c.NumNodes() {
@@ -380,9 +348,3 @@ func (PairStuckAtProvider) Validate(c *circuit.Circuit, d Descriptor) error {
 }
 
 func (PairStuckAtProvider) Label() string { return "detectable double stuck-at faults" }
-
-func init() {
-	Register(Compose(DefaultModelID, SingleVector, true, StuckAtProvider{}, BridgeProvider{}))
-	Register(Compose("transition", VectorPair, false, StuckAtProvider{}, TransitionProvider{}))
-	Register(Compose("msa2", SingleVector, true, StuckAtProvider{}, PairStuckAtProvider{}))
-}

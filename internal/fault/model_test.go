@@ -3,14 +3,13 @@ package fault
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"ndetect/internal/circuit"
 )
 
 // modelCircuit is a small multi-gate circuit with fanout, used by the
-// registry tests: enough structure that every provider enumerates a
+// model tests: enough structure that every provider enumerates a
 // non-trivial set.
 func modelCircuit(t *testing.T) *circuit.Circuit {
 	t.Helper()
@@ -41,10 +40,14 @@ func TestRegistryModels(t *testing.T) {
 	if m, err := Resolve(DefaultModelID); err != nil || m.ID() != DefaultModelID {
 		t.Fatalf("Resolve(default) = %v, %v", m, err)
 	}
-	if _, err := Resolve("no-such-model"); err == nil {
-		t.Fatal("Resolve of an unknown ID succeeded")
-	} else if !strings.Contains(err.Error(), "no-such-model") {
-		t.Fatalf("unknown-model error %q does not name the ID", err)
+	const unknown = `fault: unknown fault model "no-such-model" (have [msa2 stuckat+bridge4 transition])`
+	if _, err := Resolve("no-such-model"); err == nil || err.Error() != unknown {
+		t.Fatalf("Resolve of an unknown ID: %v, want %s", err, unknown)
+	}
+	for _, id := range want {
+		if m, err := Resolve(id); err != nil || m.ID() != id {
+			t.Fatalf("Resolve(%q) = %v, %v", id, m, err)
+		}
 	}
 
 	// The shape contract each analysis layer relies on: Definition 2 needs

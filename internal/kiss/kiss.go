@@ -314,22 +314,6 @@ func cubeMatches(cube string, v, n int) bool {
 	return true
 }
 
-// Write serializes the STG in KISS2 format.
-func (m *STG) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, ".i %d\n.o %d\n.p %d\n.s %d\n.r %s\n",
-		m.NumInputs, m.NumOutputs, len(m.Transitions), len(m.States), m.Reset)
-	for _, tr := range m.Transitions {
-		in := tr.Input
-		if in == "" {
-			in = "-"
-		}
-		fmt.Fprintf(bw, "%s %s %s %s\n", in, tr.From, tr.To, tr.Output)
-	}
-	fmt.Fprintln(bw, ".e")
-	return bw.Flush()
-}
-
 // Simulate runs the symbolic machine for one step: given a state and a fully
 // specified input vector, it returns the next state and output bits ('-'
 // output bits resolve to 0, matching the synthesis convention). The boolean

@@ -1,9 +1,30 @@
 package kiss
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// Write serializes the STG in KISS2 format. It lives with the tests, which
+// round-trip machines through text; the scanner tests in package kiss_test
+// use it too.
+func (m *STG) Write(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, ".i %d\n.o %d\n.p %d\n.s %d\n.r %s\n",
+		m.NumInputs, m.NumOutputs, len(m.Transitions), len(m.States), m.Reset)
+	for _, tr := range m.Transitions {
+		in := tr.Input
+		if in == "" {
+			in = "-"
+		}
+		fmt.Fprintf(bw, "%s %s %s %s\n", in, tr.From, tr.To, tr.Output)
+	}
+	fmt.Fprintln(bw, ".e")
+	return bw.Flush()
+}
 
 const lionSrc = `
 # a 4-state, 2-input machine in the style of the 'lion' benchmark

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Package loading for the standalone driver and the analysistest-style
@@ -50,7 +51,16 @@ type listedPackage struct {
 // resolved relative to dir, with dependencies imported from compiled
 // export data.
 func LoadPackages(dir string, patterns ...string) ([]*Target, error) {
-	args := append([]string{"list", "-json", "-export", "-deps", "--"}, patterns...)
+	return loadPackages(dir, nil, patterns)
+}
+
+// loadPackages is LoadPackages with extra go list flags. Under -test each
+// package's test variant, which holds its in-package test files, loads as
+// a Target of its own whose package path is the plain import path; the
+// generated test mains are skipped.
+func loadPackages(dir string, flags, patterns []string) ([]*Target, error) {
+	args := append([]string{"list", "-json", "-export", "-deps"}, flags...)
+	args = append(append(args, "--"), patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -73,7 +83,7 @@ func LoadPackages(dir string, patterns ...string) ([]*Target, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly {
+		if !p.DepOnly && !strings.HasSuffix(p.ImportPath, ".test") {
 			targets = append(targets, p)
 		}
 	}
@@ -84,7 +94,8 @@ func LoadPackages(dir string, patterns ...string) ([]*Target, error) {
 		for i, f := range p.GoFiles {
 			files[i] = filepath.Join(p.Dir, f)
 		}
-		t, err := typecheck(p.ImportPath, files, p.ImportMap, func(path string) (io.ReadCloser, error) {
+		path, _, _ := strings.Cut(p.ImportPath, " ")
+		t, err := typecheck(path, files, p.ImportMap, func(path string) (io.ReadCloser, error) {
 			f, ok := exports[path]
 			if !ok {
 				return nil, fmt.Errorf("no export data for %q", path)

@@ -53,13 +53,6 @@ func (r *Procedure1Result) MinP(n int) (p float64, index int) {
 	return p, index
 }
 
-// EscapeProbability returns 1 − p(n,g_j): the probability that fault j
-// escapes an arbitrary n-detection test set (the paper's closing
-// observation on how to use the tables).
-func (r *Procedure1Result) EscapeProbability(n, j int) float64 {
-	return 1 - r.P(n, j)
-}
-
 // ExpectedEscapes returns the expected number of the analysed untargeted
 // faults left undetected by an arbitrary n-detection test set: Σ_j (1 −
 // p(n,g_j)).

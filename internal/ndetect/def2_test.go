@@ -239,9 +239,9 @@ func TestDef2ImprovesDiversityOnCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	u, err := FromCircuit(c)
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	if len(u.Untargeted) == 0 {
 		t.Skip("no bridging faults in this circuit")

@@ -9,6 +9,7 @@ import (
 	"ndetect/internal/bench"
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func TestFactoredFaultWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := FromCircuitWorkers(raw, 1)
+	u, err := BuildUniverse(raw, fault.Default(), AnalyzeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestWorstCaseFactoredMatchesNMin(t *testing.T) {
 	}
 	decided, faults, empty := 0, 0, false
 	for _, c := range circuits {
-		u, err := FromCircuitWorkers(c, 1)
+		u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -208,7 +209,7 @@ func FuzzWorstCaseFactored(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := FromCircuitWorkers(c, 1)
+		u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestSetDetectsFactoredAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := FromCircuitWorkers(raw, 1)
+	u, err := BuildUniverse(raw, fault.Default(), AnalyzeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +261,7 @@ func TestSetDetectsFactoredAllocFree(t *testing.T) {
 		ts.Add(v)
 	}
 	for _, g := range u.Untargeted {
-		want := ts.Set().IntersectionCount(g.Set())
+		want := ts.member.IntersectionCount(g.Set())
 		if got := ts.Detections(g); got != want {
 			t.Fatalf("%s: Detections = %d, want %d", g.Name, got, want)
 		}

@@ -3,12 +3,14 @@ package ndetect
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"ndetect/internal/bench"
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/sim"
 )
 
@@ -191,7 +193,7 @@ func TestPickRandomOutsideUniform(t *testing.T) {
 			t.Fatal("picked a vector already in Tk")
 		}
 		// Procedure1's draw: the same single Intn(c), the same vector.
-		if w := nthOutside(tset.Words(), tk.Set().Words(), twin.Intn(3)); w != v {
+		if w := nthOutside(tset.Words(), tk.member.Words(), twin.Intn(3)); w != v {
 			t.Fatalf("draw %d: in-word select picked %d, reference %d", i, w, v)
 		}
 		counts[v]++
@@ -249,9 +251,6 @@ func TestThresholdCountsAndSummaries(t *testing.T) {
 	p, j := r.MinP(1)
 	if j != 1 || p != 0.4 {
 		t.Fatalf("MinP = %v,%d", p, j)
-	}
-	if got := r.EscapeProbability(1, 1); got != 0.6 {
-		t.Fatalf("EscapeProbability = %v", got)
 	}
 	if got := r.ExpectedEscapes(1); got != 0.6 {
 		t.Fatalf("ExpectedEscapes = %v", got)
@@ -420,7 +419,7 @@ func referenceRunOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]i
 
 // pickRandomOutside selects a uniformly random member of T(f) − Tk.
 func pickRandomOutside(t *bitset.Set, tk *TestSet, rng *rand.Rand) (int, bool) {
-	diff := t.Difference(tk.Set())
+	diff := t.Difference(tk.member)
 	c := diff.Count()
 	if c == 0 {
 		return 0, false
@@ -431,7 +430,7 @@ func pickRandomOutside(t *bitset.Set, tk *TestSet, rng *rand.Rand) (int, bool) {
 // referencePickDistinct is def2State.pickDistinct over the difference
 // set's Members, scanning candidates one Distinct call at a time.
 func referencePickDistinct(s *def2State, i int, f *Fault, tk *TestSet, rng *rand.Rand) (int, bool) {
-	diff := f.T.Difference(tk.Set())
+	diff := f.T.Difference(tk.member)
 	cands := diff.Members()
 	rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
 	if len(cands) > pickScanCap {
@@ -539,7 +538,7 @@ func TestProcedure1MatchesReferenceOnCircuits(t *testing.T) {
 		circuits = append(circuits, r.Circuit)
 	}
 	for _, c := range circuits {
-		u, err := FromCircuit(c)
+		u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -569,4 +568,58 @@ func TestProcedure1MatchesReferenceOnEdgeUniverses(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Section 2 implies Section 3: when nmin(g) ≤ n, every n-detection test set
+// detects g, so Procedure 1 must report d(n,g) = K. Production runs
+// Procedure 1 only on the faults with nmin(g) > n, so this runs it over
+// the full G: Definition 1 on the handwritten surrogates plus bbara and
+// opus, Definition 2 on the handwritten surrogates.
+func TestProcedure1DetectsEveryGuaranteedFault(t *testing.T) {
+	var hand []string
+	for _, b := range bench.All() {
+		if b.Handwritten {
+			hand = append(hand, b.Name)
+		}
+	}
+	checks := 0
+	for _, def := range []Definition{Def1, Def2} {
+		names := hand
+		if def == Def1 {
+			names = append(slices.Clip(hand), "bbara", "opus")
+		}
+		for _, name := range names {
+			b, _ := bench.ByName(name)
+			r, err := b.SynthesizeDefault()
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := BuildUniverse(r.Circuit, fault.Default(), AnalyzeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wc := WorstCaseWorkers(&u.Universe, 0)
+			opts := Procedure1Options{NMax: 10, K: 50, Seed: 1, Definition: def}
+			if def == Def2 {
+				opts.Checker = NewCircuitCheckerFor(u)
+			}
+			res, err := Procedure1(&u.Universe, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 1; n <= opts.NMax; n++ {
+				for j, nmin := range wc.NMin {
+					if nmin > n {
+						continue
+					}
+					checks++
+					if d := res.Detected[n-1][j]; d != res.K {
+						t.Errorf("%s def %d: %s has nmin %d but d(%d,g) = %d < K = %d",
+							name, def, u.Untargeted[j].Name, nmin, n, d, res.K)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d (n, g) checks with nmin(g) ≤ n", checks)
 }

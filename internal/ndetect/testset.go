@@ -38,9 +38,6 @@ func (t *TestSet) Len() int { return len(t.vectors) }
 // modify.
 func (t *TestSet) Vectors() []int { return t.vectors }
 
-// Set returns the membership bitset. The set is shared; do not modify.
-func (t *TestSet) Set() *bitset.Set { return t.member }
-
 // Detections returns the Definition 1 detection count |T(f) ∩ T| of a
 // fault. It allocates nothing, for a factored fault too.
 func (t *TestSet) Detections(f Fault) int {

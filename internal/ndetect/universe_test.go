@@ -29,9 +29,9 @@ func exampleCircuit(t *testing.T) *circuit.Circuit {
 
 func TestFromCircuit(t *testing.T) {
 	c := exampleCircuit(t)
-	u, err := FromCircuit(c)
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	if u.Size != 16 {
 		t.Fatalf("Size = %d", u.Size)
@@ -69,9 +69,9 @@ func TestFromCircuit(t *testing.T) {
 
 func TestFromCircuitBridgeUniverseShape(t *testing.T) {
 	c := exampleCircuit(t)
-	u, err := FromCircuit(c)
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
 	// Candidate bridges: pair (g9,g10) → 4 faults; detectable subset only.
 	if len(fault.Bridges(c)) != 4 {
@@ -132,11 +132,11 @@ func TestDetectableTargets(t *testing.T) {
 func TestFromCircuitEndToEndWorstCase(t *testing.T) {
 	// Full pipeline sanity: worst-case analysis on the example circuit.
 	c := exampleCircuit(t)
-	u, err := FromCircuit(c)
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
 	if err != nil {
-		t.Fatalf("FromCircuit: %v", err)
+		t.Fatalf("BuildUniverse: %v", err)
 	}
-	wc := WorstCase(&u.Universe)
+	wc := WorstCaseWorkers(&u.Universe, 0)
 	for j, nm := range wc.NMin {
 		if nm < 1 {
 			t.Fatalf("nmin(%s) = %d < 1", u.Untargeted[j].Name, nm)

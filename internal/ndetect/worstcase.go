@@ -83,18 +83,12 @@ type WorstCaseResult struct {
 	NMin []int
 }
 
-// WorstCase runs the Section 2 analysis over the whole universe with one
-// worker per CPU (see WorstCaseWorkers).
-func WorstCase(u *Universe) *WorstCaseResult {
-	return WorstCaseWorkers(u, 0)
-}
-
-// WorstCaseWorkers is WorstCase with an explicit worker bound: 0 means one
-// worker per CPU, 1 the exact serial order. The result is identical for
-// every worker count, and so is the work done; only wall-clock time
-// changes (DESIGN.md §5 — the knob must be threaded, not re-resolved, so
-// callers that split a budget across concurrent circuits or parts stay
-// within it).
+// WorstCaseWorkers runs the Section 2 analysis over the whole universe
+// with a worker bound: 0 means one worker per CPU, 1 the exact serial
+// order. The result is identical for every worker count, and so is the
+// work done; only wall-clock time changes (DESIGN.md §5 — the knob must
+// be threaded, not re-resolved, so callers that split a budget across
+// concurrent circuits or parts stay within it).
 //
 // The analysis is output-sensitive but exact (DESIGN.md §1). Each pair is
 // evaluated as nmin(g,f) − 1 = |T(f) − T(g)| over a sparse slab of the
@@ -465,15 +459,4 @@ func (r *WorstCaseResult) Histogram(from int) (values []int, counts []int) {
 		counts[i] = h[v]
 	}
 	return values, counts
-}
-
-// TightnessWitness returns U − T(g): by construction an (nmin(g)−1)-
-// detection test set that fails to detect g, proving the worst-case bound is
-// exact. (For every target f ∈ F(g), |T(f) − T(g)| = N(f) − M(g,f) =
-// nmin(g,f) − 1 ≥ nmin(g) − 1; targets outside F(g) keep all their tests.)
-func TightnessWitness(u *Universe, j int) *bitset.Set {
-	w := bitset.New(u.Size)
-	w.Fill()
-	w.DifferenceWith(u.Untargeted[j].Set())
-	return w
 }

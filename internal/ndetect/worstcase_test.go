@@ -50,7 +50,7 @@ func TestTable1(t *testing.T) {
 	if got := NMin(g0, u.Targets); got != 3 {
 		t.Fatalf("nmin(g0) = %d, want 3 (paper Table 1)", got)
 	}
-	wc := WorstCase(u)
+	wc := WorstCaseWorkers(u, 0)
 	if wc.NMin[0] != 3 {
 		t.Fatalf("WorstCase nmin = %d, want 3", wc.NMin[0])
 	}
@@ -83,7 +83,7 @@ func TestNMinUnboundedWhenNoOverlap(t *testing.T) {
 		Targets:    []Fault{{Name: "f", T: bitset.FromMembers(size, 0, 1)}},
 		Untargeted: []Fault{{Name: "g", T: bitset.FromMembers(size, 15)}},
 	}
-	wc := WorstCase(u)
+	wc := WorstCaseWorkers(u, 0)
 	if wc.NMin[0] != Unbounded {
 		t.Fatalf("nmin = %d, want Unbounded", wc.NMin[0])
 	}
@@ -122,7 +122,7 @@ func TestWorstCaseGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
 		u := randomUniverse(rng, 64+rng.Intn(64), 8+rng.Intn(8), 6)
-		wc := WorstCase(u)
+		wc := WorstCaseWorkers(u, 0)
 		maxFinite := wc.MaxFinite()
 		if maxFinite == 0 {
 			continue
@@ -154,19 +154,30 @@ func TestWorstCaseGuarantee(t *testing.T) {
 	}
 }
 
+// tightnessWitness returns U − T(g): by construction an (nmin(g)−1)-
+// detection test set that fails to detect g, proving the worst-case bound is
+// exact. (For every target f ∈ F(g), |T(f) − T(g)| = N(f) − M(g,f) =
+// nmin(g,f) − 1 ≥ nmin(g) − 1; targets outside F(g) keep all their tests.)
+func tightnessWitness(u *Universe, j int) *bitset.Set {
+	w := bitset.New(u.Size)
+	w.Fill()
+	w.DifferenceWith(u.Untargeted[j].Set())
+	return w
+}
+
 // TestWorstCaseTightness verifies the bound is exact: U − T(g) is an
 // (nmin(g)−1)-detection test set that misses g.
 func TestWorstCaseTightness(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		u := randomUniverse(rng, 64, 10, 8)
-		wc := WorstCase(u)
+		wc := WorstCaseWorkers(u, 0)
 		for j, g := range u.Untargeted {
 			nm := wc.NMin[j]
 			if nm == Unbounded || nm <= 1 {
 				continue
 			}
-			w := TightnessWitness(u, j)
+			w := tightnessWitness(u, j)
 			ts := NewTestSet(u.Size)
 			w.ForEach(func(v int) { ts.Add(v) })
 			if ts.Detects(g) {
@@ -187,7 +198,7 @@ func TestCoverageAndCounts(t *testing.T) {
 		{Name: "b", T: bitset.FromMembers(8, 3)},          // nmin 4
 		{Name: "c", T: bitset.FromMembers(8, 7)},          // unbounded
 	}
-	wc := WorstCase(u)
+	wc := WorstCaseWorkers(u, 0)
 	if wc.NMin[0] != 1 || wc.NMin[1] != 4 || wc.NMin[2] != Unbounded {
 		t.Fatalf("NMin = %v", wc.NMin)
 	}
@@ -233,7 +244,7 @@ func TestWorstCaseWorkersDeterministic(t *testing.T) {
 }
 
 func TestEmptyUntargetedCoverage(t *testing.T) {
-	wc := WorstCase(&Universe{Size: 4, Targets: []Fault{{Name: "f", T: bitset.FromMembers(4, 0)}}})
+	wc := WorstCaseWorkers(&Universe{Size: 4, Targets: []Fault{{Name: "f", T: bitset.FromMembers(4, 0)}}}, 0)
 	if wc.CoverageAt(1) != 1 {
 		t.Fatal("vacuous coverage should be 1")
 	}
@@ -281,10 +292,10 @@ func diffWindows(ds []fault.Descriptor) []fault.Descriptor {
 
 // TestWorstCaseMatchesNMinOnEmbeddedCircuits runs the differential check
 // on real T-sets: every embedded circuit with at most 12 inputs (the
-// benchmark surrogates and the .bench samples), under every registered
-// fault model, with the full target set and windows of the untargeted
-// faults (diffWindows). The pair-space transition model is checked up to
-// 8 inputs: at 12 its T-sets take 2 MiB each.
+// benchmark surrogates and the .bench samples), under every fault model,
+// with the full target set and windows of the untargeted faults
+// (diffWindows). The pair-space transition model is checked up to 8
+// inputs: at 12 its T-sets take 2 MiB each.
 func TestWorstCaseMatchesNMinOnEmbeddedCircuits(t *testing.T) {
 	var circuits []*circuit.Circuit
 	for _, b := range bench.All() {

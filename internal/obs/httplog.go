@@ -12,18 +12,14 @@ import (
 // http.Flusher on the wrapped ResponseWriter so live SSE streams keep
 // flushing through it.
 
-// AccessLog wraps next so every request is reported to logf after it
-// completes:
+// AccessLogSampled wraps next so requests are reported to logf after they
+// complete:
 //
 //	http method=GET path=/jobs/abc123 status=200 bytes=412 dur=1.2ms
-func AccessLog(logf func(format string, args ...any), next http.Handler) http.Handler {
-	return AccessLogSampled(logf, 1, next)
-}
-
-// AccessLogSampled is AccessLog with a sampling knob for load runs: only
-// every sample-th request is logged (0 = none, 1 = all), so a sustained
-// 60 s load test doesn't flood stderr — and doesn't distort the very
-// latency it is measuring with per-request log I/O. Server errors
+//
+// Only every sample-th request is logged (0 = none, 1 = all), so a
+// sustained 60 s load test doesn't flood stderr — and doesn't distort the
+// very latency it is measuring with per-request log I/O. Server errors
 // (status >= 500) are always logged regardless of the sample rate; they
 // are rare by contract and each one matters.
 func AccessLogSampled(logf func(format string, args ...any), sample int, next http.Handler) http.Handler {

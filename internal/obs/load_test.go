@@ -23,7 +23,7 @@ func TestHistogramQuantileUniform(t *testing.T) {
 		h.Observe(float64(i) / n)
 	}
 	for _, q := range []float64{0.01, 0.10, 0.25, 0.50, 0.90, 0.99, 0.999, 1.0} {
-		got := h.Quantile(q)
+		got := h.Snapshot().Quantile(q)
 		if math.Abs(got-q) > 0.002 {
 			t.Errorf("Quantile(%v) = %v, want ~%v", q, got, q)
 		}
@@ -42,16 +42,16 @@ func TestHistogramQuantileBimodal(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(5) // 10% slow
 	}
-	if got := h.Quantile(0.50); got <= 0 || got > 0.01 {
+	if got := h.Snapshot().Quantile(0.50); got <= 0 || got > 0.01 {
 		t.Errorf("p50 = %v, want within the (0, 0.01] bucket", got)
 	}
-	if got := h.Quantile(0.99); got <= 1 || got > 10 {
+	if got := h.Snapshot().Quantile(0.99); got <= 1 || got > 10 {
 		t.Errorf("p99 = %v, want within the (1, 10] bucket", got)
 	}
 	// The p-quantile estimate is monotone in q.
 	prev := 0.0
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.95, 0.999} {
-		got := h.Quantile(q)
+		got := h.Snapshot().Quantile(q)
 		if got < prev {
 			t.Errorf("Quantile(%v) = %v < previous %v: not monotone", q, got, prev)
 		}
@@ -61,12 +61,12 @@ func TestHistogramQuantileBimodal(t *testing.T) {
 
 func TestHistogramQuantileEdgeCases(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
-	if got := h.Quantile(0.5); !math.IsNaN(got) {
+	if got := h.Snapshot().Quantile(0.5); !math.IsNaN(got) {
 		t.Errorf("empty histogram Quantile = %v, want NaN", got)
 	}
 	h.Observe(0.5)
 	for _, q := range []float64{0, -1, 1.1} {
-		if got := h.Quantile(q); !math.IsNaN(got) {
+		if got := h.Snapshot().Quantile(q); !math.IsNaN(got) {
 			t.Errorf("Quantile(%v) = %v, want NaN", q, got)
 		}
 	}
@@ -74,7 +74,7 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	// bound — the documented resolution limit, not an extrapolation.
 	h2 := NewHistogram([]float64{1, 2})
 	h2.Observe(100)
-	if got := h2.Quantile(0.99); got != 2 {
+	if got := h2.Snapshot().Quantile(0.99); got != 2 {
 		t.Errorf("overflow-bucket quantile = %v, want the last bound 2", got)
 	}
 }
@@ -155,10 +155,19 @@ func TestTimeHandlerRecordsStatusAndDuration(t *testing.T) {
 	}
 }
 
+func mustSchedule(t *testing.T, arrival string, rate float64, d time.Duration, seed int64) []time.Duration {
+	t.Helper()
+	s, err := ArrivalSchedule(arrival, rate, d, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // The arrival schedule is a pure function of (process, rate, duration,
 // seed): deterministic, ascending, with the right mean rate.
 func TestArrivalSchedule(t *testing.T) {
-	fixed := ArrivalSchedule(ArrivalFixed, 100, time.Second, 1)
+	fixed := mustSchedule(t, ArrivalFixed, 100, time.Second, 1)
 	if len(fixed) != 100 {
 		t.Fatalf("fixed: %d arrivals, want 100", len(fixed))
 	}
@@ -166,8 +175,8 @@ func TestArrivalSchedule(t *testing.T) {
 		t.Errorf("fixed spacing wrong: %v %v", fixed[0], fixed[1])
 	}
 
-	p1 := ArrivalSchedule(ArrivalPoisson, 100, 10*time.Second, 7)
-	p2 := ArrivalSchedule(ArrivalPoisson, 100, 10*time.Second, 7)
+	p1 := mustSchedule(t, ArrivalPoisson, 100, 10*time.Second, 7)
+	p2 := mustSchedule(t, ArrivalPoisson, 100, 10*time.Second, 7)
 	if len(p1) != len(p2) {
 		t.Fatal("same seed, different schedules")
 	}
@@ -183,7 +192,7 @@ func TestArrivalSchedule(t *testing.T) {
 	if n := len(p1); n < 800 || n > 1200 {
 		t.Errorf("poisson arrival count %d far from expected 1000", n)
 	}
-	if p3 := ArrivalSchedule(ArrivalPoisson, 100, 10*time.Second, 8); len(p3) == len(p1) {
+	if p3 := mustSchedule(t, ArrivalPoisson, 100, 10*time.Second, 8); len(p3) == len(p1) {
 		same := true
 		for i := range p3 {
 			if p3[i] != p1[i] {
@@ -194,6 +203,19 @@ func TestArrivalSchedule(t *testing.T) {
 		if same {
 			t.Error("different seeds produced identical schedules")
 		}
+	}
+}
+
+// Only the two named processes schedule anything: an unknown name is an
+// error, not silently the fixed process, whatever the rate and duration.
+func TestArrivalScheduleRejectsUnknownProcess(t *testing.T) {
+	for _, rate := range []float64{100, 0} {
+		if s, err := ArrivalSchedule("poison", rate, time.Second, 1); err == nil || !strings.Contains(err.Error(), `"poison"`) {
+			t.Errorf("rate %v: ArrivalSchedule(poison) = %d arrivals, %v; want an error naming it", rate, len(s), err)
+		}
+	}
+	if s, err := ArrivalSchedule(ArrivalFixed, 0, time.Second, 1); err != nil || s != nil {
+		t.Errorf("fixed at rate 0 = %v, %v; want no arrivals and no error", s, err)
 	}
 }
 

@@ -20,9 +20,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adjusts the gauge by delta.
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
@@ -120,11 +117,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	}
 	return lo + (hi-lo)*float64(rank-prev)/float64(inBucket)
 }
-
-// Quantile estimates the q-quantile of the live histogram; see
-// HistogramSnapshot.Quantile for the interpolation and its upper-bound
-// caveat.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
 // Snapshot returns the histogram's current cumulative bucket counts.
 func (h *Histogram) Snapshot() HistogramSnapshot {
@@ -234,9 +226,8 @@ type Exposition struct {
 // NewExposition starts a scrape onto w.
 func NewExposition(w io.Writer) *Exposition { return &Exposition{w: w} }
 
-// Err returns the first write error, if any.
-func (e *Exposition) Err() error { return e.err }
-
+// printf writes to the scrape until the first write error, after which
+// the rest of the scrape is dropped.
 func (e *Exposition) printf(format string, args ...any) {
 	if e.err == nil {
 		_, e.err = fmt.Fprintf(e.w, format, args...)

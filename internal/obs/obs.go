@@ -58,9 +58,6 @@ func StartTimer() Timer { return Timer{t0: time.Now()} }
 // Seconds returns the time elapsed since the timer started, in seconds.
 func (t Timer) Seconds() float64 { return time.Since(t.t0).Seconds() }
 
-// Elapsed returns the time elapsed since the timer started.
-func (t Timer) Elapsed() time.Duration { return time.Since(t.t0) }
-
 // Recorder collects the spans of one traced run. It is safe for
 // concurrent use: the analysis driver calls Begin/Progress from worker
 // goroutines while status endpoints snapshot concurrently.

@@ -167,9 +167,6 @@ func TestExpositionFormat(t *testing.T) {
 	v.Observe("b", 0.5)
 	v.Observe("a", 0.5)
 	e.HistogramVec("w_seconds", "a labeled histogram", "stage", v)
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
 	out := b.String()
 	for _, want := range []string{
 		"# HELP x_total a counter\n# TYPE x_total counter\nx_total 7\n",
@@ -229,7 +226,7 @@ func TestAccessLogCapturesStatusAndPreservesFlusher(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
 	flushed := false
-	h := AccessLog(logf, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := AccessLogSampled(logf, 1, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if fl, ok := w.(http.Flusher); ok {
 			fl.Flush()
 			flushed = true
@@ -240,7 +237,7 @@ func TestAccessLogCapturesStatusAndPreservesFlusher(t *testing.T) {
 	rr := httptest.NewRecorder()
 	h.ServeHTTP(rr, httptest.NewRequest("GET", "/jobs/abc/events", nil))
 	if !flushed {
-		t.Error("AccessLog hid the Flusher — SSE would never stream through it")
+		t.Error("AccessLogSampled hid the Flusher — SSE would never stream through it")
 	}
 	if len(lines) != 1 {
 		t.Fatalf("got %d log lines, want 1", len(lines))

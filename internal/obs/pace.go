@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -26,10 +27,14 @@ const (
 // ~rate*d arrivals over duration d, either evenly spaced (fixed) or with
 // exponentially distributed gaps (a Poisson process) drawn from a source
 // seeded with seed. Offsets are ascending; the schedule is a pure
-// function of its arguments.
-func ArrivalSchedule(arrival string, rate float64, d time.Duration, seed int64) []time.Duration {
+// function of its arguments. Any process other than ArrivalFixed and
+// ArrivalPoisson is an error.
+func ArrivalSchedule(arrival string, rate float64, d time.Duration, seed int64) ([]time.Duration, error) {
+	if arrival != ArrivalFixed && arrival != ArrivalPoisson {
+		return nil, fmt.Errorf("obs: unknown arrival process %q (want %s or %s)", arrival, ArrivalFixed, ArrivalPoisson)
+	}
 	if rate <= 0 || d <= 0 {
-		return nil
+		return nil, nil
 	}
 	var out []time.Duration
 	switch arrival {
@@ -42,13 +47,13 @@ func ArrivalSchedule(arrival string, rate float64, d time.Duration, seed int64) 
 		for t := gap(); t < d; t += gap() {
 			out = append(out, t)
 		}
-	default: // fixed
+	case ArrivalFixed:
 		step := time.Duration(float64(time.Second) / rate)
 		for t := time.Duration(0); t < d; t += step {
 			out = append(out, t)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Pacer anchors an open-loop run to one wall-clock epoch.

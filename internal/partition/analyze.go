@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 	"ndetect/internal/sim"
 )
@@ -170,7 +171,7 @@ func AnalyzeParts(c *circuit.Circuit, opts Options, workers int) (*AnalysisResul
 // analyzeOne builds one part's fault universe and worst-case result with
 // the given inner worker budget, and summarizes it.
 func analyzeOne(p *Part, workers int) (*PartAnalysis, error) {
-	u, err := ndetect.FromCircuitWorkers(p.Circuit, workers)
+	u, err := ndetect.BuildUniverse(p.Circuit, fault.Default(), ndetect.AnalyzeOptions{Workers: workers})
 	if err != nil {
 		return nil, err
 	}

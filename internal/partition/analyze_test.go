@@ -6,6 +6,7 @@ import (
 
 	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 )
 
@@ -30,11 +31,11 @@ func TestAnalyzePartsExactOnFullPart(t *testing.T) {
 		}
 		c := r.Circuit
 
-		u, err := ndetect.FromCircuit(c)
+		u, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{})
 		if err != nil {
-			t.Fatalf("%s: FromCircuit: %v", name, err)
+			t.Fatalf("%s: BuildUniverse: %v", name, err)
 		}
-		wc := ndetect.WorstCase(&u.Universe)
+		wc := ndetect.WorstCaseWorkers(&u.Universe, 0)
 		want := make(map[string]int, len(u.Untargeted))
 		for j, g := range u.Untargeted {
 			want[g.Name] = wc.NMin[j]

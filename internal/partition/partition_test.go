@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
 	"ndetect/internal/ndetect"
 )
 
@@ -112,11 +113,11 @@ func TestPartsAnalyzable(t *testing.T) {
 		t.Fatalf("Split: %v", err)
 	}
 	for _, p := range parts {
-		u, err := ndetect.FromCircuit(p.Circuit)
+		u, err := ndetect.BuildUniverse(p.Circuit, fault.Default(), ndetect.AnalyzeOptions{})
 		if err != nil {
-			t.Fatalf("FromCircuit(%v): %v", p.Outputs, err)
+			t.Fatalf("BuildUniverse(%v): %v", p.Outputs, err)
 		}
-		wc := ndetect.WorstCase(&u.Universe)
+		wc := ndetect.WorstCaseWorkers(&u.Universe, 0)
 		for _, nm := range wc.NMin {
 			if nm < 1 {
 				t.Fatal("invalid nmin in part analysis")

@@ -61,9 +61,9 @@ type CircuitInfo struct {
 // cache on (circuit hash, kind, these options) — and why Workers, which
 // only changes wall-clock time, is absent.
 type Options struct {
-	// FaultModel is the registered fault model the universe was built
-	// under; empty means the default model (fault.DefaultModelID), so
-	// default-model documents are byte-identical to pre-registry ones.
+	// FaultModel is the fault model the universe was built under; empty
+	// means the default model (fault.DefaultModelID), so default-model
+	// documents are byte-identical to pre-registry ones.
 	FaultModel string `json:"fault_model,omitempty"`
 
 	NMax       int   `json:"nmax,omitempty"`       // average

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -37,10 +38,11 @@ func snapshotCircuit(c *circuit.Circuit) circuitSnapshot {
 	return s
 }
 
-// By-name submits analyse bench's memoized synthesis, which every by-name
-// caller in the process shares. Every job kind run on it leaves it
-// unchanged and serves the driver's bytes for an unshared synthesis, and
-// the same circuit sent inline is the same job.
+// By-name submits analyse bench's memoized synthesis, or the embedded
+// .bench sample parsed once, which every by-name caller in the process
+// shares. Every job kind run on them leaves them unchanged and serves the
+// driver's bytes for an unshared copy, and the same circuit sent inline is
+// the same job.
 func TestByNameJobsLeaveSharedCircuitUnchanged(t *testing.T) {
 	b, _ := bench.ByName("bbara")
 	shared, err := b.SynthesizeDefault()
@@ -57,7 +59,7 @@ func TestByNameJobsLeaveSharedCircuitUnchanged(t *testing.T) {
 	ts := httptest.NewServer(NewServer(m).Handler())
 	defer ts.Close()
 
-	checkResult := func(id string, req exp.AnalysisRequest) {
+	checkResultOn := func(id string, fresh *circuit.Circuit, req exp.AnalysisRequest) {
 		t.Helper()
 		if info := pollDone(t, ts.URL, id); info.State != JobDone {
 			t.Fatalf("%s job failed: %+v", req.Kind, info)
@@ -66,13 +68,17 @@ func TestByNameJobsLeaveSharedCircuitUnchanged(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("%s result: HTTP %d: %s", req.Kind, code, body)
 		}
-		direct, err := exp.AnalyzeCircuit(fresh.Circuit, req)
+		direct, err := exp.AnalyzeCircuit(fresh, req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal([]byte(body), direct.Encode()) {
-			t.Errorf("%s %+v: served result differs from the driver's on a fresh synthesis", req.Kind, req)
+			t.Errorf("%s %+v: served result differs from the driver's on an unshared copy", req.Kind, req)
 		}
+	}
+	checkResult := func(id string, req exp.AnalysisRequest) {
+		t.Helper()
+		checkResultOn(id, fresh.Circuit, req)
 	}
 
 	var worstID string
@@ -123,21 +129,57 @@ func TestByNameJobsLeaveSharedCircuitUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(snapshotCircuit(shared.Circuit), before) {
 		t.Fatal("a job changed the shared synthesized circuit")
 	}
+
+	// The embedded samples by name: c17's worst case and w64's partitioned
+	// analysis run on the shared parse.
+	for _, c := range []struct {
+		name, body string
+		req        exp.AnalysisRequest
+	}{
+		{"c17", `{"benchmark":"c17","analysis":"worstcase"}`,
+			exp.AnalysisRequest{Kind: exp.WorstCaseAnalysis}},
+		{"w64", `{"benchmark":"w64","analysis":"partitioned","options":{"max_inputs":16}}`,
+			exp.AnalysisRequest{Kind: exp.PartitionedAnalysis, MaxInputs: 16}},
+	} {
+		sample, err := circuit.EmbeddedBench(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := snapshotCircuit(sample)
+		src, err := os.ReadFile("../circuit/benchdata/" + c.name + ".bench")
+		if err != nil {
+			t.Fatal(err)
+		}
+		unshared, err := circuit.ParseBenchString(c.name, string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, code := postJob(t, ts.URL, c.body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: HTTP %d", c.body, code)
+		}
+		checkResultOn(sub.ID, unshared, c.req)
+		if !reflect.DeepEqual(snapshotCircuit(sample), before) {
+			t.Fatalf("a %s job changed the shared %s sample", c.req.Kind, c.name)
+		}
+	}
 }
 
-// A by-name load after the first is a registry lookup: no synthesis, no
-// allocation.
+// A by-name load after the first is a lookup: no synthesis, no parse, no
+// allocation, for an FSM surrogate and an embedded .bench sample alike.
 func TestByNameLoadAllocs(t *testing.T) {
-	ref := &CircuitRef{Benchmark: "bbara"}
-	if _, err := loadSubmittedCircuit(ref); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for _, name := range []string{"bbara", "w64"} {
+		ref := &CircuitRef{Benchmark: name}
 		if _, err := loadSubmittedCircuit(ref); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("a by-name load allocates %.0f times, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := loadSubmittedCircuit(ref); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("a by-name load of %s allocates %.0f times, want 0", name, allocs)
+		}
 	}
 }

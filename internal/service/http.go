@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"strings"
 
 	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
@@ -452,18 +451,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 func loadSubmittedCircuit(sub *CircuitRef) (*circuit.Circuit, error) {
 	switch {
 	case sub.Benchmark != "" && sub.Source == "":
-		if b, ok := bench.ByName(sub.Benchmark); ok {
-			r, err := b.SynthesizeDefault()
-			if err != nil {
-				return nil, err
-			}
-			return r.Circuit, nil
-		}
-		if c, err := circuit.EmbeddedBench(sub.Benchmark); err == nil {
-			return c, nil
-		}
-		return nil, fmt.Errorf("unknown benchmark %q (known: %s %s)", sub.Benchmark,
-			strings.Join(bench.Names(), " "), strings.Join(circuit.EmbeddedBenchNames(), " "))
+		return bench.CircuitByName(sub.Benchmark)
 	case sub.Source != "" && sub.Benchmark == "":
 		name := sub.Name
 		if name == "" {

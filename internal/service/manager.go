@@ -69,7 +69,7 @@ type Config struct {
 	// never closes the store; its owner does.
 	Store *store.Store
 	// DefaultFaultModel is the fault model filled into submissions that
-	// name none ("" = the registry default). Callers validate the ID with
+	// name none ("" = fault.DefaultModelID). Callers validate the ID with
 	// fault.Resolve before constructing the manager; requests naming their
 	// own model are unaffected.
 	DefaultFaultModel string

@@ -32,7 +32,7 @@ func embeddedCircuits(t *testing.T, maxInputs int) []*circuit.Circuit {
 	return out
 }
 
-// buildDefault runs the default model's registered builder over every
+// buildDefault runs the default model's T-set builder over every
 // target and candidate bridge of e's circuit.
 func buildDefault(t *testing.T, e *Exhaustive) (targets, bridges []fault.Descriptor, ts *TSets) {
 	t.Helper()
@@ -100,7 +100,7 @@ func TestStuckAtClassesShareTSets(t *testing.T) {
 		circuits = append(circuits, randomCircuit(t, rng, 4+rng.Intn(5), 8+rng.Intn(30)))
 	}
 	for _, c := range circuits {
-		e, err := Run(c)
+		e, err := RunWorkers(c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

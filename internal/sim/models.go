@@ -2,18 +2,16 @@ package sim
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"ndetect/internal/bitset"
 	"ndetect/internal/fault"
 )
 
-// The semantic half of the fault-model registry: per model ID, the
-// function that turns the model's enumerated descriptors into detection
-// bitsets against the compiled engine. The structural half (enumeration,
-// naming) lives in package fault, which cannot import the engine; the
-// shared ID ties the halves together (DESIGN.md §12).
+// The semantic half of the fault models: per model ID, the function that
+// turns the model's enumerated descriptors into detection bitsets against
+// the compiled engine. The structural half (enumeration, naming) lives in
+// package fault, which cannot import the engine; the shared ID ties the
+// halves together (DESIGN.md §12).
 
 // TSets is what a model's T-set builder hands back: the target T-sets and
 // the detectable untargeted faults with theirs, materialized or factored.
@@ -39,34 +37,18 @@ type TSets struct {
 type ModelTSets func(e *Exhaustive, targets, untargeted []fault.Descriptor,
 	step func(stage string)) (*TSets, error)
 
-var (
-	buildersMu sync.RWMutex
-	builders   = map[string]ModelTSets{}
-)
-
-// RegisterModelTSets registers the T-set builder for a model ID.
-func RegisterModelTSets(id string, b ModelTSets) {
-	buildersMu.Lock()
-	defer buildersMu.Unlock()
-	if _, dup := builders[id]; dup {
-		panic(fmt.Sprintf("sim: T-set builder for model %q registered twice", id))
-	}
-	builders[id] = b
-}
-
-// ModelTSetsFor returns the T-set builder registered for a model ID.
+// ModelTSetsFor returns the T-set builder of a model ID, one per model
+// fault.ModelIDs lists.
 func ModelTSetsFor(id string) (ModelTSets, error) {
-	buildersMu.RLock()
-	defer buildersMu.RUnlock()
-	if b, ok := builders[id]; ok {
-		return b, nil
+	switch id {
+	case fault.DefaultModelID:
+		return defaultModelTSets, nil
+	case "transition":
+		return transitionModelTSets, nil
+	case "msa2":
+		return msa2ModelTSets, nil
 	}
-	ids := make([]string, 0, len(builders))
-	for k := range builders {
-		ids = append(ids, k)
-	}
-	sort.Strings(ids)
-	return nil, fmt.Errorf("sim: no T-set builder registered for fault model %q (have %v)", id, ids)
+	return nil, fmt.Errorf("sim: no T-set builder for fault model %q (have %v)", id, fault.ModelIDs())
 }
 
 // toStuckAt unpacks stuck-at-shaped descriptors.
@@ -136,9 +118,3 @@ func defaultModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 
 // factorChunk is the detectability check's fan-out unit, in bridges.
 const factorChunk = 4096
-
-func init() {
-	RegisterModelTSets(fault.DefaultModelID, defaultModelTSets)
-	RegisterModelTSets("transition", transitionModelTSets)
-	RegisterModelTSets("msa2", msa2ModelTSets)
-}

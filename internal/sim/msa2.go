@@ -12,14 +12,15 @@ import (
 // every pair of collapsed stuck-at faults on distinct lines, both present
 // at once. Pair detection is computed exactly, with no single-fault
 // approximation: both sites are forced to their stuck values across a
-// whole word block (engine.RunForced on the union fanout cone compiled by
-// ConeCompiler.Compile), and a vector detects the pair iff any reachable output
-// disagrees with the good machine — which accounts for masking between
-// the two faults, the phenomenon that makes the model interesting.
+// whole word block (engine.ConeExec.PropForcedInto on the union fanout
+// cone compiled by ConeCompiler.Compile), and a vector detects the pair iff
+// any reachable output disagrees with the good machine — which accounts
+// for masking between the two faults, the phenomenon that makes the model
+// interesting.
 // Targets are the ordinary collapsed stuck-at faults over the same
 // single-vector space, so Definition 2 still applies.
 
-// msa2ModelTSets is the registered T-set builder for model ID "msa2".
+// msa2ModelTSets is the T-set builder for model ID "msa2".
 func msa2ModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 	step func(stage string)) (*TSets, error) {
 	if err := CheckResultBudget(e.Circuit, len(targets)+len(untargeted)); err != nil {

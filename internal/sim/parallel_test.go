@@ -83,28 +83,22 @@ func TestSplitWorkers(t *testing.T) {
 }
 
 // TestRunWorkersDeterministic checks the central contract of the streaming
-// engine: block-parallel value materialization and T-set construction
+// engine: block-parallel good-machine values and T-set construction
 // produce byte-identical results for every worker count, on a circuit large
 // enough (16 inputs → 1024 words) that block sharding actually engages.
 func TestRunWorkersDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	c := randomCircuit(t, rng, 16, 60)
 
-	r1, err := RunRetained(c, 1)
-	if err != nil {
-		t.Fatalf("RunRetained(1): %v", err)
-	}
+	v1 := nodeValues(t, c, 1)
 	e1, err := RunWorkers(c, 1)
 	if err != nil {
 		t.Fatalf("RunWorkers(1): %v", err)
 	}
 	for _, workers := range []int{2, 8} {
-		rN, err := RunRetained(c, workers)
-		if err != nil {
-			t.Fatalf("RunRetained(%d): %v", workers, err)
-		}
-		for id := range r1.Values {
-			if !r1.Values[id].Equal(rN.Values[id]) {
+		vN := nodeValues(t, c, workers)
+		for id := range v1 {
+			if !v1[id].Equal(vN[id]) {
 				t.Fatalf("workers=%d: node %d values differ from serial", workers, id)
 			}
 		}
@@ -128,22 +122,16 @@ func TestRunWorkersDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunMatchesRunWorkersSerial pins RunRetained (auto worker count) to
-// the serial reference on the small shared test circuit, where block
-// sharding never engages but the fault-level pools do.
+// TestRunMatchesRunWorkersSerial pins the good-machine values at the auto
+// worker count to the serial reference on the small shared test circuit,
+// where block sharding never engages.
 func TestRunMatchesRunWorkersSerial(t *testing.T) {
 	c := testCircuit(t)
-	a, err := RunRetained(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunRetained(c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range a.Values {
-		if !a.Values[id].Equal(b.Values[id]) {
-			t.Fatalf("node %d: RunRetained(0) and RunRetained(1) disagree", id)
+	a := nodeValues(t, c, 0)
+	b := nodeValues(t, c, 1)
+	for id := range a {
+		if !a[id].Equal(b[id]) {
+			t.Fatalf("node %d: workers 0 and 1 disagree", id)
 		}
 	}
 }

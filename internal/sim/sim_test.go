@@ -7,9 +7,26 @@ import (
 	"strconv"
 	"testing"
 
+	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
 )
+
+// nodeValues returns every node's good-machine value set over U, the i-th
+// holding the vectors where node i is 1, from goodColumns: the same
+// streamBlocks pass production runs for the bridge dominants' columns.
+func nodeValues(t *testing.T, c *circuit.Circuit, workers int) []*bitset.Set {
+	t.Helper()
+	e, err := RunWorkers(c, workers)
+	if err != nil {
+		t.Fatalf("RunWorkers: %v", err)
+	}
+	nodes := make([]int32, c.NumNodes())
+	for i := range nodes {
+		nodes[i] = int32(i)
+	}
+	return e.goodColumns(nodes).One
+}
 
 // testCircuit builds the 4-input example used across the sim tests:
 // f = (i1∧i2) ∨ (i2∧i3∧i4), plus a second output h = ¬(i3∧i4).
@@ -74,14 +91,11 @@ func randomCircuit(t *testing.T, rng *rand.Rand, inputs, gates int) *circuit.Cir
 
 func TestRunMatchesScalarEval(t *testing.T) {
 	c := testCircuit(t)
-	e, err := RunRetained(c, 0)
-	if err != nil {
-		t.Fatalf("RunRetained: %v", err)
-	}
+	values := nodeValues(t, c, 0)
 	for v := 0; v < c.VectorSpaceSize(); v++ {
 		want := c.Eval(uint64(v))
 		for id := range c.Nodes {
-			if got := e.Value(id, v); got != want[id] {
+			if got := values[id].Contains(v); got != want[id] {
 				t.Fatalf("node %s at v=%d: parallel %v, scalar %v", c.Node(id).Name, v, got, want[id])
 			}
 		}
@@ -92,14 +106,11 @@ func TestRunMatchesScalarEvalRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		c := randomCircuit(t, rng, 3+rng.Intn(6), 5+rng.Intn(25))
-		e, err := RunRetained(c, 0)
-		if err != nil {
-			t.Fatalf("RunRetained: %v", err)
-		}
+		values := nodeValues(t, c, 0)
 		for v := 0; v < c.VectorSpaceSize(); v++ {
 			want := c.Eval(uint64(v))
 			for id := range c.Nodes {
-				if got := e.Value(id, v); got != want[id] {
+				if got := values[id].Contains(v); got != want[id] {
 					t.Fatalf("trial %d node %d v=%d: parallel %v scalar %v", trial, id, v, got, want[id])
 				}
 			}
@@ -120,14 +131,14 @@ func TestRunRejectsWideCircuits(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if _, err := Run(c); err == nil {
+	if _, err := RunWorkers(c, 0); err == nil {
 		t.Fatalf("Run accepted a %d-input circuit", MaxInputs+2)
 	}
 }
 
 func TestStuckAtTSetsMatchNaive(t *testing.T) {
 	c := testCircuit(t)
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -145,7 +156,7 @@ func TestStuckAtTSetsMatchNaiveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 10; trial++ {
 		c := randomCircuit(t, rng, 4+rng.Intn(4), 8+rng.Intn(15))
-		e, err := Run(c)
+		e, err := RunWorkers(c, 0)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -174,7 +185,7 @@ func TestBridgeTSetsMatchNaive(t *testing.T) {
 	}
 	circuits = append(circuits, embeddedCircuits(t, 8)...)
 	for _, c := range circuits {
-		e, err := Run(c)
+		e, err := RunWorkers(c, 0)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -224,7 +235,7 @@ func TestKnownTSets(t *testing.T) {
 	// g12... the stem i3 fans out). Check a stem fault instead: output g11
 	// stuck-at-0 is detected wherever g11=1.
 	c := testCircuit(t)
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -260,46 +271,23 @@ func TestPropMaskOfUnobservableNode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	un, _ := c.NodeByName("unused")
-	if !e.PropMask(un.ID).IsEmpty() {
+	if !e.propMasks([]int{un.ID})[un.ID].IsEmpty() {
 		t.Fatal("unobservable node has non-empty prop mask")
 	}
 }
 
 func TestNaiveExhaustiveMatchesRun(t *testing.T) {
 	c := testCircuit(t)
-	e, _ := RunRetained(c, 0)
+	values := nodeValues(t, c, 0)
 	naive := NaiveExhaustive(c)
 	for id := range c.Nodes {
-		if !e.Values[id].Equal(naive[id]) {
+		if !values[id].Equal(naive[id]) {
 			t.Fatalf("node %d differs", id)
-		}
-	}
-}
-
-func TestOutputVectors(t *testing.T) {
-	c := testCircuit(t)
-	// Both the retained fast path and the streaming output-directed path
-	// must agree with the scalar reference.
-	retained, _ := RunRetained(c, 0)
-	streaming, _ := Run(c)
-	for name, e := range map[string]*Exhaustive{"retained": retained, "streaming": streaming} {
-		outs, err := e.OutputVectors()
-		if err != nil {
-			t.Fatalf("%s: OutputVectors: %v", name, err)
-		}
-		if len(outs) != 2 {
-			t.Fatalf("%s: outputs = %d", name, len(outs))
-		}
-		for v := 0; v < 16; v++ {
-			want := c.OutputsOf(c.Eval(uint64(v)))
-			if outs[0].Contains(v) != want[0] || outs[1].Contains(v) != want[1] {
-				t.Fatalf("%s: OutputVectors wrong at %d", name, v)
-			}
 		}
 	}
 }
@@ -476,7 +464,22 @@ func TestEngineBudgetCheck(t *testing.T) {
 	if err := CheckResultBudget(c, 100); err == nil {
 		t.Fatal("100 sets × 128 KiB passed a 1 MiB budget")
 	}
-	if _, err := RunRetained(c, 1); err == nil {
-		t.Fatal("RunRetained materialized past the budget")
+	// A production T-set builder refuses before it allocates a set.
+	e, err := RunWorkers(c, 1)
+	if err != nil {
+		t.Fatalf("RunWorkers: %v", err)
+	}
+	m := fault.Default()
+	build, err := ModelTSetsFor(m.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := fault.EnumerateSet(m, c, fault.TargetSet)
+	untargeted := fault.EnumerateSet(m, c, fault.UntargetedSet)
+	if err := CheckResultBudget(c, len(targets)); err == nil {
+		t.Fatalf("%d target sets fit the budget; the check below proves nothing", len(targets))
+	}
+	if _, err := build(e, targets, untargeted, func(string) {}); err == nil {
+		t.Fatal("the default model's T-set builder materialized past the budget")
 	}
 }

@@ -3,12 +3,48 @@ package sim
 import (
 	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 
+	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
+	"ndetect/internal/engine"
 	"ndetect/internal/fault"
 )
+
+// propMasks computes, for each of a set of lines, the line's propagation
+// mask: the set of vectors at which flipping that line's value changes at
+// least one primary output. A fault whose only effect is "line id takes
+// the opposite of its good value" — which covers both a stuck-at fault at
+// its activation vectors and a dominance bridge at its activation vectors
+// — is detected exactly on (activation ∩ mask).
+//
+// The masks are computed by streaming U in word blocks through streamLines,
+// the kernel behind StuckAtTSets: per block, the good machine is evaluated
+// once and each line's compiled fanout cone is replayed against the
+// flipped value. IDs are deduplicated and the result is keyed by node ID.
+// The streaming runs on e.Workers workers — lines fan out for small
+// universes, blocks for large ones — and every schedule writes the same
+// words, so the result is identical for any worker count.
+func (e *Exhaustive) propMasks(ids []int) map[int]*bitset.Set {
+	uniq := append([]int(nil), ids...)
+	sort.Ints(uniq)
+	uniq = slices.Compact(uniq)
+
+	size := e.Circuit.VectorSpaceSize()
+	sets := bitset.NewBatch(size, len(uniq))
+	e.streamLines(uniq, func(li, lo int, prop []uint64, _ *engine.Exec) {
+		sets[li].SetRange(lo, prop)
+	})
+
+	out := make(map[int]*bitset.Set, len(uniq))
+	for i, id := range uniq {
+		out[id] = sets[i]
+	}
+	return out
+}
 
 // saturationCircuit builds a circuit engineered so that cone replay
 // saturates on its first output segment: s = AND(x0,x1) feeds o1 =
@@ -72,8 +108,8 @@ func TestSaturationDroppingDeterministic(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	m1 := e1.PropMasks(ids)
-	m8 := e8.PropMasks(ids)
+	m1 := e1.propMasks(ids)
+	m8 := e8.propMasks(ids)
 	for _, id := range ids {
 		if !m1[id].Equal(m8[id]) {
 			t.Fatalf("node %d: prop masks differ between 1 and 8 workers", id)

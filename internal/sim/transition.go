@@ -35,8 +35,7 @@ import (
 // sim.MemoryBudget (CheckSpaceBudget) before anything is allocated; wide
 // circuits are rejected with that budget error.
 
-// transitionModelTSets is the registered T-set builder for model ID
-// "transition".
+// transitionModelTSets is the T-set builder for model ID "transition".
 func transitionModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 	step func(stage string)) (*TSets, error) {
 	c := e.Circuit

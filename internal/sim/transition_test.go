@@ -17,7 +17,7 @@ func embeddedCircuit(t *testing.T, name string) *circuit.Circuit {
 	return c
 }
 
-// buildModelTSets runs the registered T-set builder for a model against c,
+// buildModelTSets runs the T-set builder of a model against c,
 // exactly as BuildUniverse would: descriptors from the structural half,
 // bitsets from the semantic half.
 func buildModelTSets(t *testing.T, c *circuit.Circuit, id string) (fault.Model, []*bitset.Set, []*bitset.Set, []fault.Descriptor) {
@@ -30,7 +30,7 @@ func buildModelTSets(t *testing.T, c *circuit.Circuit, id string) (fault.Model, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

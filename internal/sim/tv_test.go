@@ -125,7 +125,7 @@ func TestDetectsTVFullySpecified(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 8; trial++ {
 		c := randomCircuit(t, rng, 4, 8+rng.Intn(10))
-		e, err := Run(c)
+		e, err := RunWorkers(c, 0)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -149,7 +149,7 @@ func TestDetectsTVFullySpecified(t *testing.T) {
 func TestDetectsTVPartialIsConservative(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	c := randomCircuit(t, rng, 5, 15)
-	e, err := Run(c)
+	e, err := RunWorkers(c, 0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -22,7 +22,7 @@ func c17Universe(t *testing.T) (*circuit.Circuit, *ndetect.CircuitUniverse) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := ndetect.FromCircuit(c)
+	u, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAssembleUniverseNamesMatchPerFault(t *testing.T) {
 	}
 	for _, c := range circuits {
 		for _, id := range fault.ModelIDs() {
-			m, _ := fault.Lookup(id)
+			m, _ := fault.Resolve(id)
 			u, err := ndetect.BuildUniverse(c, m, ndetect.AnalyzeOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)

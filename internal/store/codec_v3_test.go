@@ -69,7 +69,7 @@ func sameFaultWords(t *testing.T, what string, got, want *ndetect.CircuitUnivers
 func TestUniverseCodecV3RoundTripAllModels(t *testing.T) {
 	for _, c := range codecCircuits(t) {
 		for _, id := range fault.ModelIDs() {
-			m, _ := fault.Lookup(id)
+			m, _ := fault.Resolve(id)
 			u, err := ndetect.BuildUniverse(c, m, ndetect.AnalyzeOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
@@ -129,7 +129,7 @@ func encodeUniverseV2(u *ndetect.CircuitUniverse) []byte {
 // factored universe.
 func TestUniverseCodecV2Rebuilds(t *testing.T) {
 	for _, c := range codecCircuits(t) {
-		u, err := ndetect.FromCircuitWorkers(c, 1)
+		u, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func rejectedAndRebuilt(t *testing.T, what string, c *circuit.Circuit, artifact 
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	fresh, err := ndetect.FromCircuitWorkers(c, 1)
+	fresh, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestUniverseCodecV3WorstCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range append(circuits, c) {
-		u, err := ndetect.FromCircuitWorkers(c, 1)
+		u, err := ndetect.BuildUniverse(c, fault.Default(), ndetect.AnalyzeOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

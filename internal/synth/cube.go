@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 )
 
 // Cube is a product term over up to 64 variables: bit v of Care is set when
@@ -47,40 +46,13 @@ func NewCube(s string) (Cube, error) {
 	return c, nil
 }
 
-// String renders the cube MSB-first over width variables.
-func (c Cube) String(width int) string {
-	buf := make([]byte, width)
-	for i := 0; i < width; i++ {
-		v := uint(width - 1 - i)
-		switch {
-		case c.Care&(1<<v) == 0:
-			buf[i] = '-'
-		case c.Val&(1<<v) != 0:
-			buf[i] = '1'
-		default:
-			buf[i] = '0'
-		}
-	}
-	return string(buf)
-}
-
 // NumLiterals returns the number of specified variables.
 func (c Cube) NumLiterals() int { return bits.OnesCount64(c.Care) }
-
-// Matches reports whether the fully specified assignment a (bit v = variable
-// v) is in the cube.
-func (c Cube) Matches(a uint64) bool { return a&c.Care == c.Val }
 
 // Covers reports whether every minterm of d is a minterm of c.
 func (c Cube) Covers(d Cube) bool {
 	// c covers d iff c's specified variables are a subset of d's and agree.
 	return c.Care&^d.Care == 0 && d.Val&c.Care == c.Val
-}
-
-// Overlaps reports whether c and d share at least one minterm.
-func (c Cube) Overlaps(d Cube) bool {
-	common := c.Care & d.Care
-	return c.Val&common == d.Val&common
 }
 
 // TryMerge merges two cubes that have identical care sets and differ in
@@ -98,16 +70,6 @@ func (c Cube) TryMerge(d Cube) (Cube, bool) {
 
 // Cover is a sum-of-products: a disjunction of cubes.
 type Cover []Cube
-
-// Matches reports whether assignment a satisfies any cube of the cover.
-func (cv Cover) Matches(a uint64) bool {
-	for _, c := range cv {
-		if c.Matches(a) {
-			return true
-		}
-	}
-	return false
-}
 
 // Reduce returns an equivalent, usually smaller cover: duplicate and
 // contained cubes are dropped and distance-1 adjacent cubes are merged,
@@ -178,25 +140,4 @@ func (cv Cover) Reduce() Cover {
 			return cur
 		}
 	}
-}
-
-// Equivalent reports whether two covers have the same onset over width
-// variables, by exhaustive enumeration (width must be small; used in tests
-// and assertions).
-func (cv Cover) Equivalent(other Cover, width int) bool {
-	for a := uint64(0); a < 1<<uint(width); a++ {
-		if cv.Matches(a) != other.Matches(a) {
-			return false
-		}
-	}
-	return true
-}
-
-// coverString renders the cover for diagnostics.
-func (cv Cover) coverString(width int) string {
-	parts := make([]string, len(cv))
-	for i, c := range cv {
-		parts[i] = c.String(width)
-	}
-	return strings.Join(parts, " + ")
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -18,7 +19,7 @@ func mustCube(t *testing.T, s string) Cube {
 func TestNewCubeAndString(t *testing.T) {
 	for _, s := range []string{"01-", "----", "1", "0", "10-01"} {
 		c := mustCube(t, s)
-		if got := c.String(len(s)); got != s {
+		if got := c.format(len(s)); got != s {
 			t.Fatalf("round trip %q → %q", s, got)
 		}
 	}
@@ -36,8 +37,8 @@ func TestCubeMatches(t *testing.T) {
 		{0b100, true}, {0b110, true}, {0b101, false}, {0b000, false},
 	}
 	for _, tc := range cases {
-		if got := c.Matches(tc.a); got != tc.want {
-			t.Errorf("Matches(%03b) = %v, want %v", tc.a, got, tc.want)
+		if got := c.matches(tc.a); got != tc.want {
+			t.Errorf("matches(%03b) = %v, want %v", tc.a, got, tc.want)
 		}
 	}
 }
@@ -60,18 +61,6 @@ func TestCovers(t *testing.T) {
 	}
 }
 
-func TestOverlaps(t *testing.T) {
-	a := mustCube(t, "1-0")
-	b := mustCube(t, "-10")
-	if !a.Overlaps(b) { // 110 is common
-		t.Fatal("1-0 and -10 overlap at 110")
-	}
-	c := mustCube(t, "0--")
-	if a.Overlaps(c) {
-		t.Fatal("1-0 and 0-- are disjoint")
-	}
-}
-
 func TestTryMerge(t *testing.T) {
 	a := mustCube(t, "10-")
 	b := mustCube(t, "00-")
@@ -79,7 +68,7 @@ func TestTryMerge(t *testing.T) {
 	if !ok {
 		t.Fatal("10- and 00- must merge")
 	}
-	if got := m.String(3); got != "-0-" {
+	if got := m.format(3); got != "-0-" {
 		t.Fatalf("merge = %q, want -0-", got)
 	}
 	// Different care sets: no merge.
@@ -90,6 +79,57 @@ func TestTryMerge(t *testing.T) {
 	if _, ok := mustCube(t, "11-").TryMerge(mustCube(t, "00-")); ok {
 		t.Fatal("distance-2 cubes merged")
 	}
+}
+
+// format renders the cube MSB-first over width variables.
+func (c Cube) format(width int) string {
+	buf := make([]byte, width)
+	for i := 0; i < width; i++ {
+		v := uint(width - 1 - i)
+		switch {
+		case c.Care&(1<<v) == 0:
+			buf[i] = '-'
+		case c.Val&(1<<v) != 0:
+			buf[i] = '1'
+		default:
+			buf[i] = '0'
+		}
+	}
+	return string(buf)
+}
+
+// matches reports whether the fully specified assignment a (bit v =
+// variable v) is in the cube.
+func (c Cube) matches(a uint64) bool { return a&c.Care == c.Val }
+
+// matches reports whether assignment a satisfies any cube of the cover.
+func (cv Cover) matches(a uint64) bool {
+	for _, c := range cv {
+		if c.matches(a) {
+			return true
+		}
+	}
+	return false
+}
+
+// equivalent reports whether two covers have the same onset over width
+// variables, by exhaustive enumeration (width must be small).
+func (cv Cover) equivalent(other Cover, width int) bool {
+	for a := uint64(0); a < 1<<uint(width); a++ {
+		if cv.matches(a) != other.matches(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// coverString renders the cover for diagnostics.
+func (cv Cover) coverString(width int) string {
+	parts := make([]string, len(cv))
+	for i, c := range cv {
+		parts[i] = c.format(width)
+	}
+	return strings.Join(parts, " + ")
 }
 
 func TestReducePreservesOnset(t *testing.T) {
@@ -110,7 +150,7 @@ func TestReducePreservesOnset(t *testing.T) {
 			cv = append(cv, c)
 		}
 		red := cv.Reduce()
-		if !cv.Equivalent(red, width) {
+		if !cv.equivalent(red, width) {
 			t.Fatalf("trial %d: Reduce changed the onset:\n  in:  %s\n  out: %s",
 				trial, cv.coverString(width), red.coverString(width))
 		}
@@ -126,7 +166,7 @@ func TestReduceMergesAdjacent(t *testing.T) {
 	if len(red) != 1 {
 		t.Fatalf("Reduce produced %d cubes (%s), want 1 (0--)", len(red), red.coverString(3))
 	}
-	if got := red[0].String(3); got != "0--" {
+	if got := red[0].format(3); got != "0--" {
 		t.Fatalf("Reduce = %q, want 0--", got)
 	}
 }
@@ -134,7 +174,7 @@ func TestReduceMergesAdjacent(t *testing.T) {
 func TestReduceDropsContained(t *testing.T) {
 	cv := Cover{mustCube(t, "1--"), mustCube(t, "10-"), mustCube(t, "101")}
 	red := cv.Reduce()
-	if len(red) != 1 || red[0].String(3) != "1--" {
+	if len(red) != 1 || red[0].format(3) != "1--" {
 		t.Fatalf("Reduce = %s, want just 1--", red.coverString(3))
 	}
 }
@@ -147,21 +187,9 @@ func TestReduceEmptyCover(t *testing.T) {
 }
 
 func TestQuickCoverProperties(t *testing.T) {
-	// Covers implies Overlaps (for non-empty cubes, which ours always are —
-	// care/val normalization cannot express an empty cube).
 	mk := func(care, val uint64) Cube {
 		care &= 0xff
 		return Cube{Care: care, Val: val & care}
-	}
-	coversImpliesOverlaps := func(c1, v1, c2, v2 uint64) bool {
-		a, b := mk(c1, v1), mk(c2, v2)
-		if a.Covers(b) {
-			return a.Overlaps(b)
-		}
-		return true
-	}
-	if err := quick.Check(coversImpliesOverlaps, nil); err != nil {
-		t.Error(err)
 	}
 
 	// Covers agrees with exhaustive minterm containment over 8 variables.
@@ -169,7 +197,7 @@ func TestQuickCoverProperties(t *testing.T) {
 		a, b := mk(c1, v1), mk(c2, v2)
 		want := true
 		for x := uint64(0); x < 256; x++ {
-			if b.Matches(x) && !a.Matches(x) {
+			if b.matches(x) && !a.matches(x) {
 				want = false
 				break
 			}
@@ -177,22 +205,6 @@ func TestQuickCoverProperties(t *testing.T) {
 		return a.Covers(b) == want
 	}
 	if err := quick.Check(coversIsContainment, nil); err != nil {
-		t.Error(err)
-	}
-
-	// Overlaps agrees with exhaustive check.
-	overlapsIsIntersection := func(c1, v1, c2, v2 uint64) bool {
-		a, b := mk(c1, v1), mk(c2, v2)
-		want := false
-		for x := uint64(0); x < 256; x++ {
-			if a.Matches(x) && b.Matches(x) {
-				want = true
-				break
-			}
-		}
-		return a.Overlaps(b) == want
-	}
-	if err := quick.Check(overlapsIsIntersection, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -17,7 +17,7 @@
 // # Quick start
 //
 //	c, _ := ndetect.ParseNetlist(netlistText)
-//	u, _ := ndetect.Analyze(c)
+//	u, _ := ndetect.Analyze(c, "", ndetect.AnalyzeOptions{})
 //	wc := ndetect.WorstCase(&u.Universe)
 //	fmt.Println(wc.CoverageAt(10)) // fraction of G guaranteed by any 10-detection set
 //
@@ -89,8 +89,10 @@ type (
 	// Progress observes coarse stage transitions of a long-running
 	// analysis (stage name, done, total). It never influences results.
 	Progress = core.Progress
-	// AnalyzeOptions configures AnalyzeWith: a worker budget and an
-	// optional progress hook, neither part of the result identity.
+	// AnalyzeOptions configures Analyze: a worker budget (0 = one worker
+	// per CPU, 1 = the serial path) and an optional progress hook
+	// observing the construction stages. Neither is part of the result
+	// identity: the universe built is the same for every setting.
 	AnalyzeOptions = core.AnalyzeOptions
 	// Procedure1Result holds detection statistics over the K runs.
 	Procedure1Result = core.Procedure1Result
@@ -150,7 +152,9 @@ func ReadBench(name string, r io.Reader) (*Circuit, error) { return circuit.Pars
 // and the 64-input partition workload w64).
 func EmbeddedBenchNames() []string { return circuit.EmbeddedBenchNames() }
 
-// EmbeddedBenchCircuit parses one embedded .bench sample by name.
+// EmbeddedBenchCircuit returns one embedded .bench sample by name. Each
+// sample is parsed once per process and the circuit is shared: treat it as
+// read-only.
 func EmbeddedBenchCircuit(name string) (*Circuit, error) { return circuit.EmbeddedBench(name) }
 
 // ParseKISS2 reads a KISS2 finite-state machine.
@@ -164,57 +168,38 @@ func Synthesize(m *STG, opts SynthOptions) (*SynthResult, error) {
 	return synth.Synthesize(m, opts)
 }
 
-// Analyze builds the paper's experimental setup for a circuit: F = collapsed
-// stuck-at faults, G = detectable non-feedback four-way bridging faults
-// between outputs of multi-input gates, with all T-sets computed by
-// streaming the exhaustive input space in word blocks through the compiled
-// circuit (one worker per CPU; see AnalyzeParallel). Circuits are accepted
-// up to MaxExhaustiveInputs inputs, subject to the result-memory budget
-// check described in DESIGN.md §9.
-func Analyze(c *Circuit) (*CircuitUniverse, error) { return core.FromCircuit(c) }
-
-// AnalyzeParallel is Analyze with an explicit worker count for the
-// exhaustive simulation and T-set construction: 0 means one worker per CPU,
-// 1 forces the serial path. The universe built is identical for every
-// worker count; only wall-clock time changes. See DESIGN.md §5.
-func AnalyzeParallel(c *Circuit, workers int) (*CircuitUniverse, error) {
-	return core.FromCircuitWorkers(c, workers)
-}
-
-// AnalyzeWith is Analyze with explicit options: a worker budget and an
-// optional progress hook observing the construction stages (simulate,
-// stuck-at T-sets, bridge T-sets). Long-lived callers — the ndetectd
-// serving layer is one — use the hook for live job status; it never
-// changes the universe built.
-func AnalyzeWith(c *Circuit, opts AnalyzeOptions) (*CircuitUniverse, error) {
-	return core.FromCircuitOptions(c, opts)
-}
-
-// FaultModels lists the registered fault-model IDs in sorted order. The
-// default model — the paper's setup, DefaultFaultModel — is always
-// present; "transition" (two-pattern transition faults) and "msa2"
-// (pairwise double stuck-at faults) ship with the package.
-func FaultModels() []string { return fault.ModelIDs() }
-
-// DefaultFaultModel is the registry's default model ID: collapsed single
-// stuck-at targets with four-way bridging untargeted faults, the paper's
-// experimental setup.
-const DefaultFaultModel = fault.DefaultModelID
-
-// AnalyzeModel is AnalyzeWith under an explicit fault model: the target
-// and untargeted sets — and the test-index space their T-sets range over
-// — come from the registered model instead of the paper's stuck-at +
-// bridging default ("" selects the default; see FaultModels). For the
-// "transition" model the universe indexes ordered two-pattern tests
-// (v1, v2) ∈ U×U, so Universe.Size is |U|²; Definition 2 requires single
-// stuck-at targets and is unavailable under models without them.
-func AnalyzeModel(c *Circuit, model string, opts AnalyzeOptions) (*CircuitUniverse, error) {
+// Analyze builds a circuit's analysis universe under a fault model ("",
+// DefaultFaultModel, selects the paper's setup: F = collapsed stuck-at
+// faults, G = detectable non-feedback four-way bridging faults between
+// outputs of multi-input gates; see FaultModels). All T-sets are computed
+// by streaming the exhaustive input space in word blocks through the
+// compiled circuit. Circuits are accepted up to MaxExhaustiveInputs
+// inputs, subject to the result-memory budget check described in
+// DESIGN.md §9.
+//
+// For the "transition" model the universe indexes ordered two-pattern
+// tests (v1, v2) ∈ U×U, so Universe.Size is |U|²; Definition 2 requires
+// single stuck-at targets and is unavailable under models without them.
+// opts sets the worker budget and an optional progress hook; the universe
+// built is identical for every worker count (DESIGN.md §5).
+func Analyze(c *Circuit, model string, opts AnalyzeOptions) (*CircuitUniverse, error) {
 	m, err := fault.Resolve(model)
 	if err != nil {
 		return nil, err
 	}
 	return core.BuildUniverse(c, m, opts)
 }
+
+// FaultModels lists the fault-model IDs in sorted order: the default
+// model — the paper's setup, DefaultFaultModel — plus "transition"
+// (two-pattern transition faults) and "msa2" (pairwise double stuck-at
+// faults).
+func FaultModels() []string { return fault.ModelIDs() }
+
+// DefaultFaultModel is the default model ID: collapsed single stuck-at
+// targets with four-way bridging untargeted faults, the paper's
+// experimental setup.
+const DefaultFaultModel = fault.DefaultModelID
 
 // StuckAtCollapseRatio reports the fault-collapsing ratio for a circuit:
 // collapsed stuck-at faults over the uncollapsed 2·(number of lines)
@@ -224,14 +209,7 @@ func StuckAtCollapseRatio(c *Circuit) float64 { return fault.CollapseRatio(c) }
 
 // WorstCase runs the paper's Section 2 analysis: nmin(g) for every
 // untargeted fault, with one worker per CPU.
-func WorstCase(u *Universe) *WorstCaseResult { return core.WorstCase(u) }
-
-// WorstCaseWorkers is WorstCase with an explicit worker bound (0 = one per
-// CPU, 1 = the exact serial path). The result is identical for every
-// worker count.
-func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
-	return core.WorstCaseWorkers(u, workers)
-}
+func WorstCase(u *Universe) *WorstCaseResult { return core.WorstCaseWorkers(u, 0) }
 
 // NMin computes nmin(g) for a single fault against a target set.
 func NMin(g Fault, targets []Fault) int { return core.NMin(g, targets) }
@@ -283,7 +261,7 @@ func LoadBenchmark(name string) (*CircuitUniverse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.FromCircuit(r.Circuit)
+	return core.BuildUniverse(r.Circuit, fault.Default(), AnalyzeOptions{})
 }
 
 // GenerateCompact builds a compact n-detection test set deterministically:

@@ -1,6 +1,7 @@
 package ndetect
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestFacadeBuilderFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	u, err := Analyze(c)
+	u, err := Analyze(c, "", AnalyzeOptions{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -41,6 +42,45 @@ func TestFacadeBuilderFlow(t *testing.T) {
 				t.Fatalf("fault %d guaranteed at n=%d but d=%d < K", j, n, res.Detected[n-1][j])
 			}
 		}
+	}
+}
+
+// TestFacadeAnalyzeModelAndOptions drives the one Analyze with a model, a
+// worker budget and a progress hook: "" is the default model, the hook
+// sees every construction stage, the universe does not depend on the
+// worker count, and an unknown model fails by name.
+func TestFacadeAnalyzeModelAndOptions(t *testing.T) {
+	c, err := EmbeddedBenchCircuit("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range append([]string{""}, FaultModels()...) {
+		var stages []string
+		hook := func(stage string, done, total int) { stages = append(stages, stage) }
+		u, err := Analyze(c, model, AnalyzeOptions{Workers: 1, Progress: hook})
+		if err != nil {
+			t.Fatalf("Analyze(%q): %v", model, err)
+		}
+		want := model
+		if want == "" {
+			want = DefaultFaultModel
+		}
+		if u.Model.ID() != want {
+			t.Fatalf("Analyze(%q) built model %s", model, u.Model.ID())
+		}
+		if len(stages) != 4 || stages[0] != "simulate" || stages[3] != "universe" {
+			t.Fatalf("Analyze(%q) progress stages %v", model, stages)
+		}
+		par, err := Analyze(c, model, AnalyzeOptions{Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(WorstCase(&u.Universe).NMin, WorstCase(&par.Universe).NMin) {
+			t.Fatalf("Analyze(%q): worst case differs between 1 and 3 workers", model)
+		}
+	}
+	if _, err := Analyze(c, "nope", AnalyzeOptions{}); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("Analyze accepted an unknown model: %v", err)
 	}
 }
 
@@ -211,7 +251,7 @@ func TestFacadeAnalyzePartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EmbeddedBenchCircuit(w64): %v", err)
 	}
-	if _, err := Analyze(c); err == nil {
+	if _, err := Analyze(c, "", AnalyzeOptions{}); err == nil {
 		t.Fatal("Analyze accepted a 64-input circuit; MaxInputs guard gone")
 	}
 	res, err := AnalyzePartitioned(c, PartitionOptions{MaxInputs: 16}, 0)
@@ -220,10 +260,6 @@ func TestFacadeAnalyzePartitioned(t *testing.T) {
 	}
 	if len(res.Parts) < 2 || len(res.Merged) == 0 {
 		t.Fatalf("partitioned result too small: %d parts, %d merged faults", len(res.Parts), len(res.Merged))
-	}
-	wc := WorstCaseWorkers(&Universe{Size: 4, Targets: []Fault{}, Untargeted: []Fault{}}, 2)
-	if len(wc.NMin) != 0 {
-		t.Fatal("WorstCaseWorkers facade broken")
 	}
 }
 

@@ -312,14 +312,12 @@ func mustCircuit(b *testing.B, name string) *Circuit {
 }
 
 // BenchmarkEngineCompile measures lowering a circuit into the engine's
-// levelized instruction programs: the pinned analysis program plus the
-// output-directed program with register reuse.
+// levelized instruction program, register r holding node r.
 func BenchmarkEngineCompile(b *testing.B) {
 	c := mustCircuit(b, "bbara")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		engine.CompileAll(c)
-		engine.Compile(c, nil)
 	}
 }
 

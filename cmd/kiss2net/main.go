@@ -50,9 +50,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if err := m.CheckDeterministic(); err != nil {
-		fail(fmt.Errorf("machine is not deterministic: %w", err))
-	}
 
 	r, err := synth.Synthesize(m, synth.Options{
 		EncodingStyle: *encF,

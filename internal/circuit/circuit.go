@@ -186,28 +186,10 @@ func (c *Circuit) NodeByName(name string) (*Node, bool) {
 func (c *Circuit) TopoOrder() []int { return c.order }
 
 // LevelOrder returns node IDs sorted by (Level, ID): a topological order
-// that groups nodes into levels. It is the canonical instruction schedule
-// the engine compiler lowers to — all of a level's gates are contiguous, so
-// a levelized program walks the netlist front to back exactly once.
+// that groups nodes into levels. It is the instruction schedule of the
+// engine's one program (engine.CompileAll) — all of a level's gates are
+// contiguous, so the program walks the netlist front to back exactly once.
 func (c *Circuit) LevelOrder() []int { return c.levelOrder }
-
-// ConsumerCounts returns, for every node, the number of times its value is
-// read: once per gate input pin it drives plus once per primary-output
-// observation. The engine's register allocator retires a node's register
-// after its last read — the liveness information behind "live registers ≪
-// nodes" for output-directed programs.
-func (c *Circuit) ConsumerCounts() []int {
-	counts := make([]int, len(c.Nodes))
-	for _, n := range c.Nodes {
-		for _, f := range n.Fanin {
-			counts[f]++
-		}
-	}
-	for _, o := range c.Outputs {
-		counts[o]++
-	}
-	return counts
-}
 
 // MaxLevel returns the largest node level (circuit depth).
 func (c *Circuit) MaxLevel() int {

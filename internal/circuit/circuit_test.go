@@ -444,44 +444,3 @@ func TestLevelOrderIsLevelGroupedTopo(t *testing.T) {
 		seen[id] = true
 	}
 }
-
-func TestConsumerCounts(t *testing.T) {
-	b := NewBuilder("consumers")
-	b.Input("a")
-	b.Input("c")
-	b.Gate(And, "g1", "a", "c")
-	b.Gate(Or, "g2", "a", "c")
-	b.Output("g1")
-	b.Output("g2")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	counts := c.ConsumerCounts()
-	// Stems a and c each feed two branches; each branch feeds one gate pin;
-	// each gate output is observed once.
-	for _, name := range []string{"a", "c"} {
-		n, _ := c.NodeByName(name)
-		if counts[n.ID] != 2 {
-			t.Errorf("stem %s: %d consumers, want 2", name, counts[n.ID])
-		}
-	}
-	for _, name := range []string{"g1", "g2"} {
-		n, _ := c.NodeByName(name)
-		if counts[n.ID] != 1 {
-			t.Errorf("output gate %s: %d consumers, want 1", name, counts[n.ID])
-		}
-	}
-	total := 0
-	for _, n := range c.Nodes {
-		total += len(n.Fanin)
-	}
-	total += c.NumOutputs()
-	sum := 0
-	for _, v := range counts {
-		sum += v
-	}
-	if sum != total {
-		t.Errorf("consumer counts sum %d, want %d (fanin edges + outputs)", sum, total)
-	}
-}

@@ -9,10 +9,10 @@ import (
 
 // ConeProgram is the compiled fanout cone of one line: the instructions
 // that replay the circuit downstream of the line with its value flipped,
-// reading untouched side inputs from the good-value bank of a full Program
-// block and faulty values from a compact cone-local bank. Register 0 of the
+// reading untouched side inputs from the good-value bank of a Program block
+// and faulty values from a compact cone-local bank. Register 0 of the
 // faulty bank is the flipped line itself; negative instruction operands ^r
-// address good-bank register r.
+// address good-bank register r, which holds node r.
 //
 // Streaming fault analysis runs one ConeProgram per fault line per block:
 // the words where any reachable output disagrees with the good machine are
@@ -65,8 +65,8 @@ type ConeProgram struct {
 // so callers may substitute an all-ones mask for replaying the cone.
 func (cp *ConeProgram) AlwaysProp() bool { return cp.alwaysProp }
 
-// ConeOut is one observable output of a cone: Good addresses the full
-// program's bank, Bad the cone-local bank.
+// ConeOut is one observable output of a cone: Good is the output's node,
+// addressing the program's bank, and Bad the cone-local register.
 type ConeOut struct {
 	Good, Bad int32
 }
@@ -107,11 +107,8 @@ type ConeCompiler struct {
 // either way; only the instruction encoding differs.
 func (cc *ConeCompiler) SetFusion(on bool) { cc.noFuse = !on }
 
-// NewConeCompiler returns a cone compiler for this program. The program
-// must come from CompileAll, so every side input a cone reads is
-// materialized.
+// NewConeCompiler returns a cone compiler for this program.
 func (p *Program) NewConeCompiler() *ConeCompiler {
-	p.mustKeepAll("NewConeCompiler")
 	n := p.Circuit.NumNodes()
 	cc := &ConeCompiler{
 		p:      p,
@@ -132,7 +129,7 @@ func (cc *ConeCompiler) regOf(f int) int32 {
 	if cc.done[f] == cc.epoch {
 		return cc.badReg[f]
 	}
-	return ^cc.p.NodeReg[f] // good bank
+	return ^int32(f) // good bank
 }
 
 // Compile lowers the union fanout cone of sites. The result is a pure
@@ -175,7 +172,7 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 	if single {
 		// Self-seed: compute the flipped site as the program's first
 		// instruction so fusion can fold the complement into consumers.
-		instrs = append(instrs, Instr{Op: OpNot, Dst: 0, A: ^cc.p.NodeReg[sites[0]]})
+		instrs = append(instrs, Instr{Op: OpNot, Dst: 0, A: ^int32(sites[0])})
 	}
 	for _, o := range c.Outputs {
 		if cc.inCone[o] != ep {
@@ -218,7 +215,7 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 			}
 			cc.seg = seg[:0]
 		}
-		outs = append(outs, ConeOut{Good: cc.p.NodeReg[o], Bad: cc.badReg[o]})
+		outs = append(outs, ConeOut{Good: int32(o), Bad: cc.badReg[o]})
 		segEnd = append(segEnd, int32(len(instrs)))
 		if cc.odd[o] == ep {
 			alwaysProp = true
@@ -366,7 +363,7 @@ func (cx *ConeExec) propSegments(cp *ConeProgram, x *Exec, dst []uint64) {
 		end := cp.SegEnd[k]
 		cx.execInstrs(cp.Instrs[start:end], x)
 		start = end
-		g, b := x.Reg(co.Good), cx.reg(co.Bad)
+		g, b := x.Node(int(co.Good)), cx.reg(co.Bad)
 		var sat uint64
 		if k == 0 {
 			sat = setDiffWords(dst, g, b)
@@ -442,7 +439,7 @@ func (cx *ConeExec) reg(r int32) []uint64 {
 
 func (cx *ConeExec) operand(r int32, x *Exec) []uint64 {
 	if r < 0 {
-		return x.Reg(^r)
+		return x.Node(int(^r))
 	}
 	return cx.reg(r)
 }

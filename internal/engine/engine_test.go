@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
 )
 
@@ -57,9 +58,9 @@ func TestScalarMatchesCircuitEval(t *testing.T) {
 			p.EvalScalar(uint64(v), regs)
 			want := c.Eval(uint64(v))
 			for id := range c.Nodes {
-				if regs[p.NodeReg[id]] != want[id] {
+				if regs[id] != want[id] {
 					t.Fatalf("trial %d node %d v=%d: scalar %v, reference %v",
-						trial, id, v, regs[p.NodeReg[id]], want[id])
+						trial, id, v, regs[id], want[id])
 				}
 			}
 		}
@@ -88,8 +89,8 @@ func TestWordBlocksMatchScalar(t *testing.T) {
 					p.EvalScalar(uint64(v), regs)
 					for id := range c.Nodes {
 						got := x.Node(id)[w]&(1<<uint(b)) != 0
-						if got != regs[p.NodeReg[id]] {
-							t.Fatalf("trial %d node %d v=%d: word %v, scalar %v", trial, id, v, got, regs[p.NodeReg[id]])
+						if got != regs[id] {
+							t.Fatalf("trial %d node %d v=%d: word %v, scalar %v", trial, id, v, got, regs[id])
 						}
 					}
 				}
@@ -98,80 +99,47 @@ func TestWordBlocksMatchScalar(t *testing.T) {
 	}
 }
 
-func TestOutputDirectedCompileMatchesKeepAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 15; trial++ {
-		c := randomCircuit(t, rng, 4+rng.Intn(5), 8+rng.Intn(25))
-		full := CompileAll(c)
-		lean := Compile(c, nil)
-		fregs := make([]bool, full.NumRegs)
-		lregs := make([]bool, lean.NumRegs)
-		for v := 0; v < c.VectorSpaceSize(); v++ {
-			full.EvalScalar(uint64(v), fregs)
-			lean.EvalScalar(uint64(v), lregs)
-			for i := range c.Outputs {
-				if lregs[lean.OutputReg[i]] != fregs[full.OutputReg[i]] {
-					t.Fatalf("trial %d output %d v=%d disagrees", trial, i, v)
-				}
+// TestCompileAllBaseProgram pins the invariant every interpreter outside
+// ConeExec relies on: on every embedded circuit and on random circuits,
+// CompileAll emits only the ten base opcodes, holds one register per node,
+// and each node's chain writes only that node's register, the chains
+// together covering the whole program.
+func TestCompileAllBaseProgram(t *testing.T) {
+	var circuits []*circuit.Circuit
+	for _, name := range append(bench.Names(), circuit.EmbeddedBenchNames()...) {
+		c, err := bench.CircuitByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		circuits = append(circuits, c)
+	}
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 20; trial++ {
+		circuits = append(circuits, randomCircuit(t, rng, 2+rng.Intn(8), 3+rng.Intn(40)))
+	}
+	for i, c := range circuits {
+		p := CompileAll(c)
+		if p.NumRegs != c.NumNodes() {
+			t.Fatalf("circuit %d (%s): %d registers for %d nodes", i, c.Name, p.NumRegs, c.NumNodes())
+		}
+		for _, ins := range p.Instrs {
+			if ins.Op > OpXnor {
+				t.Fatalf("circuit %d (%s): fused opcode %v in a CompileAll program", i, c.Name, ins.Op)
 			}
 		}
-	}
-}
-
-// TestRegisterReuse pins the "live registers ≪ nodes" property: a deep
-// chain of gates needs a constant-size register file when only the output
-// is kept, because every interior register is retired after its single
-// read.
-func TestRegisterReuse(t *testing.T) {
-	b := circuit.NewBuilder("chain")
-	b.Input("x0")
-	b.Input("x1")
-	b.Gate(circuit.And, "g0", "x0", "x1")
-	prev := "g0"
-	for i := 1; i < 100; i++ {
-		n := "g" + strconv.Itoa(i)
-		kind := circuit.Not
-		if i%2 == 0 {
-			kind = circuit.Buf
+		covered := 0
+		for id := range c.Nodes {
+			r := p.nodeInstr[id]
+			for _, ins := range p.Instrs[r[0]:r[1]] {
+				if ins.Dst != int32(id) {
+					t.Fatalf("circuit %d (%s): node %d's chain writes register %d", i, c.Name, id, ins.Dst)
+				}
+			}
+			covered += int(r[1] - r[0])
 		}
-		b.Gate(kind, n, prev)
-		prev = n
-	}
-	b.Output(prev)
-	c, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	p := Compile(c, nil)
-	if p.NumRegs >= c.NumNodes()/4 {
-		t.Fatalf("chain of %d nodes compiled to %d registers; reuse is not engaging", c.NumNodes(), p.NumRegs)
-	}
-	if CompileAll(c).NumRegs != c.NumNodes() {
-		t.Fatal("CompileAll must pin every node")
-	}
-}
-
-// TestDeadLogicElimination: logic reaching no output and no kept node is
-// not compiled.
-func TestDeadLogicElimination(t *testing.T) {
-	b := circuit.NewBuilder("dead")
-	b.Input("a")
-	b.Input("b")
-	b.Gate(circuit.And, "live", "a", "b")
-	b.Gate(circuit.Xor, "dead", "a", "b")
-	b.Output("live")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	p := Compile(c, nil)
-	dead, _ := c.NodeByName("dead")
-	if p.NodeReg[dead.ID] != -1 {
-		t.Fatal("dead node was materialized")
-	}
-	kept := Compile(c, []int{dead.ID})
-	if kept.NodeReg[dead.ID] < 0 {
-		t.Fatal("kept node was not materialized")
+		if covered != len(p.Instrs) {
+			t.Fatalf("circuit %d (%s): node chains cover %d of %d instructions", i, c.Name, covered, len(p.Instrs))
+		}
 	}
 }
 

@@ -37,11 +37,8 @@ func (x *Exec) Eval(lo, hi int) {
 	}
 	x.lo, x.n = lo, hi-lo
 	m := x.p.Circuit.NumInputs()
-	for i, r := range x.p.InputReg {
-		if r < 0 {
-			continue
-		}
-		dst := x.Reg(r)
+	for i, id := range x.p.Circuit.Inputs {
+		dst := x.Node(id)
 		// Input i (MSB-first) has value (v >> shift) & 1 at vector v. Within
 		// a 64-bit word, inputs with shift ≥ 6 are constant; below that they
 		// follow a fixed alternating pattern.
@@ -62,64 +59,39 @@ func (x *Exec) Eval(lo, hi int) {
 		}
 	}
 	for _, ins := range x.p.Instrs {
-		dst := x.Reg(ins.Dst)
+		dst := x.Node(int(ins.Dst))
 		switch ins.Op {
 		case OpConst0:
 			fillWords(dst, 0)
 		case OpConst1:
 			fillWords(dst, ^uint64(0))
 		case OpCopy:
-			copy(dst, x.Reg(ins.A))
+			copy(dst, x.Node(int(ins.A)))
 		case OpNot:
-			notWords(dst, x.Reg(ins.A))
+			notWords(dst, x.Node(int(ins.A)))
 		case OpAnd:
-			andWords(dst, x.Reg(ins.A), x.Reg(ins.B))
+			andWords(dst, x.Node(int(ins.A)), x.Node(int(ins.B)))
 		case OpNand:
-			nandWords(dst, x.Reg(ins.A), x.Reg(ins.B))
+			nandWords(dst, x.Node(int(ins.A)), x.Node(int(ins.B)))
 		case OpOr:
-			orWords(dst, x.Reg(ins.A), x.Reg(ins.B))
+			orWords(dst, x.Node(int(ins.A)), x.Node(int(ins.B)))
 		case OpNor:
-			norWords(dst, x.Reg(ins.A), x.Reg(ins.B))
+			norWords(dst, x.Node(int(ins.A)), x.Node(int(ins.B)))
 		case OpXor:
-			xorWords(dst, x.Reg(ins.A), x.Reg(ins.B))
+			xorWords(dst, x.Node(int(ins.A)), x.Node(int(ins.B)))
 		case OpXnor:
-			xnorWords(dst, x.Reg(ins.A), x.Reg(ins.B))
-		case OpAndN:
-			andnWords(dst, x.Reg(ins.A), x.Reg(ins.B))
-		case OpOrN:
-			ornWords(dst, x.Reg(ins.A), x.Reg(ins.B))
-		case OpAndAcc:
-			andAccWords(dst, x.Reg(ins.B))
-		case OpNandAcc:
-			nandAccWords(dst, x.Reg(ins.B))
-		case OpOrAcc:
-			orAccWords(dst, x.Reg(ins.B))
-		case OpNorAcc:
-			norAccWords(dst, x.Reg(ins.B))
-		case OpXorAcc:
-			xorAccWords(dst, x.Reg(ins.B))
-		case OpXnorAcc:
-			xnorAccWords(dst, x.Reg(ins.B))
+			xnorWords(dst, x.Node(int(ins.A)), x.Node(int(ins.B)))
 		default:
 			panic(fmt.Sprintf("engine: unknown op %v", ins.Op))
 		}
 	}
 }
 
-// Reg returns register r's words for the current block.
-func (x *Exec) Reg(r int32) []uint64 {
-	base := int(r) * x.cap
-	return x.regs[base : base+x.n]
-}
-
-// Node returns the current block's value words of a node; the node must be
-// materialized by the program (always true for CompileAll).
+// Node returns the current block's value words of a node, which register
+// id holds.
 func (x *Exec) Node(id int) []uint64 {
-	r := x.p.NodeReg[id]
-	if r < 0 {
-		panic(fmt.Sprintf("engine: node %d is not materialized by this program", id))
-	}
-	return x.Reg(r)
+	base := id * x.cap
+	return x.regs[base : base+x.n]
 }
 
 // alternating returns the 64-bit pattern of bit position `shift` of the
@@ -139,25 +111,21 @@ func alternating(shift uint) uint64 {
 // MSB-first convention of circuit.VectorBit.
 func (p *Program) EvalScalar(vector uint64, regs []bool) {
 	m := p.Circuit.NumInputs()
-	for i, r := range p.InputReg {
-		if r >= 0 {
-			regs[r] = circuit.VectorBit(vector, i, m)
-		}
+	for i, id := range p.Circuit.Inputs {
+		regs[id] = circuit.VectorBit(vector, i, m)
 	}
 	scalarRun(p.Instrs, regs)
 }
 
 // EvalScalarForced is EvalScalar with node `forced` overridden to val: its
 // instruction chain is skipped, so downstream consumers see the override
-// while the node's own fanin does not feed it. The program must come from
-// CompileAll.
+// while the node's own fanin does not feed it.
 func (p *Program) EvalScalarForced(vector uint64, forced int, val bool, regs []bool) {
-	p.mustKeepAll("EvalScalarForced")
 	m := p.Circuit.NumInputs()
-	for i, r := range p.InputReg {
-		regs[r] = circuit.VectorBit(vector, i, m)
+	for i, id := range p.Circuit.Inputs {
+		regs[id] = circuit.VectorBit(vector, i, m)
 	}
-	regs[p.NodeReg[forced]] = val
+	regs[forced] = val
 	r := p.nodeInstr[forced]
 	scalarRun(p.Instrs[:r[0]], regs)
 	scalarRun(p.Instrs[r[1]:], regs)
@@ -186,22 +154,6 @@ func scalarRun(instrs []Instr, regs []bool) {
 			regs[ins.Dst] = regs[ins.A] != regs[ins.B]
 		case OpXnor:
 			regs[ins.Dst] = regs[ins.A] == regs[ins.B]
-		case OpAndN:
-			regs[ins.Dst] = !regs[ins.A] && regs[ins.B]
-		case OpOrN:
-			regs[ins.Dst] = !regs[ins.A] || regs[ins.B]
-		case OpAndAcc:
-			regs[ins.Dst] = regs[ins.A] && regs[ins.B]
-		case OpNandAcc:
-			regs[ins.Dst] = !(regs[ins.A] && regs[ins.B])
-		case OpOrAcc:
-			regs[ins.Dst] = regs[ins.A] || regs[ins.B]
-		case OpNorAcc:
-			regs[ins.Dst] = !(regs[ins.A] || regs[ins.B])
-		case OpXorAcc:
-			regs[ins.Dst] = regs[ins.A] != regs[ins.B]
-		case OpXnorAcc:
-			regs[ins.Dst] = regs[ins.A] == regs[ins.B]
 		default:
 			panic(fmt.Sprintf("engine: unknown op %v", ins.Op))
 		}
@@ -212,9 +164,8 @@ func scalarRun(instrs []Instr, regs []bool) {
 // sub-order) in dual-rail Kleene encoding: bit j of p1[r]/p0[r] says
 // pattern j's value in register r can be 1/0. Definite 1 = (1,0), definite
 // 0 = (0,1), X = (1,1). The rails of input registers must be set by the
-// caller; the program must come from CompileAll.
+// caller.
 func (p *Program) ExecTV(ids []int, p1, p0 []uint64) {
-	p.mustKeepAll("ExecTV")
 	for _, id := range ids {
 		r := p.nodeInstr[id]
 		for _, ins := range p.Instrs[r[0]:r[1]] {
@@ -242,32 +193,9 @@ func (p *Program) ExecTV(ids []int, p1, p0 []uint64) {
 				p1[d], p0[d] = (a1&b0)|(a0&b1), (a1&b1)|(a0&b0)
 			case OpXnor:
 				p1[d], p0[d] = (a1&b1)|(a0&b0), (a1&b0)|(a0&b1)
-			case OpAndN:
-				// AND with a complemented first operand: swap a's rails.
-				p1[d], p0[d] = a0&b1, a1|b0
-			case OpOrN:
-				p1[d], p0[d] = a0|b1, a1&b0
-			case OpAndAcc:
-				p1[d], p0[d] = a1&b1, a0|b0
-			case OpNandAcc:
-				p1[d], p0[d] = a0|b0, a1&b1
-			case OpOrAcc:
-				p1[d], p0[d] = a1|b1, a0&b0
-			case OpNorAcc:
-				p1[d], p0[d] = a0&b0, a1|b1
-			case OpXorAcc:
-				p1[d], p0[d] = (a1&b0)|(a0&b1), (a1&b1)|(a0&b0)
-			case OpXnorAcc:
-				p1[d], p0[d] = (a1&b1)|(a0&b0), (a1&b0)|(a0&b1)
 			default:
 				panic(fmt.Sprintf("engine: unknown op %v", ins.Op))
 			}
 		}
-	}
-}
-
-func (p *Program) mustKeepAll(what string) {
-	if !p.keepAll {
-		panic("engine: " + what + " requires a CompileAll program")
 	}
 }

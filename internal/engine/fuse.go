@@ -1,24 +1,23 @@
 package engine
 
-// Peephole fusion over lowered programs. The compiler (emitNode) produces
-// one instruction per gate pin, which leaves dispatch-bound patterns on the
-// hot path: Buf/Branch copies, NOT gates feeding a single consumer, and
+// Peephole fusion over cone programs. The compiler (emitNode) produces one
+// instruction per gate pin, which leaves dispatch-bound patterns on the hot
+// path: Buf/Branch copies, NOT gates feeding a single consumer, and
 // accumulator chains ending in an inverting final step followed by a NOT.
 // fuse rewrites these in place — copy forwarding, folding a NOT into its
 // consumer (AND+NOT → OpAndN, OR+NOT → OpOrN, XOR+NOT → XNOR, …), folding a
 // NOT of an invertible definition into the complemented opcode, converting
 // self-accumulating steps to OpXxxAcc — then removes dead definitions.
 //
-// The pass is applied to output-directed programs (Compile) and cone
-// programs, never to CompileAll programs: those pin node = register and
-// promise per-node instruction ranges (nodeInstr) to ExecTV and
-// EvalScalarForced, which fusion would break.
+// Only cone programs (ConeCompiler) are fused, so ConeExec is the one
+// interpreter of the fused opcodes. CompileAll programs never are: they
+// pin node = register and promise per-node instruction ranges (nodeInstr)
+// to ExecTV and EvalScalarForced, which fusion would break.
 //
-// Register files here are not SSA — Compile reuses retired registers and
-// accumulator chains redefine their destination — so every forwarded
-// operand carries a definition-count stamp and is only used while the
-// stamp still matches. Negative operands (the good bank of cone programs)
-// are external and always valid.
+// Cone register files are not SSA — accumulator chains redefine their
+// destination — so every forwarded operand carries a definition-count
+// stamp and is only used while the stamp still matches. Negative operands
+// (the good bank) are external and always valid.
 
 const opInvalid Op = 0xff
 
@@ -199,19 +198,16 @@ func (fz *fuser) grow(numRegs, n int) {
 
 // fuse rewrites instrs in place and returns the compacted slice. liveOut
 // lists registers whose final values must survive (their last definitions
-// are kept with Dst unchanged). segEnd, when non-nil, is a non-decreasing
-// list of instruction boundaries remapped in place as definitions are
-// removed. The rewrite is deterministic: a pure function of the input
-// program.
+// are kept with Dst unchanged). segEnd is a non-decreasing list of
+// instruction boundaries remapped in place as definitions are removed.
+// The rewrite is deterministic: a pure function of the input program.
 func (fz *fuser) fuse(instrs []Instr, numRegs int, liveOut []int32, segEnd []int32) []Instr {
 	if len(instrs) == 0 {
 		return instrs
 	}
 	fz.grow(numRegs, len(instrs))
 	for _, r := range liveOut {
-		if r >= 0 {
-			fz.live[r] = true
-		}
+		fz.live[r] = true
 	}
 	// Two rewrite+DCE passes capture virtually every fold (pass one forwards
 	// copies and folds NOTs, pass two folds patterns those rewrites exposed);
@@ -236,9 +232,7 @@ func (fz *fuser) fuse(instrs []Instr, numRegs int, liveOut []int32, segEnd []int
 		}
 	}
 	for _, r := range liveOut {
-		if r >= 0 {
-			fz.live[r] = false
-		}
+		fz.live[r] = false
 	}
 	return instrs
 }
@@ -426,7 +420,7 @@ func (fz *fuser) dce(instrs []Instr, segEnd []int32) []Instr {
 	out := instrs[:0]
 	seg, kept := 0, int32(0)
 	for i := range instrs {
-		for segEnd != nil && seg < len(segEnd) && segEnd[seg] == int32(i) {
+		for seg < len(segEnd) && segEnd[seg] == int32(i) {
 			segEnd[seg] = kept
 			seg++
 		}
@@ -435,7 +429,7 @@ func (fz *fuser) dce(instrs []Instr, segEnd []int32) []Instr {
 			kept++
 		}
 	}
-	for ; segEnd != nil && seg < len(segEnd); seg++ {
+	for ; seg < len(segEnd); seg++ {
 		segEnd[seg] = kept
 	}
 	return out

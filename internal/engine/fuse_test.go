@@ -86,58 +86,6 @@ func FuzzConeFusion(f *testing.F) {
 	})
 }
 
-// TestFusedProgramWidthsAgree pins the three-width contract for fused
-// opcodes at the whole-program level: the output-directed Compile runs the
-// fusion pass, so its scalar interpreter (EvalScalar), word-block
-// interpreter (Eval), and the unfused CompileAll reference must agree at
-// every vector.
-func TestFusedProgramWidthsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 10; trial++ {
-		c := randomCircuit(t, rng, 7+rng.Intn(3), 12+rng.Intn(25))
-		full := CompileAll(c)
-		lean := Compile(c, nil)
-
-		size := c.VectorSpaceSize()
-		nWords := (size + 63) / 64
-		bw := tileWords + 2 // exercises both the tile loop and the word tail
-		xf := NewExec(full, bw)
-		xl := NewExec(lean, bw)
-		fregs := make([]bool, full.NumRegs)
-		lregs := make([]bool, lean.NumRegs)
-		for lo := 0; lo < nWords; lo += bw {
-			hi := min(lo+bw, nWords)
-			xf.Eval(lo, hi)
-			xl.Eval(lo, hi)
-			for i := range c.Outputs {
-				fw := xf.Reg(full.OutputReg[i])
-				lw := xl.Reg(lean.OutputReg[i])
-				for w := 0; w < hi-lo; w++ {
-					if fw[w] != lw[w] {
-						t.Fatalf("trial %d output %d word %d: fused block %#x, reference %#x",
-							trial, i, lo+w, lw[w], fw[w])
-					}
-				}
-			}
-			for w := 0; w < hi-lo; w++ {
-				for b := 0; b < 64; b++ {
-					v := (lo+w)*64 + b
-					if v >= size {
-						break
-					}
-					full.EvalScalar(uint64(v), fregs)
-					lean.EvalScalar(uint64(v), lregs)
-					for i := range c.Outputs {
-						if fregs[full.OutputReg[i]] != lregs[lean.OutputReg[i]] {
-							t.Fatalf("trial %d output %d v=%d: fused scalar disagrees", trial, i, v)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestSelfSeedConeRejectsForced pins the self-seed safety contract: a
 // single-site cone embeds its own complement as the first instruction, so
 // forcing a constant onto the site would be silently overwritten — the

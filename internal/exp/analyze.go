@@ -100,7 +100,7 @@ type TraceSink interface {
 // UniverseSource supplies the exhaustive universe of a canonical circuit
 // under a fault model: T(f)/T(g) bitsets and fault tables, the dominant
 // cost every result-identity option variant shares. Implementations load
-// it from the artifact store, memoize it across a sweep, or both;
+// it from the artifact store or hand out one a sweep resolved up front;
 // store.Store is one. opts carries the caller's worker budget and
 // progress hook — a source that does construct must thread them through,
 // and the universe returned must be identical for every opts value (§7).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
@@ -21,9 +20,10 @@ import (
 // (NMax, K, Seed, Definition, Ge11Limit) point even though none of those
 // options influence it. Sweep restores the paper's cost shape: one
 // universe construction (or one artifact-store load) shared by all S
-// variants, each variant's document still byte-identical to its cold
-// one-shot run — the universe is a pure function of the circuit, so
-// sharing the object is indistinguishable from rebuilding it.
+// variants of a fault model, each variant's document still byte-identical
+// to its cold one-shot run — the universe is a pure function of the
+// circuit and model, so sharing the object is indistinguishable from
+// rebuilding it.
 
 // SweepOptions configures Sweep. Neither field is part of any variant's
 // result identity.
@@ -33,18 +33,17 @@ type SweepOptions struct {
 	// between them, exactly the circuits-within-a-run rule (0 = one per
 	// CPU, 1 = strictly serial).
 	Workers int
-	// Universes, when non-nil, backs the sweep's shared universe — pass
-	// the artifact store to make the sweep warm-startable. Sweep layers
-	// its own in-memory singleflight memo on top, so even a cold store
-	// constructs the universe exactly once per circuit hash.
+	// Universes, when non-nil, backs the sweep's universes — pass the
+	// artifact store to make the sweep warm-startable. Sweep asks it once
+	// per fault model, before any variant runs.
 	Universes UniverseSource
 }
 
 // Sweep runs a grid of result-identity option variants over one circuit,
-// constructing (or loading) the exhaustive universe exactly once and
-// deriving every variant from the shared T-sets. Documents are returned
-// in variant order, each byte-identical to AnalyzeCircuit on the same
-// (circuit, variant) — at any worker count.
+// constructing (or loading) the exhaustive universe exactly once per fault
+// model and deriving every variant from the shared T-sets. Documents are
+// returned in variant order, each byte-identical to AnalyzeCircuit on the
+// same (circuit, variant) — at any worker count.
 //
 // Variants must be worst-case or average analyses: the partitioned
 // pipeline builds per-part universes and has nothing to share here.
@@ -66,16 +65,40 @@ func Sweep(c *circuit.Circuit, variants []AnalysisRequest, opts SweepOptions) ([
 
 	// Canonicalize once up front: AnalyzeCircuit's own canonicalization is
 	// a fixed point on the result, so every variant sees this instance and
-	// the universe memo keys one hash.
+	// the universes built for it.
 	c, err := circuit.Canonicalize(c)
 	if err != nil {
 		return nil, fmt.Errorf("exp: canonicalize: %w", err)
 	}
 
+	// Resolve each model's universe before the fan-out, one at a time and
+	// in variant order, with the sweep's whole §5 budget: the universe is
+	// the dominant shared stage and no variant can start without it.
+	// Worker counts never influence the universe built (§7).
 	total := sim.ResolveWorkers(opts.Workers)
-	shared := &universeMemo{next: opts.Universes, buildWorkers: total}
-	outer, inner := sim.SplitWorkers(total, len(norm))
+	aopts := ndetect.AnalyzeOptions{Workers: total}
+	shared := sweepUniverses{}
+	for _, v := range norm {
+		m, err := fault.Resolve(v.FaultModel) // Normalize already vetted the ID
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := shared[m.ID()]; ok {
+			continue
+		}
+		var u *ndetect.CircuitUniverse
+		if opts.Universes != nil {
+			u, err = opts.Universes.Universe(c, m, aopts)
+		} else {
+			u, err = ndetect.BuildUniverse(c, m, aopts)
+		}
+		if err != nil {
+			return nil, err
+		}
+		shared[m.ID()] = u
+	}
 
+	outer, inner := sim.SplitWorkers(total, len(norm))
 	docs := make([]*report.Analysis, len(norm))
 	errs := make([]error, len(norm))
 	sim.ParallelFor(outer, len(norm), func(i int) {
@@ -92,59 +115,13 @@ func Sweep(c *circuit.Circuit, variants []AnalysisRequest, opts SweepOptions) ([
 	return docs, nil
 }
 
-// universeMemo is the sweep's shared universe: a per-hash singleflight
-// memo over an optional underlying source (the artifact store). The first
-// variant to need a circuit's universe resolves it — from next, or by
-// construction — and every other variant reuses the same object. Memoized
-// entries live as long as the sweep.
-//
-// Resolution runs with buildWorkers — the sweep's whole §5 budget, not
-// the calling variant's split share: every variant blocks on the memo
-// until the universe exists, so the budget has no other runnable work,
-// and the sweep's dominant shared stage would otherwise run at 1/S of
-// the machine. Worker counts never influence the universe built (§7).
-type universeMemo struct {
-	next         UniverseSource
-	buildWorkers int
+// sweepUniverses serves the universes Sweep resolved up front, one per
+// fault model ID. It is read-only once the fan-out starts.
+type sweepUniverses map[string]*ndetect.CircuitUniverse
 
-	mu      sync.Mutex
-	flights map[string]*memoFlight
-}
-
-type memoFlight struct {
-	done chan struct{}
-	u    *ndetect.CircuitUniverse
-	err  error
-}
-
-// Universe implements UniverseSource. Flights are keyed per (hash, model):
-// a grid crossing fault models shares one universe per model.
-func (m *universeMemo) Universe(c *circuit.Circuit, fm fault.Model, opts ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error) {
-	key := circuit.Hash(c) + "|" + fm.ID()
-	m.mu.Lock()
-	if m.flights == nil {
-		m.flights = make(map[string]*memoFlight)
-	}
-	f, inFlight := m.flights[key]
-	if !inFlight {
-		f = &memoFlight{done: make(chan struct{})}
-		m.flights[key] = f
-	}
-	m.mu.Unlock()
-	if inFlight {
-		<-f.done
-		return f.u, f.err
-	}
-	if m.buildWorkers > 0 {
-		opts.Workers = m.buildWorkers
-	}
-	if m.next != nil {
-		f.u, f.err = m.next.Universe(c, fm, opts)
-	} else {
-		f.u, f.err = ndetect.BuildUniverse(c, fm, opts)
-	}
-	close(f.done)
-	return f.u, f.err
+// Universe implements UniverseSource.
+func (s sweepUniverses) Universe(_ *circuit.Circuit, m fault.Model, _ ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error) {
+	return s[m.ID()], nil
 }
 
 // maxSweepVariants bounds a parsed grid: a sweep is a deliberate batch,

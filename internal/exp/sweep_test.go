@@ -2,8 +2,9 @@ package exp
 
 import (
 	"bytes"
-	"sync/atomic"
+	"sync"
 	"testing"
+	"time"
 
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
@@ -11,14 +12,31 @@ import (
 	"ndetect/internal/report"
 )
 
-// countingSource counts universe constructions flowing through it.
-type countingSource struct {
-	builds atomic.Int64
+// recordingSource records how universe resolutions overlap: the most
+// that ran at once, the worker budget each got, and the builds per model.
+type recordingSource struct {
+	mu      sync.Mutex
+	active  int
+	peak    int
+	workers []int
+	builds  map[string]int
 }
 
-func (s *countingSource) Universe(c *circuit.Circuit, m fault.Model, opts ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error) {
-	s.builds.Add(1)
-	return ndetect.BuildUniverse(c, m, opts)
+func (s *recordingSource) Universe(c *circuit.Circuit, m fault.Model, opts ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error) {
+	s.mu.Lock()
+	s.active++
+	s.peak = max(s.peak, s.active)
+	s.workers = append(s.workers, opts.Workers)
+	s.builds[m.ID()]++
+	s.mu.Unlock()
+	// Hold the resolution open long enough for an overlapping one to
+	// register in peak.
+	time.Sleep(20 * time.Millisecond)
+	u, err := ndetect.BuildUniverse(c, m, opts)
+	s.mu.Lock()
+	s.active--
+	s.mu.Unlock()
+	return u, err
 }
 
 func sweepVariants() []AnalysisRequest {
@@ -36,7 +54,7 @@ func sweepVariants() []AnalysisRequest {
 // byte-identical to its cold one-shot run.
 func TestSweepSharesUniverseAndMatchesColdRuns(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		src := &countingSource{}
+		src := &recordingSource{builds: map[string]int{}}
 		docs, err := Sweep(mustEmbedded(t, "c17"), sweepVariants(), SweepOptions{
 			Workers:   workers,
 			Universes: src,
@@ -44,9 +62,9 @@ func TestSweepSharesUniverseAndMatchesColdRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := src.builds.Load(); got != 1 {
-			t.Fatalf("workers=%d: universe constructed %d times for %d variants, want exactly 1",
-				workers, got, len(sweepVariants()))
+		if got := src.builds[fault.DefaultModelID]; got != 1 || len(src.builds) != 1 {
+			t.Fatalf("workers=%d: universe builds per model %v for %d variants, want exactly 1",
+				workers, src.builds, len(sweepVariants()))
 		}
 		if len(docs) != len(sweepVariants()) {
 			t.Fatalf("got %d documents, want %d", len(docs), len(sweepVariants()))
@@ -78,6 +96,43 @@ func TestSweepDefaultSource(t *testing.T) {
 	}
 	if !bytes.Equal(docs[2].Encode(), cold.Encode()) {
 		t.Fatal("swept document differs from cold run")
+	}
+}
+
+// A grid crossing fault models resolves one universe per model, one at a
+// time, each with the sweep's whole worker budget, and still matches cold
+// runs.
+func TestSweepResolvesModelsOneAtATime(t *testing.T) {
+	variants := []AnalysisRequest{
+		{Kind: WorstCaseAnalysis},
+		{Kind: WorstCaseAnalysis, FaultModel: "transition"},
+		{Kind: AverageAnalysis, NMax: 2, K: 30, Seed: 1},
+		{Kind: AverageAnalysis, NMax: 2, K: 30, Seed: 1, FaultModel: "transition"},
+	}
+	src := &recordingSource{builds: map[string]int{}}
+	docs, err := Sweep(mustEmbedded(t, "c17"), variants, SweepOptions{Workers: 4, Universes: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.peak != 1 {
+		t.Fatalf("%d universe resolutions ran at once, want 1", src.peak)
+	}
+	for _, w := range src.workers {
+		if w != 4 {
+			t.Fatalf("resolution workers %v, want the whole budget 4 each", src.workers)
+		}
+	}
+	if len(src.builds) != 2 || src.builds[fault.DefaultModelID] != 1 || src.builds["transition"] != 1 {
+		t.Fatalf("builds per model %v, want one each for %s and transition", src.builds, fault.DefaultModelID)
+	}
+	for i, v := range variants {
+		cold, err := AnalyzeCircuit(mustEmbedded(t, "c17"), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(docs[i].Encode(), cold.Encode()) {
+			t.Fatalf("variant %d: swept document differs from cold run", i)
+		}
 	}
 }
 

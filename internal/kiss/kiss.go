@@ -234,13 +234,15 @@ func cubesOverlap(a, b string) bool {
 // CheckDeterministic verifies that no two transitions from the same state
 // have overlapping input cubes with conflicting next state or conflicting
 // specified output bits. MCNC machines and the synthetic surrogates are
-// deterministic; a violation indicates a corrupted source.
+// deterministic; a violation indicates a corrupted source. States are
+// checked in machine order, so the error names the first bad state.
 func (m *STG) CheckDeterministic() error {
 	byState := make(map[string][]Transition)
 	for _, tr := range m.Transitions {
 		byState[tr.From] = append(byState[tr.From], tr)
 	}
-	for st, trs := range byState {
+	for _, st := range m.States {
+		trs := byState[st]
 		for i := 0; i < len(trs); i++ {
 			for j := i + 1; j < len(trs); j++ {
 				if !cubesOverlap(trs[i].Input, trs[j].Input) {

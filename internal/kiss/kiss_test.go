@@ -149,6 +149,26 @@ func TestCheckDeterministic(t *testing.T) {
 	}
 }
 
+// TestCheckDeterministicNamesFirstState: with several bad states, the
+// error names the first one in machine order, on every call.
+func TestCheckDeterministicNamesFirstState(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(".i 1\n.o 1\n")
+	for _, st := range []string{"a", "b", "c", "d", "e"} {
+		fmt.Fprintf(&src, "0 %s a 0\n0 %s b 0\n", st, st)
+	}
+	m, err := ParseString("nd5", src.String()+".e\n")
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	for call := 0; call < 20; call++ {
+		err := m.CheckDeterministic()
+		if err == nil || !strings.Contains(err.Error(), "state a:") {
+			t.Fatalf("call %d: %v, want an error naming state a", call, err)
+		}
+	}
+}
+
 func TestCheckComplete(t *testing.T) {
 	m := parseLion(t)
 	// Uncovered (state, vector) pairs: st0/10, st1/00, st2/01, st3/11.

@@ -218,6 +218,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		"unknown analysis": fmt.Sprintf(`{"format":"bench","source":%q,"analysis":"quantum"}`, c17Source),
 		"parse error":      `{"format":"bench","source":"INPUT(1)\nOUTPUT(2)\n2 = FROB(1)"}`,
 		"unknown bench":    `{"benchmark":"nope"}`,
+		// State a's cubes 1- and -1 overlap at input 11 with different
+		// next states.
+		"nondeterministic kiss2": `{"format":"kiss2","source":".i 2\n.o 1\n1- a b 0\n-1 a a 0\n.e\n"}`,
 	} {
 		if _, code := postJob(t, ts.URL, body); code != http.StatusBadRequest {
 			t.Errorf("%s: HTTP %d, want 400", name, code)

@@ -106,8 +106,8 @@ func (s *managerUniverses) Universe(c *circuit.Circuit, fm fault.Model, opts nde
 
 // resolveUniverse is the universe tier's load-or-build-and-save
 // (build-only when no store is configured), with the manager's build
-// hook threaded through. The exhaustive universe has no per-part input
-// bound, so artifacts are keyed with MaxInputs 0 (store.UniverseWith).
+// hook threaded through; artifacts are keyed by the canonical circuit hash
+// and the fault model (store.UniverseWith).
 func (m *Manager) resolveUniverse(c *circuit.Circuit, fm fault.Model, opts ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error) {
 	if m.store == nil {
 		return m.newUniverse(c, fm, opts)

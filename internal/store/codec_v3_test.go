@@ -151,7 +151,7 @@ func rejectedAndRebuilt(t *testing.T, what string, c *circuit.Circuit, artifact 
 	}
 	s := openTemp(t, Options{})
 	hash := circuit.Hash(c)
-	if err := s.PutUniverse(hash, 0, "", artifact); err != nil {
+	if err := s.PutUniverse(hash, "", artifact); err != nil {
 		t.Fatal(err)
 	}
 	got, err := s.Universe(c, fault.Default(), ndetect.AnalyzeOptions{Workers: 1})
@@ -166,7 +166,7 @@ func rejectedAndRebuilt(t *testing.T, what string, c *circuit.Circuit, artifact 
 		t.Fatalf("%s: the rebuilt universe must be factored", what)
 	}
 	sameFaultWords(t, what+" rebuilt", got, fresh)
-	if stored, ok := s.GetUniverse(hash, 0, ""); !ok || !bytes.Equal(stored, EncodeUniverse(fresh)) {
+	if stored, ok := s.GetUniverse(hash, ""); !ok || !bytes.Equal(stored, EncodeUniverse(fresh)) {
 		t.Fatalf("%s: the store kept the old artifact instead of the rebuilt one", what)
 	}
 }

@@ -7,7 +7,7 @@
 //     result-identity options), and
 //   - universes: the exhaustive-analysis intermediate (fault tables and
 //     T-set bitsets, see codec.go), keyed by (canonical circuit hash,
-//     MaxInputs) only — every option variant over one circuit shares it.
+//     fault model) only — every option variant over one circuit shares it.
 //
 // Both tiers hold pure functions of their keys, so the store never
 // invalidates: entries are only ever evicted for space, and a hit is

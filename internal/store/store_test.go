@@ -206,7 +206,7 @@ func TestStoreUniverseSource(t *testing.T) {
 
 	// A corrupted artifact rebuilds instead of failing. The default model
 	// uses the pre-registry key shape, so old artifacts stay warm.
-	path := filepath.Join(dir, UniverseTier, universeKey(hash, 0, ""))
+	path := filepath.Join(dir, UniverseTier, universeKey(hash, ""))
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -240,11 +240,13 @@ func TestStoreUniverseModelSkewRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if universeKey(hash, 0, def.ID()) != universeKey(hash, 0, "") {
-		t.Fatal("default model must keep the legacy key shape")
+	// The file names stay byte for byte what earlier stores wrote, so
+	// their artifacts stay warm.
+	if got := universeKey(hash, def.ID()); got != hash+"-m0.u" || universeKey(hash, "") != got {
+		t.Fatalf("default model key %q, want the legacy shape %q", got, hash+"-m0.u")
 	}
-	if universeKey(hash, 0, tr.ID()) == universeKey(hash, 0, "") {
-		t.Fatal("transition model must not collide with the default slot")
+	if got := universeKey(hash, tr.ID()); got != hash+"-m0-transition.u" {
+		t.Fatalf("transition model key %q, want %q", got, hash+"-m0-transition.u")
 	}
 
 	if _, err := s.Universe(c, def, ndetect.AnalyzeOptions{Workers: 1}); err != nil {
@@ -252,11 +254,11 @@ func TestStoreUniverseModelSkewRebuilds(t *testing.T) {
 	}
 	// Plant the default-model artifact in the transition slot: the decoder
 	// must detect the skew, drop it, and rebuild the right universe.
-	artifact, ok := s.GetUniverse(hash, 0, "")
+	artifact, ok := s.GetUniverse(hash, "")
 	if !ok {
 		t.Fatal("default artifact missing")
 	}
-	if err := s.PutUniverse(hash, 0, tr.ID(), artifact); err != nil {
+	if err := s.PutUniverse(hash, tr.ID(), artifact); err != nil {
 		t.Fatal(err)
 	}
 	u, err := s.Universe(c, tr, ndetect.AnalyzeOptions{Workers: 1})

@@ -84,43 +84,42 @@ func decodeResult(buf []byte) (meta, body []byte, err error) {
 	return meta, rest[4 : 4+nb], nil
 }
 
-// universeKey names a universe artifact: the canonical circuit hash, the
-// MaxInputs the construction was bounded by, and the fault model — and
-// nothing else (DESIGN.md §11, §12). The exhaustive universe behind the
-// worst-case and average-case analyses has no per-part bound and uses
-// MaxInputs 0; every result-identity option variant (NMax, K, Seed,
-// Definition, Ge11Limit) maps to the same artifact. The default model
-// keeps the pre-registry key shape so existing artifacts stay warm;
+// universeKey names a universe artifact: the canonical circuit hash and
+// the fault model — and nothing else (DESIGN.md §11, §12). Every
+// result-identity option variant (NMax, K, Seed, Definition, Ge11Limit)
+// maps to the same artifact. The "-m0" infix is kept from an older key
+// that carried an input bound, always 0, so existing artifacts stay warm.
+// The default model keeps the pre-registry key shape for the same reason;
 // non-default models get their own slot — without the model component a
 // second model would silently collide with stuck-at/bridge artifacts.
-func universeKey(hash string, maxInputs int, model string) string {
+func universeKey(hash, model string) string {
 	if model == "" || model == fault.DefaultModelID {
-		return fmt.Sprintf("%s-m%d.u", hash, maxInputs)
+		return hash + "-m0.u"
 	}
-	return fmt.Sprintf("%s-m%d-%s.u", hash, maxInputs, model)
+	return hash + "-m0-" + model + ".u"
 }
 
 // PutUniverse persists an encoded universe artifact (EncodeUniverse).
-func (s *Store) PutUniverse(hash string, maxInputs int, model string, artifact []byte) error {
-	return s.put(UniverseTier, universeKey(hash, maxInputs, model), artifact)
+func (s *Store) PutUniverse(hash, model string, artifact []byte) error {
+	return s.put(UniverseTier, universeKey(hash, model), artifact)
 }
 
-// GetUniverse loads the raw universe artifact for (hash, maxInputs, model).
-func (s *Store) GetUniverse(hash string, maxInputs int, model string) ([]byte, bool) {
-	return s.get(UniverseTier, universeKey(hash, maxInputs, model))
+// GetUniverse loads the raw universe artifact for (hash, model).
+func (s *Store) GetUniverse(hash, model string) ([]byte, bool) {
+	return s.get(UniverseTier, universeKey(hash, model))
 }
 
 // DropUniverse removes a universe artifact (readers call it on decode
 // failure so the slot rebuilds).
-func (s *Store) DropUniverse(hash string, maxInputs int, model string) {
-	s.drop(UniverseTier, universeKey(hash, maxInputs, model))
+func (s *Store) DropUniverse(hash, model string) {
+	s.drop(UniverseTier, universeKey(hash, model))
 }
 
 // Universe implements the analysis driver's universe source
 // (exp.UniverseSource) directly on the store: UniverseWith with the
 // standard construction. Callers needing coalescing of concurrent
-// constructions layer it on top (exp.Sweep's memo, the serving layer's
-// flights) — the store itself only answers "load or build".
+// constructions layer it on top (the serving layer's flights) — the store
+// itself only answers "load or build".
 func (s *Store) Universe(c *circuit.Circuit, m fault.Model, opts ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error) {
 	return s.UniverseWith(c, m, opts, ndetect.BuildUniverse)
 }
@@ -140,16 +139,16 @@ func (s *Store) UniverseWith(c *circuit.Circuit, m fault.Model, opts ndetect.Ana
 	build func(*circuit.Circuit, fault.Model, ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error)) (*ndetect.CircuitUniverse, error) {
 	hash := circuit.Hash(c)
 	model := m.ID()
-	if artifact, ok := s.GetUniverse(hash, 0, model); ok {
+	if artifact, ok := s.GetUniverse(hash, model); ok {
 		if u, err := DecodeUniverse(c, m, artifact); err == nil {
 			return u, nil
 		}
-		s.DropUniverse(hash, 0, model)
+		s.DropUniverse(hash, model)
 	}
 	u, err := build(c, m, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.PutUniverse(hash, 0, model, EncodeUniverse(u)) // best effort
+	s.PutUniverse(hash, model, EncodeUniverse(u)) // best effort
 	return u, nil
 }

@@ -12,10 +12,6 @@ import (
 type Options struct {
 	// EncodingStyle selects the state encoding (encode.Binary by default).
 	EncodingStyle string
-	// NoReduce skips cover reduction, keeping one product term per
-	// transition. Useful for ablation: the unreduced circuit is larger and
-	// more redundant.
-	NoReduce bool
 	// MultiLevel enables common-cube extraction and fanin-capped tree
 	// decomposition (see multilevel.go). The benchmark suite synthesizes
 	// multi-level netlists, matching the character of the paper's circuits;
@@ -51,8 +47,14 @@ func (r *Result) TotalInputs() int { return r.NumPIs + r.StateBits }
 //
 // Unspecified (state, input) combinations — including unused state codes —
 // synthesize to all-zero outputs and next-state code 0, the natural
-// consequence of building ON-set covers only.
+// consequence of building ON-set covers only. A nondeterministic machine
+// is refused: its ON-set covers would OR conflicting transitions together.
+// The input count is not bounded here; the exhaustive analysis checks its
+// own limit (sim.MaxInputs), and wider circuits go through partitioning.
 func Synthesize(m *kiss.STG, opts Options) (*Result, error) {
+	if err := m.CheckDeterministic(); err != nil {
+		return nil, fmt.Errorf("synth: machine is not deterministic: %w", err)
+	}
 	style := opts.EncodingStyle
 	if style == "" {
 		style = encode.Binary
@@ -62,19 +64,12 @@ func Synthesize(m *kiss.STG, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	width := m.NumInputs + enc.Bits
-	if width > 24 {
-		return nil, fmt.Errorf("synth: %s: %d total inputs exceeds the exhaustive-analysis limit of 24 (use partitioning)", m.Name, width)
-	}
-
 	covers, err := BuildCovers(m, enc)
 	if err != nil {
 		return nil, err
 	}
-	if !opts.NoReduce {
-		for i := range covers {
-			covers[i] = covers[i].Reduce()
-		}
+	for i := range covers {
+		covers[i] = covers[i].Reduce()
 	}
 
 	var c *circuit.Circuit
@@ -226,21 +221,12 @@ func mapToNetlist(name string, numPIs, stateBits, numPOs int, covers []Cover) (*
 	}
 
 	haveConst1 := false
-	// Pass 2: OR the terms of each function and mark outputs.
-	for f, terms := range covers {
+	// Pass 2: OR the terms of each function and mark outputs. Reduce left
+	// no duplicate cubes, and distinct cubes map to distinct term signals.
+	for f, ts := range termsOf {
 		fn := funcName(f)
-		// Deduplicate term signals: with NoReduce, identical single-literal
-		// cubes would otherwise feed the OR gate twice.
-		seen := make(map[string]bool)
-		ts := termsOf[f][:0]
-		for _, s := range termsOf[f] {
-			if !seen[s] {
-				seen[s] = true
-				ts = append(ts, s)
-			}
-		}
 		switch {
-		case len(terms) == 0:
+		case len(ts) == 0:
 			if !haveConst0 {
 				b.Const("__zero__", false)
 				haveConst0 = true

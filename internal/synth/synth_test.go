@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ndetect/internal/encode"
@@ -94,32 +96,6 @@ func TestSynthesizeOneHotMatchesSTG(t *testing.T) {
 	checkAgainstSTG(t, r)
 }
 
-func TestSynthesizeNoReduceSameFunction(t *testing.T) {
-	a, err := Synthesize(parseRing(t), Options{})
-	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
-	}
-	b, err := Synthesize(parseRing(t), Options{NoReduce: true})
-	if err != nil {
-		t.Fatalf("Synthesize(NoReduce): %v", err)
-	}
-	checkAgainstSTG(t, b)
-	n := a.TotalInputs()
-	for v := uint64(0); v < 1<<uint(n); v++ {
-		oa := a.Circuit.OutputsOf(a.Circuit.Eval(v))
-		ob := b.Circuit.OutputsOf(b.Circuit.Eval(v))
-		for i := range oa {
-			if oa[i] != ob[i] {
-				t.Fatalf("NoReduce changed function at v=%d output %d", v, i)
-			}
-		}
-	}
-	if b.Circuit.NumGates() < a.Circuit.NumGates() {
-		t.Fatalf("NoReduce produced fewer gates (%d) than reduced (%d)",
-			b.Circuit.NumGates(), a.Circuit.NumGates())
-	}
-}
-
 func TestResultShape(t *testing.T) {
 	r, err := Synthesize(parseRing(t), Options{})
 	if err != nil {
@@ -142,19 +118,28 @@ func TestResultShape(t *testing.T) {
 	}
 }
 
+// TestSynthesizeTooWideRejected: synthesis has no input cap of its own —
+// the exhaustive analysis enforces its limit, and wider circuits partition
+// — so a 25-input machine synthesizes; only cubes over 64 variables are
+// too wide.
 func TestSynthesizeTooWideRejected(t *testing.T) {
-	src := ".i 25\n.o 1\n"
-	cube := ""
-	for i := 0; i < 25; i++ {
-		cube += "-"
+	wide := func(inputs int) *kiss.STG {
+		t.Helper()
+		m, err := kiss.ParseString("wide", fmt.Sprintf(".i %d\n.o 1\n%s a a 1\n.e\n", inputs, strings.Repeat("-", inputs)))
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		return m
 	}
-	src += cube + " a a 1\n.e\n"
-	m, err := kiss.ParseString("wide", src)
+	r, err := Synthesize(wide(25), Options{})
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("Synthesize refused a 25-input machine: %v", err)
 	}
-	if _, err := Synthesize(m, Options{}); err == nil {
-		t.Fatal("Synthesize accepted a 25-input machine")
+	if r.Circuit.NumInputs() != 26 {
+		t.Fatalf("circuit inputs = %d, want 26", r.Circuit.NumInputs())
+	}
+	if _, err := Synthesize(wide(64), Options{}); err == nil {
+		t.Fatal("Synthesize accepted a 65-variable machine")
 	}
 }
 

@@ -424,8 +424,9 @@ func BenchmarkTransitionTSets(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveNaive measures scalar per-vector simulation, the
-// ablation baseline for BenchmarkEngineStream's word-block streaming.
+// BenchmarkExhaustiveNaive measures per-vector circuit.EvalInto of every
+// node, the ablation baseline for BenchmarkEngineStream's word-block
+// streaming.
 func BenchmarkExhaustiveNaive(b *testing.B) {
 	c := mustCircuit(b, "bbara")
 	b.ResetTimer()
@@ -450,8 +451,10 @@ func BenchmarkTSetsViaPropMasks(b *testing.B) {
 	}
 }
 
-// BenchmarkTSetsPerFault measures per-fault scalar resimulation (the
-// ablation baseline) on a slice of the fault list.
+// BenchmarkTSetsPerFault measures per-fault resimulation with
+// circuit.EvalInto (the good machine at every vector, the faulty machine
+// wherever the fault is activated), the ablation baseline, on a slice of
+// the fault list.
 func BenchmarkTSetsPerFault(b *testing.B) {
 	c := mustCircuit(b, "bbara")
 	faults := allStuckAt(c)

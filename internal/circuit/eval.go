@@ -13,17 +13,35 @@ func (c *Circuit) Eval(vector uint64) []bool {
 	return vals
 }
 
-// EvalInto is Eval writing into a caller-provided slice of length NumNodes.
-func (c *Circuit) EvalInto(vector uint64, vals []bool) {
+// Force holds a node at a value during EvalInto.
+type Force struct {
+	Node  int
+	Value bool
+}
+
+// EvalInto is Eval writing into a caller-provided slice of length NumNodes,
+// with every node in forced held at its value: the node's own function is
+// not evaluated, so its consumers see the forced value while its fanin does
+// not feed it. Forcing several nodes at once plays out masking between them
+// exactly as in the faulty machine.
+func (c *Circuit) EvalInto(vector uint64, vals []bool, forced ...Force) {
 	if len(vals) != len(c.Nodes) {
 		panic(fmt.Sprintf("circuit: EvalInto buffer length %d, want %d", len(vals), len(c.Nodes)))
 	}
 	for i, id := range c.Inputs {
 		vals[id] = VectorBit(vector, i, len(c.Inputs))
 	}
+next:
 	for _, id := range c.order {
+		for _, f := range forced {
+			if f.Node == id {
+				vals[id] = f.Value
+				continue next
+			}
+		}
 		n := c.Nodes[id]
-		switch n.Kind {
+		k := n.Kind
+		switch k {
 		case Input:
 			// set above
 		case Const0:
@@ -37,32 +55,29 @@ func (c *Circuit) EvalInto(vector uint64, vals []bool) {
 		case And, Nand:
 			v := true
 			for _, f := range n.Fanin {
-				v = v && vals[f]
+				if !vals[f] {
+					v = false
+					break
+				}
 			}
-			if n.Kind == Nand {
-				v = !v
-			}
-			vals[id] = v
+			vals[id] = v != (k == Nand)
 		case Or, Nor:
 			v := false
 			for _, f := range n.Fanin {
-				v = v || vals[f]
+				if vals[f] {
+					v = true
+					break
+				}
 			}
-			if n.Kind == Nor {
-				v = !v
-			}
-			vals[id] = v
+			vals[id] = v != (k == Nor)
 		case Xor, Xnor:
 			v := false
 			for _, f := range n.Fanin {
 				v = v != vals[f]
 			}
-			if n.Kind == Xnor {
-				v = !v
-			}
-			vals[id] = v
+			vals[id] = v != (k == Xnor)
 		default:
-			panic(fmt.Sprintf("circuit: unknown kind %v", n.Kind))
+			panic(fmt.Sprintf("circuit: unknown kind %v", k))
 		}
 	}
 }

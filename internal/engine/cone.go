@@ -28,9 +28,9 @@ type ConeProgram struct {
 	Site int
 	// Sites lists every fault site of the cone in faulty-bank register
 	// order: register i belongs to Sites[i]. Single-site cones have
-	// Sites = [Site]; multi-site cones (ConeCompiler.Compile over several
-	// sites) seed each site register with a forced constant via
-	// PropForcedInto.
+	// Sites = [Site], and PropInto seeds register 0 with the site's
+	// complement; PropForcedInto seeds every site register with a forced
+	// constant.
 	Sites   []int
 	Instrs  []Instr
 	NumRegs int
@@ -50,15 +50,6 @@ type ConeProgram struct {
 	// argument — forced constants (PropForcedInto) do not complement the
 	// site.
 	alwaysProp bool
-
-	// selfSeed records that the program's first emitted definition computes
-	// the flipped site itself (r0 ← NOT of the good-bank site register), so
-	// PropInto skips the external seeding pass — and, more importantly,
-	// the fusion pass may fold the seeding NOT into its consumers and then
-	// remove it entirely. Single-site cones only; forced replay
-	// (PropForcedInto) rejects self-seeded programs, since the
-	// embedded complement would overwrite the forced constant.
-	selfSeed bool
 }
 
 // AlwaysProp reports whether the flip provably propagates at every vector,
@@ -87,9 +78,6 @@ type ConeCompiler struct {
 	instrs []Instr
 	outs   []ConeOut
 	segEnd []int32
-	livev  []int32
-	fz     fuser
-	noFuse bool // see SetFusion
 
 	// Chunked arenas backing the slices of emitted ConePrograms (see
 	// arenaCopy).
@@ -99,30 +87,16 @@ type ConeCompiler struct {
 	siteArena  []int
 }
 
-// SetFusion toggles the peephole fusion pass (on by default). Fusion pays
-// for itself when a compiled cone is replayed across many universe blocks;
-// for one-block (small) universes the pass costs more compile time than the
-// single replay saves, so the streaming layer turns it off there. The
-// replayed values — and therefore every analysis result — are identical
-// either way; only the instruction encoding differs.
-func (cc *ConeCompiler) SetFusion(on bool) { cc.noFuse = !on }
-
 // NewConeCompiler returns a cone compiler for this program.
 func (p *Program) NewConeCompiler() *ConeCompiler {
 	n := p.Circuit.NumNodes()
-	cc := &ConeCompiler{
+	return &ConeCompiler{
 		p:      p,
 		inCone: make([]int32, n),
 		done:   make([]int32, n),
 		odd:    make([]int32, n),
 		badReg: make([]int32, n),
 	}
-	// Pre-size the fusion scratch for the largest possible cone — every
-	// node gets at most one register, and a cone never emits more
-	// instructions than the full program plus the seed — so batch
-	// compilation never regrows it one cone size at a time.
-	cc.fz.grow(n+1, len(p.Instrs)+1)
-	return cc
 }
 
 func (cc *ConeCompiler) regOf(f int) int32 {
@@ -169,11 +143,6 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 	segEnd := cc.segEnd[:0]
 	next := int32(len(sites))
 	alwaysProp := false
-	if single {
-		// Self-seed: compute the flipped site as the program's first
-		// instruction so fusion can fold the complement into consumers.
-		instrs = append(instrs, Instr{Op: OpNot, Dst: 0, A: ^int32(sites[0])})
-	}
 	for _, o := range c.Outputs {
 		if cc.inCone[o] != ep {
 			continue
@@ -223,21 +192,11 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 	}
 	cc.queue = q[:0]
 
-	if !cc.noFuse && len(instrs) > 0 {
-		livev := cc.livev[:0]
-		for _, co := range outs {
-			livev = append(livev, co.Bad)
-		}
-		instrs = cc.fz.fuse(instrs, int(next), livev, segEnd)
-		cc.livev = livev[:0]
-	}
-
 	cp := &ConeProgram{
 		Site:       sites[0],
 		Sites:      arenaCopy(&cc.siteArena, sites),
 		NumRegs:    int(next),
 		alwaysProp: alwaysProp,
-		selfSeed:   single,
 	}
 	if len(instrs) > 0 {
 		cp.Instrs = arenaCopy(&cc.instrArena, instrs)
@@ -295,29 +254,6 @@ func (cx *ConeExec) Reserve(numRegs int) {
 	}
 }
 
-// seedForced binds cp and holds every site register at a constant: vals[i]
-// is the value forced onto cp.Sites[i] across the whole block. Comparing
-// reachable outputs against the good machine after the replay yields
-// exactly the vectors at which the multiple stuck-at fault
-// {Sites[i] stuck at vals[i]} is detected — activation is implicit in the
-// output comparison.
-func (cx *ConeExec) seedForced(cp *ConeProgram, x *Exec, vals []bool) {
-	if cp.selfSeed {
-		panic("engine: forced replay on a self-seeded (single-site flip) cone program")
-	}
-	if len(vals) != len(cp.Sites) {
-		panic(fmt.Sprintf("engine: %d forced values for %d sites", len(vals), len(cp.Sites)))
-	}
-	cx.bind(cp, x)
-	for i, v := range vals {
-		fill := uint64(0)
-		if v {
-			fill = ^uint64(0)
-		}
-		fillWords(cx.reg(int32(i)), fill)
-	}
-}
-
 // PropInto writes into dst (length ≥ block words) the block's slice of the
 // site's flip-propagation mask: the words where any reachable output
 // disagrees with the good machine under the flipped site. It overwrites dst
@@ -336,22 +272,31 @@ func (cx *ConeExec) PropInto(cp *ConeProgram, x *Exec, dst []uint64) {
 		fillWords(dst, 0)
 		return
 	}
-	if !cp.selfSeed {
-		notWords(cx.reg(0), x.Node(cp.Site))
-	}
+	notWords(cx.reg(0), x.Node(cp.Site))
 	cx.propSegments(cp, x, dst)
 }
 
-// PropForcedInto is PropInto for forced multi-site replay (seedForced
-// semantics): it overwrites dst with the detection mask of the multiple
-// stuck-at fault {Sites[i] stuck at vals[i]}, with the same segmented
-// early exit.
+// PropForcedInto is PropInto for forced multi-site replay: it holds every
+// site register at a constant across the block, vals[i] being the value
+// forced onto cp.Sites[i], and overwrites dst with the detection mask of the
+// multiple stuck-at fault {Sites[i] stuck at vals[i]}, with the same
+// segmented early exit. Activation is implicit in the output comparison.
 func (cx *ConeExec) PropForcedInto(cp *ConeProgram, x *Exec, vals []bool, dst []uint64) {
-	cx.seedForced(cp, x, vals)
+	if len(vals) != len(cp.Sites) {
+		panic(fmt.Sprintf("engine: %d forced values for %d sites", len(vals), len(cp.Sites)))
+	}
+	cx.bind(cp, x)
 	dst = dst[:cx.n]
 	if len(cp.Outputs) == 0 {
 		fillWords(dst, 0)
 		return
+	}
+	for i, v := range vals {
+		fill := uint64(0)
+		if v {
+			fill = ^uint64(0)
+		}
+		fillWords(cx.reg(int32(i)), fill)
 	}
 	cx.propSegments(cp, x, dst)
 }
@@ -409,22 +354,6 @@ func (cx *ConeExec) execInstrs(instrs []Instr, x *Exec) {
 			xorWords(dst, cx.operand(ins.A, x), cx.operand(ins.B, x))
 		case OpXnor:
 			xnorWords(dst, cx.operand(ins.A, x), cx.operand(ins.B, x))
-		case OpAndN:
-			andnWords(dst, cx.operand(ins.A, x), cx.operand(ins.B, x))
-		case OpOrN:
-			ornWords(dst, cx.operand(ins.A, x), cx.operand(ins.B, x))
-		case OpAndAcc:
-			andAccWords(dst, cx.operand(ins.B, x))
-		case OpNandAcc:
-			nandAccWords(dst, cx.operand(ins.B, x))
-		case OpOrAcc:
-			orAccWords(dst, cx.operand(ins.B, x))
-		case OpNorAcc:
-			norAccWords(dst, cx.operand(ins.B, x))
-		case OpXorAcc:
-			xorAccWords(dst, cx.operand(ins.B, x))
-		case OpXnorAcc:
-			xnorAccWords(dst, cx.operand(ins.B, x))
 		default:
 			// Cones never contain inputs or constants: both are fanin-free.
 			panic(fmt.Sprintf("engine: op %v in cone program", ins.Op))

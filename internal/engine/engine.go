@@ -1,14 +1,12 @@
 // Package engine compiles gate-level circuits into flat, levelized
-// instruction programs and interprets them at three widths.
+// instruction programs and interprets them at two widths.
 //
 // A Program is a straight-line sequence of register-to-register
 // instructions in level order, with register r holding node r: multi-input
 // gates are decomposed into binary accumulator chains that write through
 // their own node's register, so every node's chain is one contiguous
-// instruction range. The same program runs at three widths:
+// instruction range. The same program runs at two widths:
 //
-//   - scalar (width 1): one bool per register, with optional forced-node
-//     override — the per-vector reference evaluator;
 //   - word blocks (width 64·W): one []uint64 block per register, streaming
 //     the exhaustive input space U in cache-sized chunks instead of
 //     materializing per-node bitsets over all of U;
@@ -19,8 +17,11 @@
 // two-bank program (good values read from a Program's block, faulty values
 // from a compact cone-local bank), which is the inner kernel of streaming
 // fault analysis: flip a line, replay only its cone, compare the reachable
-// outputs. Cone programs are the only ones the peephole fusion pass
-// (fuse.go) rewrites, so only the cone interpreter runs fused opcodes.
+// outputs. Cone programs use the same instruction set as whole-circuit
+// programs; only their operand addressing differs.
+//
+// The per-vector reference evaluator is circuit.EvalInto, which shares
+// nothing with this package's lowering.
 package engine
 
 import (
@@ -35,10 +36,7 @@ import (
 type Op uint8
 
 // The instruction set. OpConst* take no operands, OpCopy/OpNot take one
-// (A), the rest take two (A, B). The compiler (emitNode) only produces the
-// first ten; the opcodes below OpXnor exist solely as targets of the
-// peephole fusion pass (fuse.go), which rewrites only cone programs, so
-// ConeExec is their one interpreter.
+// (A), the rest take two (A, B).
 const (
 	OpConst0 Op = iota
 	OpConst1
@@ -50,26 +48,10 @@ const (
 	OpNor
 	OpXor
 	OpXnor
-
-	// Complemented-first-operand pairs: a NOT fused into its consumer.
-	OpAndN // dst = ^a & b
-	OpOrN  // dst = ^a | b
-
-	// Accumulator forms: a chain step whose first operand is its own
-	// destination (dst = dst OP b). A is kept equal to Dst so width-agnostic
-	// interpreters may treat them as their plain binary counterparts; the
-	// word interpreter uses dedicated read-modify-write kernels.
-	OpAndAcc
-	OpNandAcc
-	OpOrAcc
-	OpNorAcc
-	OpXorAcc
-	OpXnorAcc
 )
 
 var opNames = [...]string{
 	"const0", "const1", "copy", "not", "and", "nand", "or", "nor", "xor", "xnor",
-	"andn", "orn", "and.acc", "nand.acc", "or.acc", "nor.acc", "xor.acc", "xnor.acc",
 }
 
 // String returns the opcode mnemonic.
@@ -98,8 +80,7 @@ type Program struct {
 	NumRegs int
 
 	// nodeInstr is the [start, end) instruction range of each node's chain,
-	// which enables subset execution (ExecTV) and forced-node skips
-	// (EvalScalarForced).
+	// which enables subset execution (ExecTV).
 	nodeInstr [][2]int32
 }
 
@@ -158,10 +139,8 @@ func emitNode(n *circuit.Node, dst int32, regOf func(fanin int) int32, out *[]In
 
 // CompileAll lowers the whole circuit with every node pinned to its own
 // register (register r holds node r): fault streaming reads arbitrary node
-// values for activation and cone side inputs, scalar forced evaluation
-// overrides any node, and dual-rail subset execution replays any
-// topological slice of nodes. The program is never fused, so it holds only
-// the ten base opcodes.
+// values for activation and cone side inputs, and dual-rail subset
+// execution replays any topological slice of nodes.
 func CompileAll(c *circuit.Circuit) *Program {
 	p := &Program{
 		Circuit:   c,

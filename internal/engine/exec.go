@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"ndetect/internal/circuit"
-)
+import "fmt"
 
 // Exec is a word-block execution context: a register file of blockWords
 // 64-bit words per register, evaluating the program over a contiguous slice
@@ -104,60 +100,6 @@ func alternating(shift uint) uint64 {
 		}
 	}
 	return pat
-}
-
-// EvalScalar evaluates the program for one input vector at width 1, writing
-// register values into regs (length ≥ NumRegs). The vector uses the
-// MSB-first convention of circuit.VectorBit.
-func (p *Program) EvalScalar(vector uint64, regs []bool) {
-	m := p.Circuit.NumInputs()
-	for i, id := range p.Circuit.Inputs {
-		regs[id] = circuit.VectorBit(vector, i, m)
-	}
-	scalarRun(p.Instrs, regs)
-}
-
-// EvalScalarForced is EvalScalar with node `forced` overridden to val: its
-// instruction chain is skipped, so downstream consumers see the override
-// while the node's own fanin does not feed it.
-func (p *Program) EvalScalarForced(vector uint64, forced int, val bool, regs []bool) {
-	m := p.Circuit.NumInputs()
-	for i, id := range p.Circuit.Inputs {
-		regs[id] = circuit.VectorBit(vector, i, m)
-	}
-	regs[forced] = val
-	r := p.nodeInstr[forced]
-	scalarRun(p.Instrs[:r[0]], regs)
-	scalarRun(p.Instrs[r[1]:], regs)
-}
-
-func scalarRun(instrs []Instr, regs []bool) {
-	for _, ins := range instrs {
-		switch ins.Op {
-		case OpConst0:
-			regs[ins.Dst] = false
-		case OpConst1:
-			regs[ins.Dst] = true
-		case OpCopy:
-			regs[ins.Dst] = regs[ins.A]
-		case OpNot:
-			regs[ins.Dst] = !regs[ins.A]
-		case OpAnd:
-			regs[ins.Dst] = regs[ins.A] && regs[ins.B]
-		case OpNand:
-			regs[ins.Dst] = !(regs[ins.A] && regs[ins.B])
-		case OpOr:
-			regs[ins.Dst] = regs[ins.A] || regs[ins.B]
-		case OpNor:
-			regs[ins.Dst] = !(regs[ins.A] || regs[ins.B])
-		case OpXor:
-			regs[ins.Dst] = regs[ins.A] != regs[ins.B]
-		case OpXnor:
-			regs[ins.Dst] = regs[ins.A] == regs[ins.B]
-		default:
-			panic(fmt.Sprintf("engine: unknown op %v", ins.Op))
-		}
-	}
 }
 
 // ExecTV runs the instruction chains of the listed nodes (a topological

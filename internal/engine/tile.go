@@ -136,136 +136,6 @@ func xnorWords(dst, a, b []uint64) {
 	}
 }
 
-func andnWords(dst, a, b []uint64) {
-	n := len(dst)
-	a, b = a[:n], b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		x := (*[tileWords]uint64)(a[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] = ^x[i] & y[i]
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] = ^a[w] & b[w]
-	}
-}
-
-func ornWords(dst, a, b []uint64) {
-	n := len(dst)
-	a, b = a[:n], b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		x := (*[tileWords]uint64)(a[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] = ^x[i] | y[i]
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] = ^a[w] | b[w]
-	}
-}
-
-func andAccWords(dst, b []uint64) {
-	n := len(dst)
-	b = b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] &= y[i]
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] &= b[w]
-	}
-}
-
-func nandAccWords(dst, b []uint64) {
-	n := len(dst)
-	b = b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] = ^(d[i] & y[i])
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] = ^(dst[w] & b[w])
-	}
-}
-
-func orAccWords(dst, b []uint64) {
-	n := len(dst)
-	b = b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] |= y[i]
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] |= b[w]
-	}
-}
-
-func norAccWords(dst, b []uint64) {
-	n := len(dst)
-	b = b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] = ^(d[i] | y[i])
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] = ^(dst[w] | b[w])
-	}
-}
-
-func xorAccWords(dst, b []uint64) {
-	n := len(dst)
-	b = b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] ^= y[i]
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] ^= b[w]
-	}
-}
-
-func xnorAccWords(dst, b []uint64) {
-	n := len(dst)
-	b = b[:n]
-	w := 0
-	for ; w+tileWords <= n; w += tileWords {
-		d := (*[tileWords]uint64)(dst[w:])
-		y := (*[tileWords]uint64)(b[w:])
-		for i := range d {
-			d[i] = ^(d[i] ^ y[i])
-		}
-	}
-	for ; w < n; w++ {
-		dst[w] = ^(dst[w] ^ b[w])
-	}
-}
-
 // setDiffWords stores the good/bad disagreement mask dst[w] = g[w]^b[w] and
 // returns the running AND of the stored words: ^0 means every word is
 // saturated (all vectors propagate), which lets segmented replay stop

@@ -125,19 +125,6 @@ func streamBlocks(prog *engine.Program, workers, nWords, blockWords int, emit fu
 	})
 }
 
-// newConeCompiler returns a cone compiler configured for this universe:
-// fusion is disabled for small (one-block) universes, where each cone is
-// replayed exactly once and the pass would cost more compile time than the
-// replay saves. Replayed values are identical either way, so the cone cache
-// never mixes semantics — only instruction encodings.
-func (e *Exhaustive) newConeCompiler() *engine.ConeCompiler {
-	cc := e.prog.NewConeCompiler()
-	if universeWords(e.Circuit.VectorSpaceSize()) <= smallUniverseWords {
-		cc.SetFusion(false)
-	}
-	return cc
-}
-
 // conesFor returns the compiled fanout cones of all requested lines,
 // compiling cache misses as one parallel batch with pooled compiler
 // scratch (engine.ConeCompiler reuses its node-count marking arrays across
@@ -163,7 +150,7 @@ func (e *Exhaustive) conesFor(lines []int) []*engine.ConeProgram {
 	ParallelFor(e.Workers, len(missing), func(k int) {
 		cc, _ := pool.Get().(*engine.ConeCompiler)
 		if cc == nil {
-			cc = e.newConeCompiler()
+			cc = e.prog.NewConeCompiler()
 		}
 		i := missing[k]
 		cps[i] = cc.Compile([]int{lines[i]})

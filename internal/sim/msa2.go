@@ -61,7 +61,7 @@ func (e *Exhaustive) pairStuckAtTSets(pairs []fault.Descriptor) []*bitset.Set {
 			s, _ := pool.Get().(*pairScratch)
 			if s == nil {
 				s = &pairScratch{
-					cc:   e.newConeCompiler(),
+					cc:   e.prog.NewConeCompiler(),
 					cx:   engine.NewConeExec(nWords),
 					prop: make([]uint64, nWords),
 				}
@@ -84,7 +84,7 @@ func (e *Exhaustive) pairStuckAtTSets(pairs []fault.Descriptor) []*bitset.Set {
 	ParallelFor(e.Workers, len(pairs), func(pi int) {
 		cc, _ := ccPool.Get().(*engine.ConeCompiler)
 		if cc == nil {
-			cc = e.newConeCompiler()
+			cc = e.prog.NewConeCompiler()
 		}
 		cps[pi] = cc.Compile([]int{int(pairs[pi].A), int(pairs[pi].B)})
 		ccPool.Put(cc)

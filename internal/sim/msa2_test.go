@@ -7,52 +7,17 @@ import (
 	"ndetect/internal/fault"
 )
 
-// evalForced is a test-local double-fault reference evaluator: circuit.Eval
-// with the nodes in forced overridden to their stuck values, so masking
-// between the two sites plays out exactly as in the real faulty machine.
-func evalForced(c *circuit.Circuit, vector uint64, forced map[int]bool) []bool {
-	vals := make([]bool, c.NumNodes())
-	for i, id := range c.Inputs {
-		vals[id] = circuit.VectorBit(vector, i, c.NumInputs())
-	}
-	for _, id := range c.TopoOrder() {
-		if fv, ok := forced[id]; ok {
-			vals[id] = fv
-			continue
-		}
-		n := c.Node(id)
-		switch n.Kind {
-		case circuit.Input:
-			// set above
-		case circuit.Const0:
-			vals[id] = false
-		case circuit.Const1:
-			vals[id] = true
-		case circuit.Buf, circuit.Branch:
-			vals[id] = vals[n.Fanin[0]]
-		case circuit.Not:
-			vals[id] = !vals[n.Fanin[0]]
-		case circuit.And, circuit.Nand:
-			v := true
-			for _, f := range n.Fanin {
-				v = v && vals[f]
-			}
-			vals[id] = v != (n.Kind == circuit.Nand)
-		case circuit.Or, circuit.Nor:
-			v := false
-			for _, f := range n.Fanin {
-				v = v || vals[f]
-			}
-			vals[id] = v != (n.Kind == circuit.Nor)
-		case circuit.Xor, circuit.Xnor:
-			v := false
-			for _, f := range n.Fanin {
-				v = v != vals[f]
-			}
-			vals[id] = v != (n.Kind == circuit.Xnor)
+// forcedDetects reports whether some primary output of c differs at vector
+// v between the good machine's values good and the machine with the nodes in
+// forced held at their values, evaluated into bad.
+func forcedDetects(c *circuit.Circuit, v int, good, bad []bool, forced ...circuit.Force) bool {
+	c.EvalInto(uint64(v), bad, forced...)
+	for _, o := range c.Outputs {
+		if good[o] != bad[o] {
+			return true
 		}
 	}
-	return vals
+	return false
 }
 
 // TestMSA2TSetsMatchNaive cross-checks the forced-cone pair builder against
@@ -60,7 +25,9 @@ func evalForced(c *circuit.Circuit, vector uint64, forced map[int]bool) []bool {
 // fault {A/V&1, B/V>>1} iff evaluating with both sites forced flips some
 // primary output. This is exactly the masking-aware semantics (one fault
 // can block the other's effect), so any single-fault shortcut in the
-// builder would fail here.
+// builder would fail here. c17 runs the whole builder on one block; a
+// 14-input random circuit runs a fixed sample of pairs through the
+// block-parallel path.
 func TestMSA2TSetsMatchNaive(t *testing.T) {
 	c := embeddedCircuit(t, "c17")
 	m, tT, uT, kept := buildModelTSets(t, c, "msa2")
@@ -70,25 +37,19 @@ func TestMSA2TSetsMatchNaive(t *testing.T) {
 	for v := 0; v < size; v++ {
 		good[v] = c.Eval(uint64(v))
 	}
+	bad := make([]bool, c.NumNodes())
 
 	keptIdx := make(map[fault.Descriptor]int, len(kept))
 	for i, d := range kept {
 		keptIdx[d] = i
 	}
 	for _, d := range fault.EnumerateSet(m, c, fault.UntargetedSet) {
-		forced := map[int]bool{int(d.A): d.V&1 != 0, int(d.B): d.V&2 != 0}
+		forced := []circuit.Force{{Node: int(d.A), Value: d.V&1 != 0}, {Node: int(d.B), Value: d.V&2 != 0}}
 		fname := string(m.Provider(fault.UntargetedSet).AppendName(nil, c, d))
 		i, isKept := keptIdx[d]
 		detectable := false
 		for v := 0; v < size; v++ {
-			bad := evalForced(c, uint64(v), forced)
-			want := false
-			for _, o := range c.Outputs {
-				if good[v][o] != bad[o] {
-					want = true
-					break
-				}
-			}
+			want := forcedDetects(c, v, good[v], bad, forced...)
 			detectable = detectable || want
 			switch {
 			case isKept:
@@ -115,6 +76,29 @@ func TestMSA2TSetsMatchNaive(t *testing.T) {
 		for v := 0; v < size; v++ {
 			if tT[i].Contains(v) != naive.Contains(v) {
 				t.Fatalf("target %s: vector %d disagrees with naive", string(m.Provider(fault.TargetSet).AppendName(nil, c, d)), v)
+			}
+		}
+	}
+
+	c = wideCircuit(t)
+	e, err := RunWorkers(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := sample(fault.EnumerateSet(m, c, fault.UntargetedSet), 12)
+	got := e.pairStuckAtTSets(pairs)
+	size = c.VectorSpaceSize()
+	good = make([][]bool, size)
+	for v := 0; v < size; v++ {
+		good[v] = c.Eval(uint64(v))
+	}
+	bad = make([]bool, c.NumNodes())
+	for i, d := range pairs {
+		forced := []circuit.Force{{Node: int(d.A), Value: d.V&1 != 0}, {Node: int(d.B), Value: d.V&2 != 0}}
+		for v := 0; v < size; v++ {
+			if want := forcedDetects(c, v, good[v], bad, forced...); got[i].Contains(v) != want {
+				t.Fatalf("%s: vector %d: builder says %v, reference says %v",
+					m.Provider(fault.UntargetedSet).AppendName(nil, c, d), v, !want, want)
 			}
 		}
 	}

@@ -89,6 +89,31 @@ func randomCircuit(t *testing.T, rng *rand.Rand, inputs, gates int) *circuit.Cir
 	return c
 }
 
+// wideCircuit returns a 14-input random circuit, whose 256-word universe
+// exceeds smallUniverseWords, so every analysis of it streams through the
+// block-parallel paths.
+func wideCircuit(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	c := randomCircuit(t, rand.New(rand.NewSource(11)), 14, 5)
+	if nWords := universeWords(c.VectorSpaceSize()); nWords <= smallUniverseWords {
+		t.Fatalf("%d-word universe takes the one-block path", nWords)
+	}
+	return c
+}
+
+// sample returns n elements spread evenly over s, or s itself when it has
+// at most n.
+func sample[T any](s []T, n int) []T {
+	if len(s) <= n {
+		return s
+	}
+	out := make([]T, n)
+	for i := range out {
+		out[i] = s[i*len(s)/n]
+	}
+	return out
+}
+
 func TestRunMatchesScalarEval(t *testing.T) {
 	c := testCircuit(t)
 	values := nodeValues(t, c, 0)
@@ -152,15 +177,27 @@ func TestStuckAtTSetsMatchNaive(t *testing.T) {
 	}
 }
 
+// TestStuckAtTSetsMatchNaiveRandom checks every stuck-at T-set of random
+// one-block circuits, and a fixed sample of a 14-input circuit's, whose
+// universe streams through the block-parallel path, against the naive
+// reference.
 func TestStuckAtTSetsMatchNaiveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		c := randomCircuit(t, rng, 4+rng.Intn(4), 8+rng.Intn(15))
+	for trial := 0; trial < 11; trial++ {
+		var c *circuit.Circuit
+		if trial < 10 {
+			c = randomCircuit(t, rng, 4+rng.Intn(4), 8+rng.Intn(15))
+		} else {
+			c = wideCircuit(t)
+		}
 		e, err := RunWorkers(c, 0)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		faults := fault.AllStuckAt(c)
+		if trial == 10 {
+			faults = sample(faults, 24)
+		}
 		tsets := e.StuckAtTSets(faults)
 		for i, f := range faults {
 			want := NaiveStuckAtTSet(c, f)
@@ -294,15 +331,15 @@ func TestNaiveExhaustiveMatchesRun(t *testing.T) {
 
 // ---- Engine acceptance tests -------------------------------------------
 //
-// `go test -run Engine -v` exercises the streaming-kernel contract: all
-// three compiled widths agree with the retained naive reference, the
-// streaming path materializes no per-node universe bitsets, and circuits
-// wider than the old 24-input ceiling pass.
+// `go test -run Engine -v` exercises the streaming-kernel contract: both
+// compiled widths agree with the per-vector references, the streaming path
+// materializes no per-node universe bitsets, and circuits wider than the
+// old 24-input ceiling pass.
 
 // TestEngineModesAgreeRandom is the fuzz cross-check harness: random
-// circuits run through the compiled width-1 (scalar), word-block, and
-// dual-rail modes, asserting exact agreement with the retained naive
-// references (circuit.Eval for two-valued, SimulateTV for three-valued).
+// circuits run through the word-block and dual-rail modes, asserting exact
+// agreement with the naive references (NaiveStuckAtTSet over
+// circuit.EvalInto for two-valued, SimulateTV for three-valued).
 func TestEngineModesAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
@@ -315,10 +352,10 @@ func TestEngineModesAgreeRandom(t *testing.T) {
 		word := e.StuckAtTSets(faults) // word-block streaming
 
 		for fi, f := range faults {
-			scalar := NaiveStuckAtTSet(c, f) // compiled width-1
-			if !word[fi].Equal(scalar) {
-				t.Fatalf("trial %d fault %s: word-block %s, width-1 %s",
-					trial, f.Name(c), word[fi], scalar)
+			naive := NaiveStuckAtTSet(c, f)
+			if !word[fi].Equal(naive) {
+				t.Fatalf("trial %d fault %s: word-block %s, naive %s",
+					trial, f.Name(c), word[fi], naive)
 			}
 			// Dual-rail mode on fully specified patterns must agree with
 			// T-set membership vector by vector.
@@ -337,17 +374,6 @@ func TestEngineModesAgreeRandom(t *testing.T) {
 			}
 		}
 
-		// Width-1 good machine vs the retained scalar reference.
-		naive := NaiveExhaustive(c)
-		for v := 0; v < c.VectorSpaceSize(); v++ {
-			want := c.Eval(uint64(v))
-			for id := range c.Nodes {
-				if naive[id].Contains(v) != want[id] {
-					t.Fatalf("trial %d node %d v=%d: width-1 %v, reference %v",
-						trial, id, v, naive[id].Contains(v), want[id])
-				}
-			}
-		}
 		if len(faults) > 0 {
 			f := faults[rng.Intn(len(faults))]
 			fc := NewFaultCone(c, f.Node)

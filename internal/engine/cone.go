@@ -8,11 +8,12 @@ import (
 )
 
 // ConeProgram is the compiled fanout cone of one line: the instructions
-// that replay the circuit downstream of the line with its value flipped,
-// reading untouched side inputs from the good-value bank of a Program block
-// and faulty values from a compact cone-local bank. Register 0 of the
-// faulty bank is the flipped line itself; negative instruction operands ^r
-// address good-bank register r, which holds node r.
+// that replay the circuit downstream of the line with its value flipped
+// (PropInto) or held at a constant (PropPairInto), reading untouched side
+// inputs from the bank of a Program block and faulty values from a compact
+// cone-local bank. Register 0 of the faulty bank is the line itself;
+// negative instruction operands ^r address bank register r, which holds
+// node r.
 //
 // Streaming fault analysis runs one ConeProgram per fault line per block:
 // the words where any reachable output disagrees with the good machine are
@@ -25,13 +26,7 @@ import (
 // that needs it and is executed once; cone nodes reaching no output are
 // never emitted at all.
 type ConeProgram struct {
-	Site int
-	// Sites lists every fault site of the cone in faulty-bank register
-	// order: register i belongs to Sites[i]. Single-site cones have
-	// Sites = [Site], and PropInto seeds register 0 with the site's
-	// complement; PropForcedInto seeds every site register with a forced
-	// constant.
-	Sites   []int
+	Site    int
 	Instrs  []Instr
 	NumRegs int
 	// Outputs pairs, for every primary output reachable from the site, the
@@ -42,13 +37,12 @@ type ConeProgram struct {
 	SegEnd []int32
 
 	// alwaysProp records a compile-time proof that the flip propagates at
-	// every vector: some reachable output is connected to the single site
-	// by a chain of Buf/Branch/Not nodes only. Such a chain commutes with
+	// every vector: some reachable output is connected to the site by a
+	// chain of Buf/Branch/Not nodes only. Such a chain commutes with
 	// complement, so the flipped site forces bad == ^good at that output at
 	// every vector, making the propagation mask all-ones without replaying
-	// anything. Only single-site flip semantics (PropInto) support the
-	// argument — forced constants (PropForcedInto) do not complement the
-	// site.
+	// anything. Only flip semantics (PropInto) support the argument: a
+	// forced constant (PropPairInto) need not complement the site.
 	alwaysProp bool
 }
 
@@ -84,7 +78,6 @@ type ConeCompiler struct {
 	instrArena []Instr
 	outArena   []ConeOut
 	segArena   []int32
-	siteArena  []int
 }
 
 // NewConeCompiler returns a cone compiler for this program.
@@ -106,27 +99,19 @@ func (cc *ConeCompiler) regOf(f int) int32 {
 	return ^int32(f) // good bank
 }
 
-// Compile lowers the union fanout cone of sites. The result is a pure
-// function of (program, sites): scratch reuse and batch order never change
-// the emitted instructions.
-func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
+// Compile lowers the fanout cone of site. The result is a pure function
+// of (program, site): scratch reuse and batch order never change the
+// emitted instructions.
+func (cc *ConeCompiler) Compile(site int) *ConeProgram {
 	cc.epoch++
 	ep := cc.epoch
 	c := cc.p.Circuit
-	single := len(sites) == 1
 
-	q := cc.queue[:0]
-	for i, s := range sites {
-		if cc.inCone[s] != ep {
-			cc.inCone[s] = ep
-			q = append(q, s)
-		}
-		cc.badReg[s] = int32(i)
-		cc.done[s] = ep
-		if single {
-			cc.odd[s] = ep
-		}
-	}
+	q := append(cc.queue[:0], site)
+	cc.inCone[site] = ep
+	cc.badReg[site] = 0
+	cc.done[site] = ep
+	cc.odd[site] = ep
 	for len(q) > 0 {
 		id := q[len(q)-1]
 		q = q[:len(q)-1]
@@ -141,7 +126,7 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 	instrs := cc.instrs[:0]
 	outs := cc.outs[:0]
 	segEnd := cc.segEnd[:0]
-	next := int32(len(sites))
+	next := int32(1)
 	alwaysProp := false
 	for _, o := range c.Outputs {
 		if cc.inCone[o] != ep {
@@ -173,12 +158,10 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 				next++
 				cc.badReg[id] = dst
 				emitNode(n, dst, cc.regOf, &instrs)
-				if single {
-					switch n.Kind {
-					case circuit.Buf, circuit.Branch, circuit.Not:
-						if f := n.Fanin[0]; cc.odd[f] == ep {
-							cc.odd[id] = ep
-						}
+				switch n.Kind {
+				case circuit.Buf, circuit.Branch, circuit.Not:
+					if f := n.Fanin[0]; cc.odd[f] == ep {
+						cc.odd[id] = ep
 					}
 				}
 			}
@@ -193,8 +176,7 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 	cc.queue = q[:0]
 
 	cp := &ConeProgram{
-		Site:       sites[0],
-		Sites:      arenaCopy(&cc.siteArena, sites),
+		Site:       site,
 		NumRegs:    int(next),
 		alwaysProp: alwaysProp,
 	}
@@ -212,7 +194,7 @@ func (cc *ConeCompiler) Compile(sites []int) *ConeProgram {
 }
 
 // arenaCopy copies src into chunked arena storage, returning a right-capped
-// slice. Compiling one cone program emits four small immutable slices; a
+// slice. Compiling one cone program emits three small immutable slices; a
 // batch of hundreds of cones would hand the garbage collector thousands of
 // tiny objects to track, so each compiler carves them out of shared chunks
 // with the same lifetime instead.
@@ -261,11 +243,8 @@ func (cx *ConeExec) Reserve(numRegs int) {
 // time, stopping as soon as the mask saturates to all-ones — further
 // outputs can only OR into saturated words, so skipping them is exactly
 // identity-preserving, and the cut depends only on register data, never on
-// worker schedule. Single-site cones only.
+// worker schedule.
 func (cx *ConeExec) PropInto(cp *ConeProgram, x *Exec, dst []uint64) {
-	if len(cp.Sites) != 1 {
-		panic(fmt.Sprintf("engine: PropInto on a %d-site cone", len(cp.Sites)))
-	}
 	cx.bind(cp, x)
 	dst = dst[:cx.n]
 	if len(cp.Outputs) == 0 {
@@ -273,44 +252,51 @@ func (cx *ConeExec) PropInto(cp *ConeProgram, x *Exec, dst []uint64) {
 		return
 	}
 	notWords(cx.reg(0), x.Node(cp.Site))
-	cx.propSegments(cp, x, dst)
+	cx.propSegments(cp, x, x, dst, true)
 }
 
-// PropForcedInto is PropInto for forced multi-site replay: it holds every
-// site register at a constant across the block, vals[i] being the value
-// forced onto cp.Sites[i], and overwrites dst with the detection mask of the
-// multiple stuck-at fault {Sites[i] stuck at vals[i]}, with the same
-// segmented early exit. Activation is implicit in the output comparison.
-func (cx *ConeExec) PropForcedInto(cp *ConeProgram, x *Exec, vals []bool, dst []uint64) {
-	if len(vals) != len(cp.Sites) {
-		panic(fmt.Sprintf("engine: %d forced values for %d sites", len(vals), len(cp.Sites)))
-	}
-	cx.bind(cp, x)
+// PropPairInto writes into dst the block's detection mask of a double
+// stuck-at fault: base holds good's block with some node b forced
+// (Exec.EvalForced), and cp.Site is held at v on top of it. The cone
+// replays against base's bank and its outputs are compared with good;
+// every output outside the cone keeps its base-forced value and adds
+// good ⊕ base. The mask is exact when b lies outside the cone, which holds
+// whenever b ≠ cp.Site and Level(b) ≤ Level(cp.Site): every cone node but
+// the site has a higher level than the site. Activation is implicit in the
+// output comparison, and the AlwaysProp proof does not apply.
+func (cx *ConeExec) PropPairInto(cp *ConeProgram, v bool, base, good *Exec, dst []uint64) {
+	cx.bind(cp, base)
 	dst = dst[:cx.n]
-	if len(cp.Outputs) == 0 {
-		fillWords(dst, 0)
+	fillWords(dst, 0)
+	sat := uint64(0)
+	cone := cp.Outputs // a subsequence of the circuit's outputs, in order
+	for _, o := range good.p.Circuit.Outputs {
+		if len(cone) > 0 && int(cone[0].Good) == o {
+			cone = cone[1:]
+			continue
+		}
+		sat = orDiffWords(dst, good.Node(o), base.Node(o))
+	}
+	if len(cp.Outputs) == 0 || sat == ^uint64(0) {
 		return
 	}
-	for i, v := range vals {
-		fill := uint64(0)
-		if v {
-			fill = ^uint64(0)
-		}
-		fillWords(cx.reg(int32(i)), fill)
-	}
-	cx.propSegments(cp, x, dst)
+	fillWords(cx.reg(0), constWord(v))
+	cx.propSegments(cp, base, good, dst, false)
 }
 
-func (cx *ConeExec) propSegments(cp *ConeProgram, x *Exec, dst []uint64) {
+// propSegments replays cp's segments against side's bank and folds each
+// cone output's disagreement with ref into dst, overwriting dst at the
+// first output when set is true and ORing into it otherwise.
+func (cx *ConeExec) propSegments(cp *ConeProgram, side, ref *Exec, dst []uint64, set bool) {
 	start := int32(0)
 	last := len(cp.Outputs) - 1
 	for k, co := range cp.Outputs {
 		end := cp.SegEnd[k]
-		cx.execInstrs(cp.Instrs[start:end], x)
+		cx.execInstrs(cp.Instrs[start:end], side)
 		start = end
-		g, b := x.Node(int(co.Good)), cx.reg(co.Bad)
+		g, b := ref.Node(int(co.Good)), cx.reg(co.Bad)
 		var sat uint64
-		if k == 0 {
+		if set && k == 0 {
 			sat = setDiffWords(dst, g, b)
 		} else {
 			sat = orDiffWords(dst, g, b)

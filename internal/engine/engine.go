@@ -14,11 +14,13 @@
 //     Kleene (p1, p0) rails, for batched partial-vector fault simulation.
 //
 // A ConeCompiler additionally lowers the fanout cone of a line into a
-// two-bank program (good values read from a Program's block, faulty values
+// two-bank program (side inputs read from a Program's block, faulty values
 // from a compact cone-local bank), which is the inner kernel of streaming
 // fault analysis: flip a line, replay only its cone, compare the reachable
-// outputs. Cone programs use the same instruction set as whole-circuit
-// programs; only their operand addressing differs.
+// outputs. A double stuck-at fault replays the same cone against a block
+// evaluated with the other site forced (Exec.EvalForced). Cone programs
+// use the same instruction set as whole-circuit programs; only their
+// operand addressing differs.
 //
 // The per-vector reference evaluator is circuit.EvalInto, which shares
 // nothing with this package's lowering.

@@ -123,15 +123,16 @@ func TestCompileAllBaseProgram(t *testing.T) {
 
 // compileCone lowers the transitive fanout cone of one site.
 func compileCone(p *Program, site int) *ConeProgram {
-	return p.NewConeCompiler().Compile([]int{site})
+	return p.NewConeCompiler().Compile(site)
 }
 
 // conesMatchReference replays cones of c at every block width in widths
-// and compares each mask bit with circuit.EvalInto: PropInto on the
-// single-site cone of every node against the circuit evaluated with that
-// node complemented, and PropForcedInto on `pairs` random two-site cones
-// against the circuit evaluated with both sites held at their forced
-// values.
+// and compares each mask bit with circuit.EvalInto: PropInto on the cone
+// of every node against the circuit evaluated with that node complemented,
+// and, for `pairs` random pairs of distinct nodes, PropPairInto on the
+// cone of the pair's higher-level node against a block evaluated with the
+// other node forced (EvalForced), against the circuit evaluated with both
+// nodes held at their forced values.
 func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, widths []int, pairs int) {
 	t.Helper()
 	p := CompileAll(c)
@@ -160,39 +161,45 @@ func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, width
 	}
 
 	type cone struct {
-		cp   *ConeProgram
-		vals []bool // nil: flip replay (PropInto)
-		want []uint64
+		cp     *ConeProgram
+		base   int // −1: flip replay (PropInto)
+		bv, pv bool
+		want   []uint64
 	}
 	var cones []cone
 	for site := range c.Nodes {
 		want := reference(func(v int) []circuit.Force {
 			return []circuit.Force{{Node: site, Value: !good[v][site]}}
 		})
-		cones = append(cones, cone{cp: cc.Compile([]int{site}), want: want})
+		cones = append(cones, cone{cp: cc.Compile(site), base: -1, want: want})
 	}
 	for i := 0; i < pairs; i++ {
 		perm := rng.Perm(c.NumNodes())
-		sites := []int{perm[0], perm[1]}
-		vals := []bool{rng.Intn(2) == 1, rng.Intn(2) == 1}
-		forced := []circuit.Force{{Node: sites[0], Value: vals[0]}, {Node: sites[1], Value: vals[1]}}
+		base, partner := perm[0], perm[1]
+		if c.Node(base).Level > c.Node(partner).Level {
+			base, partner = partner, base
+		}
+		bv, pv := rng.Intn(2) == 1, rng.Intn(2) == 1
+		forced := []circuit.Force{{Node: base, Value: bv}, {Node: partner, Value: pv}}
 		want := reference(func(int) []circuit.Force { return forced })
-		cones = append(cones, cone{cp: cc.Compile(sites), vals: vals, want: want})
+		cones = append(cones, cone{cp: cc.Compile(partner), base: base, bv: bv, pv: pv, want: want})
 	}
 
 	for _, bw := range widths {
 		bw = min(bw, nWords)
 		x := NewExec(p, bw)
+		y := NewExec(p, bw)
 		cx := NewConeExec(bw)
 		dst := make([]uint64, bw)
 		for lo := 0; lo < nWords; lo += bw {
 			hi := min(lo+bw, nWords)
 			x.Eval(lo, hi)
 			for _, k := range cones {
-				if k.vals == nil {
+				if k.base < 0 {
 					cx.PropInto(k.cp, x, dst)
 				} else {
-					cx.PropForcedInto(k.cp, x, k.vals, dst)
+					y.EvalForced(x, k.base, k.bv)
+					cx.PropPairInto(k.cp, k.pv, y, x, dst)
 				}
 				for w := lo; w < hi; w++ {
 					// Bits beyond the universe tail are unmasked by contract.
@@ -203,8 +210,8 @@ func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, width
 					if diff := (dst[w-lo] ^ k.want[w]) & valid; diff != 0 {
 						b := bits.TrailingZeros64(diff)
 						want := k.want[w]>>uint(b)&1 == 1
-						t.Fatalf("sites %v forced %v, block width %d: vector %d: replay %v, reference %v",
-							k.cp.Sites, k.vals, bw, 64*w+b, !want, want)
+						t.Fatalf("site %d (base %d forced %v, site forced %v), block width %d: vector %d: replay %v, reference %v",
+							k.cp.Site, k.base, k.bv, k.pv, bw, 64*w+b, !want, want)
 					}
 				}
 			}
@@ -213,12 +220,13 @@ func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, width
 }
 
 // TestConeMatchesFullFlip: replaying a line's compiled cone against a good
-// block (PropInto, the production replay) must reproduce exactly the
-// outputs of a full evaluation with the line forced to its complement, and
-// replaying a two-site cone (PropForcedInto, the msa2 replay) those of a
-// full evaluation with both sites forced. Circuits of 4–7 inputs fit one
-// block; those of 8–11 inputs are replayed in blocks of one word, one tile
-// and a tile plus a tail.
+// block (PropInto, the stuck-at replay) must reproduce exactly the outputs
+// of a full evaluation with the line forced to its complement, and
+// replaying the higher-level node's cone of a pair against a block with the
+// other node forced (EvalForced and PropPairInto, the msa2 replay) those
+// of a full evaluation with both nodes forced. Circuits of 4–7 inputs fit
+// one block; those of 8–11 inputs are replayed in blocks of one word, one
+// tile and a tile plus a tail.
 func TestConeMatchesFullFlip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	widths := []int{1, tileWords, tileWords + 3}

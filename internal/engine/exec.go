@@ -14,7 +14,6 @@ type Exec struct {
 	p    *Program
 	cap  int // allocated words per register
 	n    int // words of the current block
-	lo   int // global word offset of the current block
 	regs []uint64
 }
 
@@ -31,7 +30,7 @@ func (x *Exec) Eval(lo, hi int) {
 	if hi-lo > x.cap {
 		panic(fmt.Sprintf("engine: block [%d,%d) exceeds capacity %d words", lo, hi, x.cap))
 	}
-	x.lo, x.n = lo, hi-lo
+	x.n = hi - lo
 	m := x.p.Circuit.NumInputs()
 	for i, id := range x.p.Circuit.Inputs {
 		dst := x.Node(id)
@@ -54,7 +53,27 @@ func (x *Exec) Eval(lo, hi int) {
 			}
 		}
 	}
-	for _, ins := range x.p.Instrs {
+	x.run(x.p.Instrs)
+}
+
+// EvalForced loads the block good holds with node held at v: it copies
+// good's registers, fills node's register with v and re-runs the program
+// after node's chain. The level order puts every node of node's fanout
+// cone after that chain, so the bank becomes the machine with node stuck
+// at v, and nodes outside the cone keep their good values.
+func (x *Exec) EvalForced(good *Exec, node int, v bool) {
+	if good.p != x.p || good.cap != x.cap {
+		panic("engine: EvalForced across programs or block capacities")
+	}
+	x.n = good.n
+	copy(x.regs, good.regs)
+	fillWords(x.Node(node), constWord(v))
+	x.run(x.p.Instrs[x.p.nodeInstr[node][1]:])
+}
+
+// run interprets instrs over the current block.
+func (x *Exec) run(instrs []Instr) {
+	for _, ins := range instrs {
 		dst := x.Node(int(ins.Dst))
 		switch ins.Op {
 		case OpConst0:
@@ -88,6 +107,14 @@ func (x *Exec) Eval(lo, hi int) {
 func (x *Exec) Node(id int) []uint64 {
 	base := id * x.cap
 	return x.regs[base : base+x.n]
+}
+
+// constWord returns the word holding v at every bit.
+func constWord(v bool) uint64 {
+	if v {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // alternating returns the 64-bit pattern of bit position `shift` of the

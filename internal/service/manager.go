@@ -20,6 +20,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -53,6 +55,11 @@ var ErrShuttingDown = errors.New("service: shutting down")
 // unbounded latency. Cache hits and coalesces are never shed — they
 // consume no queue slot. HTTP maps this to 503 with a Retry-After hint.
 var ErrOverloaded = errors.New("service: overloaded, accept queue full")
+
+// errJobPanicked fails a job whose analysis or encoding panicked. Its text
+// is fixed, so the failure reads the same whichever worker's panic
+// surfaced first; the panic value and stack go to the log.
+var errJobPanicked = errors.New("service: analysis failed: internal error")
 
 // Config configures a Manager.
 type Config struct {
@@ -562,7 +569,8 @@ func (m *Manager) dispatchLocked() {
 // runJob computes one job and retires it: the result (success or
 // deterministic failure — analyses have no transient errors) moves into
 // the LRU and, for successes, the disk result tier; the budget returns to
-// the pool, and waiters are released.
+// the pool, and waiters are released. A panic fails the job alone
+// (compute).
 func (m *Manager) runJob(j *job, grant int) {
 	rec := j.rec // recorder access needs no lock; nil when tracing is off
 	req := j.req
@@ -585,17 +593,7 @@ func (m *Manager) runJob(j *job, grant int) {
 	if j.ukey != "" {
 		req.Universes = &managerUniverses{m: m, key: j.ukey}
 	}
-	doc, err := m.run(j.circuit, req)
-	var encoded []byte
-	if err == nil {
-		if rec != nil {
-			end := rec.Begin("encode")
-			encoded = doc.Encode()
-			end()
-		} else {
-			encoded = doc.Encode()
-		}
-	}
+	encoded, err := m.compute(j, req, rec)
 
 	m.mu.Lock()
 	m.used -= grant
@@ -645,6 +643,26 @@ func (m *Manager) runJob(j *job, grant int) {
 		m.persist.Done()
 	}
 	close(j.done)
+}
+
+// compute runs one job's analysis and encodes its document. A panic in
+// either, raised on this goroutine or re-raised here by sim.ParallelFor
+// from a worker, becomes errJobPanicked instead of ending the process.
+func (m *Manager) compute(j *job, req exp.AnalysisRequest, rec *obs.Recorder) (encoded []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("service: job %s panicked: %v\n%s", j.info.ID, r, debug.Stack())
+			encoded, err = nil, errJobPanicked
+		}
+	}()
+	doc, err := m.run(j.circuit, req)
+	if err != nil {
+		return nil, err
+	}
+	if rec != nil {
+		defer rec.Begin("encode")()
+	}
+	return doc.Encode(), nil
 }
 
 // Drain begins a graceful shutdown: new submissions fail with

@@ -99,8 +99,11 @@ func (s *managerUniverses) Universe(c *circuit.Circuit, fm fault.Model, opts nde
 	// Jobs over other circuits may overlap transiently; worker counts
 	// never influence results (§7), only wall-clock time.
 	opts.Workers = m.workers
+	// A build that panics still releases the waiters, with the error a
+	// panicking job fails with; the panic itself fails this job (compute).
+	f.err = errJobPanicked
+	defer close(f.done)
 	f.u, f.err = m.resolveUniverse(c, fm, opts)
-	close(f.done)
 	return f.u, f.err
 }
 

@@ -106,25 +106,6 @@ func RunWorkers(c *Circuit, workers int) (*Exhaustive, error) {
 	}, nil
 }
 
-// streamBlocks evaluates the program over all universe words in blocks of
-// blockWords, fanning blocks out over the workers, each with its own
-// pooled execution context. emit is called once per evaluated block and
-// must write only into word range [lo, hi) of its results — the invariant
-// that keeps every schedule byte-identical.
-func streamBlocks(prog *engine.Program, workers, nWords, blockWords int, emit func(lo, hi int, x *engine.Exec)) {
-	blocks := blockRanges(nWords, blockWords)
-	var pool sync.Pool
-	ParallelFor(workers, len(blocks), func(bi int) {
-		x, _ := pool.Get().(*engine.Exec)
-		if x == nil {
-			x = engine.NewExec(prog, min(blockWords, nWords))
-		}
-		x.Eval(blocks[bi][0], blocks[bi][1])
-		emit(blocks[bi][0], blocks[bi][1], x)
-		pool.Put(x)
-	})
-}
-
 // conesFor returns the compiled fanout cones of all requested lines,
 // compiling cache misses as one parallel batch with pooled compiler
 // scratch (engine.ConeCompiler reuses its node-count marking arrays across
@@ -153,7 +134,7 @@ func (e *Exhaustive) conesFor(lines []int) []*engine.ConeProgram {
 			cc = e.prog.NewConeCompiler()
 		}
 		i := missing[k]
-		cps[i] = cc.Compile([]int{lines[i]})
+		cps[i] = cc.Compile(lines[i])
 		pool.Put(cc)
 	})
 	e.mu.Lock()

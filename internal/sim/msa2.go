@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-
 	"ndetect/internal/bitset"
 	"ndetect/internal/engine"
 	"ndetect/internal/fault"
@@ -11,12 +9,17 @@ import (
 // The pairwise multiple stuck-at model (ID "msa2"): the untargeted set is
 // every pair of collapsed stuck-at faults on distinct lines, both present
 // at once. Pair detection is computed exactly, with no single-fault
-// approximation: both sites are forced to their stuck values across a
-// whole word block (engine.ConeExec.PropForcedInto on the union fanout
-// cone compiled by ConeCompiler.Compile), and a vector detects the pair iff
-// any reachable output disagrees with the good machine — which accounts
-// for masking between the two faults, the phenomenon that makes the model
-// interesting.
+// approximation: a vector detects the pair iff some output of the machine
+// with both sites held at their stuck values disagrees with the good
+// machine, which accounts for masking between the two faults, the
+// phenomenon that makes the model interesting. No cone is compiled per
+// pair. Each pair is oriented: its base is the site of lower level (A on a
+// tie), its partner the other. Per block, the circuit is evaluated once per
+// base fault with the base forced (engine.Exec.EvalForced), and each
+// partner's cached single-site cone replays against that bank with the
+// partner held at its value (engine.ConeExec.PropPairInto). The base lies
+// outside the partner's cone, whose nodes other than the partner all have
+// a higher level, so the replay sees the exact double-fault values.
 // Targets are the ordinary collapsed stuck-at faults over the same
 // single-vector space, so Definition 2 still applies.
 
@@ -40,85 +43,45 @@ func msa2ModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 
 // pairStuckAtTSets computes T(g) for every descriptor {A, B, V}: the
 // vectors at which forcing A to V&1 and B to V>>1 simultaneously is
-// observable at an output.
+// observable at an output. Faults are keyed 2·node + value. Tasks run
+// over (block, base fault) and write only their block's words of their
+// base's pairs.
 func (e *Exhaustive) pairStuckAtTSets(pairs []fault.Descriptor) []*bitset.Set {
-	size := e.Circuit.VectorSpaceSize()
-	nWords := universeWords(size)
-	out := bitset.NewBatch(size, len(pairs))
-	if len(pairs) == 0 {
-		return out
-	}
-
-	if nWords <= smallUniverseWords {
-		// One shared good block; pairs fan out, each worker compiling and
-		// discarding its pair's union cone with pooled compiler scratch
-		// (compilation is cheap next to the replay at these sizes, and
-		// nothing is retained).
-		x := engine.NewExec(e.prog, nWords)
-		x.Eval(0, nWords)
-		var pool sync.Pool
-		ParallelFor(e.Workers, len(pairs), func(pi int) {
-			s, _ := pool.Get().(*pairScratch)
-			if s == nil {
-				s = &pairScratch{
-					cc:   e.prog.NewConeCompiler(),
-					cx:   engine.NewConeExec(nWords),
-					prop: make([]uint64, nWords),
-				}
-			}
-			d := pairs[pi]
-			cp := s.cc.Compile([]int{int(d.A), int(d.B)})
-			s.cx.PropForcedInto(cp, x, []bool{d.V&1 != 0, d.V&2 != 0}, s.prop)
-			out[pi].SetRange(0, s.prop)
-			pool.Put(s)
-		})
-		return out
-	}
-
-	// Large universe: blocks fan out; cones are precompiled once (batched,
-	// with pooled compiler scratch) so the per-block loop only replays.
-	// (CheckResultBudget already bounds the pair count at these universe
-	// sizes — the T-sets alone dwarf the compiled cones.)
-	cps := make([]*engine.ConeProgram, len(pairs))
-	var ccPool sync.Pool
-	ParallelFor(e.Workers, len(pairs), func(pi int) {
-		cc, _ := ccPool.Get().(*engine.ConeCompiler)
-		if cc == nil {
-			cc = e.prog.NewConeCompiler()
+	c := e.Circuit
+	out := bitset.NewBatch(c.VectorSpaceSize(), len(pairs))
+	baseOf := make([]int, len(pairs))
+	partnerOf := make([]int, len(pairs))
+	isPartner := make([]bool, c.NumNodes())
+	for pi, d := range pairs {
+		a, b := 2*int(d.A)+int(d.V&1), 2*int(d.B)+int(d.V>>1&1)
+		// The base is the site of lower level, so it lies outside the
+		// partner's cone.
+		if c.Node(int(d.B)).Level < c.Node(int(d.A)).Level {
+			a, b = b, a
 		}
-		cps[pi] = cc.Compile([]int{int(pairs[pi].A), int(pairs[pi].B)})
-		ccPool.Put(cc)
-	})
+		baseOf[pi], partnerOf[pi] = a, b
+		isPartner[b/2] = true
+	}
+	bases, pairsOf := groupByLine(baseOf)
+	var partners []int
+	for node, ok := range isPartner {
+		if ok {
+			partners = append(partners, node)
+		}
+	}
+	coneOf := make([]*engine.ConeProgram, c.NumNodes())
 	maxRegs := 0
-	for _, cp := range cps {
+	for i, cp := range e.conesFor(partners) {
+		coneOf[partners[i]] = cp
 		maxRegs = max(maxRegs, cp.NumRegs)
 	}
-	blockWords := blockWordsFor(nWords, e.Workers)
-	var pool sync.Pool
-	streamBlocks(e.prog, e.Workers, nWords, blockWords, func(lo, hi int, x *engine.Exec) {
-		s, _ := pool.Get().(*lineScratch)
-		if s == nil {
-			s = &lineScratch{
-				cx:   engine.NewConeExec(min(blockWords, nWords)),
-				prop: make([]uint64, blockWords),
-			}
-			s.cx.Reserve(maxRegs)
+	e.blockTasks(len(bases), maxRegs, true, func(k, lo int, s *blockScratch) {
+		s.forced.EvalForced(s.good, bases[k]/2, bases[k]%2 == 1)
+		for _, pi := range pairsOf[k] {
+			p := partnerOf[pi]
+			s.cx.PropPairInto(coneOf[p/2], p%2 == 1, s.forced, s.good, s.prop)
+			out[pi].SetRange(lo, s.prop)
 		}
-		for pi, cp := range cps {
-			d := pairs[pi]
-			prop := s.prop[:hi-lo]
-			s.cx.PropForcedInto(cp, x, []bool{d.V&1 != 0, d.V&2 != 0}, prop)
-			out[pi].SetRange(lo, prop)
-		}
-		pool.Put(s)
 	})
 	return out
-}
-
-// pairScratch is the per-worker scratch of the small-universe msa2 path:
-// cone compiler, replay context, and propagation buffer, pooled together.
-type pairScratch struct {
-	cc   *engine.ConeCompiler
-	cx   *engine.ConeExec
-	prop []uint64
 }

@@ -45,35 +45,57 @@ func SplitWorkers(workers, n int) (outer, inner int) {
 // loop inline in index order. fn must write only to per-index state. It is
 // the one worker pool every parallel site in the engine shares (exp's
 // circuit fan-out included).
+//
+// A panic in fn never escapes on a worker goroutine, where nothing could
+// recover it: the pool stops handing out indices, joins, and re-raises the
+// first panic on the calling goroutine, as the inline loop would.
 func ParallelFor(workers, n int, fn func(i int)) {
+	parallelFor(workers, n, func(_, i int) { fn(i) })
+}
+
+// parallelFor is ParallelFor that also passes fn the number w of the
+// worker running it, w < ResolveWorkers(workers), so callers can keep
+// per-worker state in a slice without synchronization.
+func parallelFor(workers, n int, fn func(w, i int)) {
 	workers = ResolveWorkers(workers)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var once sync.Once
+	var raised any
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		// ndetect:allow(budget) ParallelFor IS the budget primitive: it
 		// spawns exactly the granted worker count and joins before returning.
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					next.Store(int64(n))
+					once.Do(func() { raised = r })
+				}
+			}()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+	if raised != nil {
+		panic(raised)
+	}
 }
 
 // Streaming block sizing: a block is the unit of work the engine's word

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"ndetect/internal/fault"
@@ -132,6 +134,60 @@ func TestRunMatchesRunWorkersSerial(t *testing.T) {
 	for id := range a {
 		if !a[id].Equal(b[id]) {
 			t.Fatalf("node %d: workers 0 and 1 disagree", id)
+		}
+	}
+}
+
+// TestParallelForReraisesWorkerPanic: a panic in fn reaches the caller at
+// every worker count, where it can be recovered, and the pool stops
+// handing out indices after it.
+func TestParallelForReraisesWorkerPanic(t *testing.T) {
+	const n = 100000
+	for _, workers := range []int{1, 2, 4} {
+		var ran atomic.Int64
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			ParallelFor(workers, n, func(i int) {
+				ran.Add(1)
+				if i == 3 {
+					panic("boom")
+				}
+				runtime.Gosched()
+			})
+			return nil
+		}()
+		if got != "boom" {
+			t.Fatalf("workers=%d: recovered %v, want the worker's panic", workers, got)
+		}
+		if k := ran.Load(); k == n {
+			t.Fatalf("workers=%d: all %d indices ran after the panic", workers, k)
+		}
+	}
+}
+
+// TestParallelForWorkerNumbers: parallelFor passes every call a worker
+// number below the resolved worker count, and calls with one number never
+// overlap, so per-worker state needs no lock (-race checks the plain
+// counters below).
+func TestParallelForWorkerNumbers(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		calls := make([]int, ResolveWorkers(workers))
+		hits := make([]int, 1000)
+		parallelFor(workers, len(hits), func(w, i int) {
+			calls[w]++
+			hits[i]++
+		})
+		total := 0
+		for _, c := range calls {
+			total += c
+		}
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
+			}
+		}
+		if total != len(hits) {
+			t.Fatalf("workers=%d: %d calls counted per worker, want %d", workers, total, len(hits))
 		}
 	}
 }

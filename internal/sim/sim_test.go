@@ -14,7 +14,7 @@ import (
 
 // nodeValues returns every node's good-machine value set over U, the i-th
 // holding the vectors where node i is 1, from goodColumns: the same
-// streamBlocks pass production runs for the bridge dominants' columns.
+// blockTasks pass production runs for the bridge dominants' columns.
 func nodeValues(t *testing.T, c *circuit.Circuit, workers int) []*bitset.Set {
 	t.Helper()
 	e, err := RunWorkers(c, workers)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"slices"
-	"sync"
 
 	"ndetect/internal/engine"
 )
@@ -17,9 +16,9 @@ import (
 // for activation masking. Only per-fault result bitsets ever span U.
 
 // smallUniverseWords is the cutoff below which the whole universe is one
-// block: the good machine is evaluated once and the parallelism comes from
-// fanning the lines out instead (matching the pre-engine fault-level
-// pools, which is what the benchmark-suite circuits exercise).
+// block: the good machine is evaluated once per worker and the parallelism
+// comes from fanning the items out instead (matching the pre-engine
+// fault-level pools, which is what the benchmark-suite circuits exercise).
 const smallUniverseWords = 2 * minBlockWords
 
 // onesBlock backs the propagation slice handed to emit for always-prop
@@ -34,11 +33,57 @@ var onesBlock = func() []uint64 {
 	return s
 }()
 
-// lineScratch is one worker's reusable cone state for the block-parallel
-// path (the good-machine Exec is pooled by streamBlocks).
-type lineScratch struct {
-	cx   *engine.ConeExec
-	prop []uint64
+// blockScratch is one worker's state for blockTasks, kept for the
+// worker's lifetime, so a block is evaluated once per worker: good holds
+// block number block of U (−1 before the first), forced is a second bank
+// for engine.Exec.EvalForced when asked for, cx replays cones, and prop is
+// a buffer of the block's length.
+type blockScratch struct {
+	good, forced *engine.Exec
+	cx           *engine.ConeExec
+	buf, prop    []uint64
+	block        int
+}
+
+// blockTasks runs fn(k, lo, s) for every word block of U and every k in
+// [0, items), block-major, over the workers. s.good holds the block
+// [lo, lo+len(s.prop)), evaluated once per scratch and block. fn must
+// write only into that word range of its results, which keeps every worker
+// schedule byte-identical. A universe of at most smallUniverseWords words
+// is one block, so its items fan out; larger ones fan out blocks too.
+// maxRegs presizes the cone replay bank, and forced allocates s.forced.
+func (e *Exhaustive) blockTasks(items, maxRegs int, forced bool, fn func(k, lo int, s *blockScratch)) {
+	nWords := universeWords(e.Circuit.VectorSpaceSize())
+	blockWords := nWords
+	if nWords > smallUniverseWords {
+		blockWords = blockWordsFor(nWords, e.Workers)
+	}
+	blocks := blockRanges(nWords, blockWords)
+	scratch := make([]*blockScratch, ResolveWorkers(e.Workers))
+	parallelFor(e.Workers, len(blocks)*items, func(w, t int) {
+		s := scratch[w]
+		if s == nil {
+			s = &blockScratch{
+				good:  engine.NewExec(e.prog, blockWords),
+				cx:    engine.NewConeExec(blockWords),
+				buf:   make([]uint64, blockWords),
+				block: -1,
+			}
+			if forced {
+				s.forced = engine.NewExec(e.prog, blockWords)
+			}
+			s.cx.Reserve(maxRegs)
+			scratch[w] = s
+		}
+		bi := t / items
+		lo, hi := blocks[bi][0], blocks[bi][1]
+		if s.block != bi {
+			s.good.Eval(lo, hi)
+			s.block = bi
+			s.prop = s.buf[:hi-lo]
+		}
+		fn(t%items, lo, s)
+	})
 }
 
 // replayOrder returns a deterministic iteration order over the lines:
@@ -77,66 +122,19 @@ func replayOrder(cps []*engine.ConeProgram) []int {
 // concurrently for different lines or blocks, so the schedule is
 // byte-identical for every worker count.
 func (e *Exhaustive) streamLines(lines []int, emit func(li, lo int, prop []uint64, x *engine.Exec)) {
-	if len(lines) == 0 {
-		return
-	}
-	nWords := universeWords(e.Circuit.VectorSpaceSize())
 	cps := e.conesFor(lines)
 	order := replayOrder(cps)
 	maxRegs := 0
 	for _, cp := range cps {
 		maxRegs = max(maxRegs, cp.NumRegs)
 	}
-
-	if nWords <= smallUniverseWords {
-		// One shared good block, lines fan out across the workers, each
-		// reusing pooled cone scratch.
-		x := engine.NewExec(e.prog, nWords)
-		x.Eval(0, nWords)
-		ones := onesBlock[:nWords]
-		var pool sync.Pool
-		ParallelFor(e.Workers, len(lines), func(oi int) {
-			li := order[oi]
-			cp := cps[li]
-			if cp.AlwaysProp() {
-				emit(li, 0, ones, x)
-				return
-			}
-			s, _ := pool.Get().(*lineScratch)
-			if s == nil {
-				s = &lineScratch{cx: engine.NewConeExec(nWords), prop: make([]uint64, nWords)}
-				s.cx.Reserve(maxRegs)
-			}
-			s.cx.PropInto(cp, x, s.prop)
-			emit(li, 0, s.prop, x)
-			pool.Put(s)
-		})
-		return
-	}
-
-	// Large universe: blocks fan out, each worker streaming whole blocks
-	// through every line with its own scratch register files.
-	blockWords := blockWordsFor(nWords, e.Workers)
-	var pool sync.Pool
-	streamBlocks(e.prog, e.Workers, nWords, blockWords, func(lo, hi int, x *engine.Exec) {
-		s, _ := pool.Get().(*lineScratch)
-		if s == nil {
-			s = &lineScratch{
-				cx:   engine.NewConeExec(min(blockWords, nWords)),
-				prop: make([]uint64, blockWords),
-			}
-			s.cx.Reserve(maxRegs)
+	e.blockTasks(len(lines), maxRegs, false, func(k, lo int, s *blockScratch) {
+		li := order[k]
+		if cp := cps[li]; cp.AlwaysProp() {
+			emit(li, lo, onesBlock[:len(s.prop)], s.good)
+		} else {
+			s.cx.PropInto(cp, s.good, s.prop)
+			emit(li, lo, s.prop, s.good)
 		}
-		for _, li := range order {
-			cp := cps[li]
-			if cp.AlwaysProp() {
-				emit(li, lo, onesBlock[:hi-lo], x)
-				continue
-			}
-			prop := s.prop[:hi-lo]
-			s.cx.PropInto(cp, x, prop)
-			emit(li, lo, prop, x)
-		}
-		pool.Put(s)
 	})
 }

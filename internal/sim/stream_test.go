@@ -126,8 +126,8 @@ func TestSaturationDroppingDeterministic(t *testing.T) {
 
 // TestStreamingWarmConesAllocationGuard extends the allocation guard to
 // the steady state: with the cone cache warm, a repeated T-set
-// construction may allocate the per-fault result slabs plus pooled
-// per-worker scratch — and nothing per (line, block). The bound is an
+// construction may allocate the per-fault result slabs plus per-worker
+// scratch — and nothing per (line, block). The bound is an
 // allocation *count* (objects, not bytes), because per-(line,block)
 // garbage shows up as thousands of small objects while the legitimate
 // slabs are a handful of large ones.
@@ -154,8 +154,8 @@ func TestStreamingWarmConesAllocationGuard(t *testing.T) {
 	}
 
 	// Legitimate warm-run objects: the result slab (NewBatch: ~3 objects
-	// for all faults), grouping arrays, the replay order, and pooled
-	// per-worker scratch. Per-(line,block) garbage on this circuit would
+	// for all faults), grouping arrays, the replay order, and per-worker
+	// scratch. Per-(line,block) garbage on this circuit would
 	// be ~lines × blocks ≈ 80 × 64 ≈ 5000 objects on its own; per-fault
 	// bitset allocation would add 2 × len(faults). Both must stay
 	// impossible under the 600-object budget.

@@ -115,12 +115,10 @@ func (c *Columns) Store(i, lo int, ones []uint64) {
 // goodColumns computes the value columns of the given ascending nodes in
 // one good-machine pass over U.
 func (e *Exhaustive) goodColumns(nodes []int32) *Columns {
-	size := e.Circuit.VectorSpaceSize()
-	cols := NewColumns(size, nodes)
-	nWords := universeWords(size)
-	streamBlocks(e.prog, e.Workers, nWords, blockWordsFor(nWords, e.Workers), func(lo, _ int, x *engine.Exec) {
+	cols := NewColumns(e.Circuit.VectorSpaceSize(), nodes)
+	e.blockTasks(1, 0, false, func(_, lo int, s *blockScratch) {
 		for i, n := range nodes {
-			cols.Store(i, lo, x.Node(int(n)))
+			cols.Store(i, lo, s.good.Node(int(n)))
 		}
 	})
 	return cols

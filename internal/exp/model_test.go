@@ -11,7 +11,7 @@ import (
 	"ndetect/internal/fault"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the per-model golden files in testdata/")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files in testdata/")
 
 // modelsUnderTest returns the fault models this run covers: every model,
 // or only $NDETECT_MODEL when set — the CI fault-model matrix runs one

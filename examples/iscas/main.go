@@ -53,11 +53,15 @@ func main() {
 	fmt.Printf("  partitioned into %d parts (input limit %d):\n", len(res.Parts), res.MaxInputs)
 	for i, a := range res.Parts {
 		fmt.Printf("    part %d: outputs %v, %d inputs, |G| = %d, coverage at n=10: %.2f%%\n",
-			i, a.Part.Outputs, a.Stats.Inputs, a.Untargeted, 100*a.CoverageAt(10))
+			i, a.Outputs, a.Inputs, a.Untargeted, a.CoverageAt10Pct)
 	}
-	fmt.Printf("  merged: %d distinct bridging faults, %.2f%% guaranteed within some part at n ≤ 10\n",
-		len(res.Merged), 100*res.MergedCoverageAt(10))
-	fmt.Printf("  largest finite per-part nmin: %d\n", res.MergedMaxFinite())
+	for _, pt := range res.Coverage {
+		if pt.N == 10 {
+			fmt.Printf("  merged: %d distinct bridging faults, %.2f%% guaranteed within some part at n ≤ 10\n",
+				res.MergedFaults, pt.Pct)
+		}
+	}
+	fmt.Printf("  largest finite per-part nmin: %d\n", res.MaxFinite)
 	fmt.Println("\nnote: per-part guarantees are relative to each part's own input space and")
 	fmt.Println("outputs — exact for the part, conservative for the whole (DESIGN.md §8).")
 }

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"sort"
+	"sync"
 
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
@@ -223,15 +225,11 @@ func AnalyzeCircuit(c *circuit.Circuit, req AnalysisRequest) (*report.Analysis, 
 
 	if req.Kind == PartitionedAnalysis {
 		endParts := span("partition")
-		res, err := partition.AnalyzeParts(c, partition.Options{
-			MaxInputs: req.MaxInputs,
-			Progress:  func(done, total int) { progress("parts", done, total) },
-		}, req.Workers)
+		doc.Partitioned, err = analyzeParts(c, req.MaxInputs, req.Workers, progress)
 		endParts()
 		if err != nil {
 			return nil, err
 		}
-		doc.Partitioned = partitionedJSON(res)
 		return doc, nil
 	}
 
@@ -308,25 +306,24 @@ func WorstCaseOf(faults []report.FaultNMin) *ndetect.WorstCaseResult {
 	return &ndetect.WorstCaseResult{NMin: nmin}
 }
 
-func coveragePoints(coverageAt func(int) float64) []report.CoveragePoint {
-	pts := make([]report.CoveragePoint, 0, len(report.NMinColumns))
+// nminSummary reads the coverage, tail, unbounded and max-finite fields
+// that a worst-case section and a partitioned section's merged table both
+// carry off their nmin values.
+func nminSummary(wc *ndetect.WorstCaseResult) (coverage []report.CoveragePoint, tail []report.TailPoint, unbounded, maxFinite int) {
+	coverage = make([]report.CoveragePoint, 0, len(report.NMinColumns))
 	for _, n := range report.NMinColumns {
-		pts = append(pts, report.CoveragePoint{N: n, Pct: 100 * coverageAt(n)})
+		coverage = append(coverage, report.CoveragePoint{N: n, Pct: 100 * wc.CoverageAt(n)})
 	}
-	return pts
-}
-
-func tailPoints(countAtLeast func(int) int, total int) []report.TailPoint {
-	pts := make([]report.TailPoint, 0, len(report.Table3Columns))
+	tail = make([]report.TailPoint, 0, len(report.Table3Columns))
 	for _, n := range report.Table3Columns {
-		cnt := countAtLeast(n)
+		cnt := wc.CountAtLeast(n)
 		pct := 0.0
-		if total > 0 {
+		if total := len(wc.NMin); total > 0 {
 			pct = 100 * float64(cnt) / float64(total)
 		}
-		pts = append(pts, report.TailPoint{N: n, Count: cnt, Pct: pct})
+		tail = append(tail, report.TailPoint{N: n, Count: cnt, Pct: pct})
 	}
-	return pts
+	return coverage, tail, wc.CountAtLeast(ndetect.Unbounded), wc.MaxFinite()
 }
 
 func worstCaseJSON(u *ndetect.CircuitUniverse, wc *ndetect.WorstCaseResult) *report.WorstCase {
@@ -334,12 +331,9 @@ func worstCaseJSON(u *ndetect.CircuitUniverse, wc *ndetect.WorstCaseResult) *rep
 		Targets:           len(u.Targets),
 		DetectableTargets: u.DetectableTargets(),
 		Untargeted:        len(u.Untargeted),
-		Coverage:          coveragePoints(wc.CoverageAt),
-		Tail:              tailPoints(wc.CountAtLeast, len(u.Untargeted)),
-		Unbounded:         wc.CountAtLeast(ndetect.Unbounded),
-		MaxFinite:         wc.MaxFinite(),
 		NMin:              make([]report.FaultNMin, len(u.Untargeted)),
 	}
+	out.Coverage, out.Tail, out.Unbounded, out.MaxFinite = nminSummary(wc)
 	for j, g := range u.Untargeted {
 		out.NMin[j] = report.FaultNMin{Name: g.Name, NMin: jsonNMin(wc.NMin[j])}
 	}
@@ -397,31 +391,78 @@ func averageJSON(u *ndetect.CircuitUniverse, wc *ndetect.WorstCaseResult, req *A
 	return avg, nil
 }
 
-func partitionedJSON(res *partition.AnalysisResult) *report.Partitioned {
-	out := &report.Partitioned{
-		MaxInputs:    res.MaxInputs,
-		Parts:        make([]report.PartInfo, len(res.Parts)),
-		MergedFaults: len(res.Merged),
-		Coverage:     coveragePoints(res.MergedCoverageAt),
-		Tail:         tailPoints(res.MergedCountAtLeast, len(res.Merged)),
-		Unbounded:    res.MergedCountAtLeast(ndetect.Unbounded),
-		MaxFinite:    res.MergedMaxFinite(),
-		Merged:       make([]report.FaultNMin, 0, len(res.Merged)),
+// analyzeParts is the Section 4 pipeline on the canonical circuit: Split
+// into output cones of at most maxInputs inputs, the exhaustive worst case
+// of every part under the default model, and MergeNMin over the per-part
+// verdicts by fault name. Parts fan out like RunAll's circuits, and each
+// part's universe is released once its summary and name → nmin map are
+// taken. A part is analysed as Split returns it, with no
+// canonicalization, hashing or trace brackets of its own; progress
+// reports each finished part as stage "parts", one call at a time, in
+// completion order.
+func analyzeParts(c *circuit.Circuit, maxInputs, workers int, progress ndetect.Progress) (*report.Partitioned, error) {
+	parts, err := partition.Split(c, partition.Options{MaxInputs: maxInputs})
+	if err != nil {
+		return nil, err
 	}
-	for i, a := range res.Parts {
-		out.Parts[i] = report.PartInfo{
-			Outputs:           a.Part.Outputs,
-			Inputs:            a.Stats.Inputs,
-			VectorSpace:       a.Stats.VectorSpaceSize,
-			Gates:             a.Stats.Gates,
-			Targets:           a.Targets,
-			DetectableTargets: a.DetectableTargets,
-			Untargeted:        a.Untargeted,
-			CoverageAt10Pct:   100 * a.CoverageAt(10),
+	type partResult struct {
+		info report.PartInfo
+		nmin map[string]int
+	}
+	var mu sync.Mutex
+	finished := 0
+	res, err := fanOut(workers, len(parts), func(i, inner int) (partResult, error) {
+		p := parts[i]
+		u, err := ndetect.BuildUniverse(p.Circuit, fault.Default(), ndetect.AnalyzeOptions{Workers: inner})
+		if err != nil {
+			return partResult{}, err
 		}
+		wc := ndetect.WorstCaseWorkers(&u.Universe, inner)
+		nmin := make(map[string]int, len(u.Untargeted))
+		for j, g := range u.Untargeted {
+			nmin[g.Name] = wc.NMin[j]
+		}
+		s := p.Circuit.ComputeStats()
+		mu.Lock()
+		finished++
+		progress("parts", finished, len(parts))
+		mu.Unlock()
+		return partResult{
+			info: report.PartInfo{
+				Outputs:           p.Outputs,
+				Inputs:            s.Inputs,
+				VectorSpace:       s.VectorSpaceSize,
+				Gates:             s.Gates,
+				Targets:           len(u.Targets),
+				DetectableTargets: u.DetectableTargets(),
+				Untargeted:        len(u.Untargeted),
+				CoverageAt10Pct:   100 * wc.CoverageAt(10),
+			},
+			nmin: nmin,
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, name := range res.MergedNames() {
-		out.Merged = append(out.Merged, report.FaultNMin{Name: name, NMin: jsonNMin(res.Merged[name])})
+
+	out := &report.Partitioned{MaxInputs: maxInputs, Parts: make([]report.PartInfo, len(res))}
+	perPart := make([]map[string]int, len(res))
+	for i, r := range res {
+		out.Parts[i], perPart[i] = r.info, r.nmin
 	}
-	return out
+	merged := partition.MergeNMin(perPart)
+	names := make([]string, 0, len(merged))
+	for name := range merged {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	wc := &ndetect.WorstCaseResult{NMin: make([]int, len(names))}
+	out.Merged = make([]report.FaultNMin, len(names))
+	for i, name := range names {
+		wc.NMin[i] = merged[name]
+		out.Merged[i] = report.FaultNMin{Name: name, NMin: jsonNMin(wc.NMin[i])}
+	}
+	out.MergedFaults = len(names)
+	out.Coverage, out.Tail, out.Unbounded, out.MaxFinite = nminSummary(wc)
+	return out, nil
 }

@@ -68,29 +68,29 @@ func (c *Config) circuitList() []string {
 	return names
 }
 
-// mapCircuits is RunAll's circuit-level fan-out: it runs fn once per
-// configured circuit across a bounded pool (work-stealing over the circuit
-// list, so cheap circuits do not idle a worker while a big one runs) and
-// returns the results in circuitList() order — the serial row order of the
-// paper's tables — regardless of completion order. The cfg.Workers budget
-// is split between the levels rather than multiplied (sim.SplitWorkers):
-// fn receives the inner worker count to thread into the per-circuit
-// Sweep, so total CPU-bound goroutines stay ≈ Workers instead of
-// Workers², and at most min(Workers, circuits) universes are live at
-// once. On error the remaining unstarted circuits are abandoned and the
-// error of the earliest-indexed failed circuit is returned.
-func mapCircuits[T any](cfg *Config, fn func(name string, workers int) (T, error)) ([]T, error) {
-	names := cfg.circuitList()
-	vals := make([]T, len(names))
-	errs := make([]error, len(names))
+// fanOut is the package's one two-level fan-out, shared by RunAll's
+// circuits, Sweep's variants and a partitioned analysis's parts. It runs
+// fn(i, inner) for every i in [0, n) across a bounded pool (work-stealing,
+// so cheap items do not idle a worker while a big one runs) and returns
+// the results in index order regardless of completion order. The workers
+// budget is split between the levels rather than multiplied
+// (sim.SplitWorkers, DESIGN.md §5): fn receives the inner worker count to
+// thread into its own stages, so total CPU-bound goroutines stay ≈ workers
+// instead of workers², and at most min(workers, n) items are live at once.
+// On error the remaining unstarted items are abandoned and the error of
+// the earliest-indexed failed item is returned; indices are handed out in
+// order, so that is the error the serial pass would return.
+func fanOut[T any](workers, n int, fn func(i, inner int) (T, error)) ([]T, error) {
+	vals := make([]T, n)
+	errs := make([]error, n)
 
-	outer, inner := sim.SplitWorkers(cfg.Workers, len(names))
+	outer, inner := sim.SplitWorkers(workers, n)
 	var failed atomic.Bool
-	sim.ParallelFor(outer, len(names), func(i int) {
+	sim.ParallelFor(outer, n, func(i int) {
 		if failed.Load() {
 			return
 		}
-		v, err := fn(names[i], inner)
+		v, err := fn(i, inner)
 		if err != nil {
 			errs[i] = err
 			failed.Store(true)

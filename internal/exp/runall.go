@@ -61,8 +61,10 @@ func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func
 		variants = append(variants, average(cfg.K6, ndetect.Def1), average(cfg.K6, ndetect.Def2))
 	}
 
+	names := cfg.circuitList()
 	var observeMu sync.Mutex
-	per, err := mapCircuits(&cfg, func(name string, workers int) (allCircuit, error) {
+	per, err := fanOut(cfg.Workers, len(names), func(i, workers int) (allCircuit, error) {
+		name := names[i]
 		b, ok := bench.ByName(name)
 		if !ok {
 			return allCircuit{}, fmt.Errorf("exp: unknown benchmark %q", name)

@@ -98,21 +98,12 @@ func Sweep(c *circuit.Circuit, variants []AnalysisRequest, opts SweepOptions) ([
 		shared[m.ID()] = u
 	}
 
-	outer, inner := sim.SplitWorkers(total, len(norm))
-	docs := make([]*report.Analysis, len(norm))
-	errs := make([]error, len(norm))
-	sim.ParallelFor(outer, len(norm), func(i int) {
+	return fanOut(total, len(norm), func(i, inner int) (*report.Analysis, error) {
 		req := norm[i]
 		req.Workers = inner
 		req.Universes = shared
-		docs[i], errs[i] = AnalyzeCircuit(c, req)
+		return AnalyzeCircuit(c, req)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return docs, nil
 }
 
 // sweepUniverses serves the universes Sweep resolved up front, one per

@@ -7,9 +7,9 @@
 // cone of a group of primary outputs, greedily grown so the part's support
 // (the primary inputs it depends on) stays within a configurable limit.
 // Each part is a self-contained circuit that package ndetect can analyse
-// exhaustively over its own (smaller) input space. AnalyzeParts drives the
-// whole pipeline — Split, per-part worst-case analysis across a bounded
-// worker pool, MergeNMin — deterministically for every worker count.
+// exhaustively over its own (smaller) input space. The analysis driver
+// (exp.AnalyzeCircuit's partitioned kind) runs the pipeline: Split here,
+// the worst case of every part, and MergeNMin here.
 //
 // The per-part analysis is an approximation of the full-circuit analysis:
 // a part sees only a projection of the input space (each part vector
@@ -46,12 +46,6 @@ const DefaultMaxInputs = 16
 type Options struct {
 	// MaxInputs bounds each part's support (default DefaultMaxInputs).
 	MaxInputs int
-
-	// Progress, when non-nil, observes part completions during
-	// AnalyzeParts: it is called serially with (finished, parts) as each
-	// part's analysis finishes, in completion order. It never influences
-	// results (Split ignores it).
-	Progress func(done, total int)
 }
 
 // effectiveMaxInputs resolves the configured limit.
@@ -223,10 +217,9 @@ func Extract(c *circuit.Circuit, outputPositions []int) (*Part, error) {
 // several parts the smallest nmin wins, since a guarantee through any part
 // is a guarantee overall.
 // Iteration order over each per-part map is dead here: min is commutative
-// and associative, and the merged map is only ever read through sorted
-// accessors (MergedNames sorts; counting queries are order-free), so the
-// result is identical for every traversal order. maporder does not scope
-// package partition for the same reason — nothing here encodes bytes.
+// and associative, so the merged map is identical for every traversal
+// order. maporder does not scope package partition — nothing here encodes
+// bytes; the driver sorts the merged names before it emits them.
 func MergeNMin(perPart []map[string]int) map[string]int {
 	out := make(map[string]int)
 	for _, m := range perPart {

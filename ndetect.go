@@ -34,10 +34,12 @@ import (
 
 	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
+	"ndetect/internal/exp"
 	"ndetect/internal/fault"
 	"ndetect/internal/kiss"
 	core "ndetect/internal/ndetect"
 	"ndetect/internal/partition"
+	"ndetect/internal/report"
 	"ndetect/internal/sim"
 	"ndetect/internal/synth"
 	"ndetect/internal/testgen"
@@ -290,21 +292,27 @@ type Part = partition.Part
 // PartitionOptions controls SplitCircuit and AnalyzePartitioned.
 type PartitionOptions = partition.Options
 
-// PartAnalysis is one part's summarized worst-case analysis.
-type PartAnalysis = partition.PartAnalysis
-
-// PartitionedResult is the outcome of AnalyzePartitioned: per-part
-// summaries in Split order plus the merged per-fault nmin map.
-type PartitionedResult = partition.AnalysisResult
+// PartitionedResult is the outcome of AnalyzePartitioned: the partitioned
+// section of the analysis document `ndetect -partition -json` and ndetectd
+// emit, per-part summaries in Split order plus the merged nmin table.
+type PartitionedResult = report.Partitioned
 
 // AnalyzePartitioned runs the paper's Section 4 workaround end to end for
-// circuits too wide for exhaustive analysis: Split into ≤ MaxInputs-input
-// output cones, exhaustive worst-case analysis per part across a bounded
-// worker pool (the budget is split between parts and their inner
-// simulation, DESIGN.md §5), and MergeNMin over the per-part verdicts.
-// The result is identical for every worker count.
+// circuits too wide for exhaustive analysis: Split the canonical circuit
+// into ≤ MaxInputs-input output cones, exhaustive worst-case analysis per
+// part across a bounded worker pool (the budget is split between parts and
+// their inner simulation, DESIGN.md §5), and MergeNMin over the per-part
+// verdicts. Merged rows are sorted by fault name, and unbounded faults
+// read −1 (report.UnboundedJSON), as in the document. The result is
+// identical for every worker count.
 func AnalyzePartitioned(c *Circuit, opts PartitionOptions, workers int) (*PartitionedResult, error) {
-	return partition.AnalyzeParts(c, opts, workers)
+	doc, err := exp.AnalyzeCircuit(c, exp.AnalysisRequest{
+		Kind: exp.PartitionedAnalysis, MaxInputs: opts.MaxInputs, Workers: workers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return doc.Partitioned, nil
 }
 
 // SplitCircuit partitions a circuit into output-cone subcircuits whose

@@ -257,25 +257,37 @@ func (cx *ConeExec) PropInto(cp *ConeProgram, x *Exec, dst []uint64) {
 
 // PropPairInto writes into dst the block's detection mask of a double
 // stuck-at fault: base holds good's block with some node b forced
-// (Exec.EvalForced), and cp.Site is held at v on top of it. The cone
-// replays against base's bank and its outputs are compared with good;
-// every output outside the cone keeps its base-forced value and adds
-// good ⊕ base. The mask is exact when b lies outside the cone, which holds
-// whenever b ≠ cp.Site and Level(b) ≤ Level(cp.Site): every cone node but
-// the site has a higher level than the site. Activation is implicit in the
-// output comparison, and the AlwaysProp proof does not apply.
-func (cx *ConeExec) PropPairInto(cp *ConeProgram, v bool, base, good *Exec, dst []uint64) {
+// (Exec.EvalForced), baseOuts are the Outputs of b's own cone program,
+// and cp.Site is held at v on top of it. The cone replays against base's
+// bank and its outputs are compared with good; every output of b's cone
+// outside cp's keeps its base-forced value and adds good ⊕ base, and an
+// output outside both cones equals good, since b does not reach it. The
+// mask is exact when b lies outside the cone, which holds whenever
+// b ≠ cp.Site and Level(b) ≤ Level(cp.Site): every cone node but the site
+// has a higher level than the site. Activation is implicit in the output
+// comparison, and the AlwaysProp proof does not apply.
+func (cx *ConeExec) PropPairInto(cp *ConeProgram, v bool, baseOuts []ConeOut, base, good *Exec, dst []uint64) {
 	cx.bind(cp, base)
 	dst = dst[:cx.n]
 	fillWords(dst, 0)
 	sat := uint64(0)
-	cone := cp.Outputs // a subsequence of the circuit's outputs, in order
+	// Both cones' outputs are subsequences of the circuit's outputs, one
+	// entry per position in order, so one walk over the positions matches
+	// them.
+	cone := cp.Outputs
 	for _, o := range good.p.Circuit.Outputs {
+		if len(baseOuts) == 0 {
+			break
+		}
+		inBase := int(baseOuts[0].Good) == o
+		if inBase {
+			baseOuts = baseOuts[1:]
+		}
 		if len(cone) > 0 && int(cone[0].Good) == o {
 			cone = cone[1:]
-			continue
+		} else if inBase {
+			sat = orDiffWords(dst, good.Node(o), base.Node(o))
 		}
-		sat = orDiffWords(dst, good.Node(o), base.Node(o))
 	}
 	if len(cp.Outputs) == 0 || sat == ^uint64(0) {
 		return

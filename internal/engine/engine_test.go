@@ -130,9 +130,10 @@ func compileCone(p *Program, site int) *ConeProgram {
 // and compares each mask bit with circuit.EvalInto: PropInto on the cone
 // of every node against the circuit evaluated with that node complemented,
 // and, for `pairs` random pairs of distinct nodes, PropPairInto on the
-// cone of the pair's higher-level node against a block evaluated with the
-// other node forced (EvalForced), against the circuit evaluated with both
-// nodes held at their forced values.
+// cone of the pair's higher-level node, given the other node's cone
+// outputs, against a block evaluated with the other node forced
+// (EvalForced), against the circuit evaluated with both nodes held at
+// their forced values.
 func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, widths []int, pairs int) {
 	t.Helper()
 	p := CompileAll(c)
@@ -161,10 +162,10 @@ func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, width
 	}
 
 	type cone struct {
-		cp     *ConeProgram
-		base   int // −1: flip replay (PropInto)
-		bv, pv bool
-		want   []uint64
+		cp, baseCone *ConeProgram
+		base         int // −1: flip replay (PropInto)
+		bv, pv       bool
+		want         []uint64
 	}
 	var cones []cone
 	for site := range c.Nodes {
@@ -182,7 +183,7 @@ func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, width
 		bv, pv := rng.Intn(2) == 1, rng.Intn(2) == 1
 		forced := []circuit.Force{{Node: base, Value: bv}, {Node: partner, Value: pv}}
 		want := reference(func(int) []circuit.Force { return forced })
-		cones = append(cones, cone{cp: cc.Compile(partner), base: base, bv: bv, pv: pv, want: want})
+		cones = append(cones, cone{cp: cc.Compile(partner), baseCone: cc.Compile(base), base: base, bv: bv, pv: pv, want: want})
 	}
 
 	for _, bw := range widths {
@@ -199,7 +200,7 @@ func conesMatchReference(t *testing.T, rng *rand.Rand, c *circuit.Circuit, width
 					cx.PropInto(k.cp, x, dst)
 				} else {
 					y.EvalForced(x, k.base, k.bv)
-					cx.PropPairInto(k.cp, k.pv, y, x, dst)
+					cx.PropPairInto(k.cp, k.pv, k.baseCone.Outputs, y, x, dst)
 				}
 				for w := lo; w < hi; w++ {
 					// Bits beyond the universe tail are unmasked by contract.

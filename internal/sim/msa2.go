@@ -17,9 +17,10 @@ import (
 // tie), its partner the other. Per block, the circuit is evaluated once per
 // base fault with the base forced (engine.Exec.EvalForced), and each
 // partner's cached single-site cone replays against that bank with the
-// partner held at its value (engine.ConeExec.PropPairInto). The base lies
-// outside the partner's cone, whose nodes other than the partner all have
-// a higher level, so the replay sees the exact double-fault values.
+// partner held at its value (engine.ConeExec.PropPairInto), reading only
+// the outputs of the base's cached cone outside the partner's. The base
+// lies outside the partner's cone, whose nodes other than the partner all
+// have a higher level, so the replay sees the exact double-fault values.
 // Targets are the ordinary collapsed stuck-at faults over the same
 // single-vector space, so Definition 2 still applies.
 
@@ -63,6 +64,13 @@ func (e *Exhaustive) pairStuckAtTSets(pairs []fault.Descriptor) []*bitset.Set {
 		isPartner[b/2] = true
 	}
 	bases, pairsOf := groupByLine(baseOf)
+	baseLines := make([]int, len(bases))
+	for k, b := range bases {
+		baseLines[k] = b / 2
+	}
+	// Every base is a target site, so its cone is already cached; only
+	// its outputs are read.
+	baseCones := e.conesFor(baseLines)
 	var partners []int
 	for node, ok := range isPartner {
 		if ok {
@@ -79,7 +87,7 @@ func (e *Exhaustive) pairStuckAtTSets(pairs []fault.Descriptor) []*bitset.Set {
 		s.forced.EvalForced(s.good, bases[k]/2, bases[k]%2 == 1)
 		for _, pi := range pairsOf[k] {
 			p := partnerOf[pi]
-			s.cx.PropPairInto(coneOf[p/2], p%2 == 1, s.forced, s.good, s.prop)
+			s.cx.PropPairInto(coneOf[p/2], p%2 == 1, baseCones[k].Outputs, s.forced, s.good, s.prop)
 			out[pi].SetRange(lo, s.prop)
 		}
 	})

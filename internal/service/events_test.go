@@ -224,10 +224,9 @@ func TestHTTPEventsSSE(t *testing.T) {
 	}
 }
 
-// The observability tentpole's acceptance contract: a job computed with
-// tracing on and a live SSE consumer attached is byte-identical to the
-// same job on a tracing-disabled manager, and both match the direct
-// driver run.
+// The observability contract: a job the manager computes with its trace
+// recorder and a live SSE consumer attached serves exactly the bytes of
+// the untraced direct driver run.
 func TestTracedJobByteIdenticalToUntraced(t *testing.T) {
 	direct, err := exp.AnalyzeCircuit(c17(t), averageReq(7))
 	if err != nil {
@@ -235,7 +234,7 @@ func TestTracedJobByteIdenticalToUntraced(t *testing.T) {
 	}
 	want := direct.Encode()
 
-	traced := NewManager(Config{Workers: 4}) // tracing on by default
+	traced := NewManager(Config{Workers: 4})
 	info, _, err := traced.Submit(c17(t), averageReq(7))
 	if err != nil {
 		t.Fatal(err)
@@ -280,24 +279,11 @@ func TestTracedJobByteIdenticalToUntraced(t *testing.T) {
 		t.Fatal("SSE consumer never saw the terminal event")
 	}
 
-	untraced := NewManager(Config{Workers: 4, TraceDepth: -1})
-	info2, _, err := untraced.Submit(c17(t), averageReq(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := untraced.Wait(info2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	if !bytes.Equal(want, got) {
 		t.Fatalf("traced run differs from the direct driver:\n%s\n---\n%s", want, got)
 	}
-	if !bytes.Equal(want, got2) {
-		t.Fatalf("untraced run differs from the direct driver:\n%s\n---\n%s", want, got2)
-	}
 
-	// The traced manager retained the span dump; the untraced one did not.
+	// The manager retained the span dump.
 	spans, ok := traced.Trace(info.ID)
 	if !ok || len(spans) == 0 {
 		t.Fatalf("traced manager has no trace: ok=%v spans=%d", ok, len(spans))
@@ -310,8 +296,5 @@ func TestTracedJobByteIdenticalToUntraced(t *testing.T) {
 		if !names[want] {
 			t.Errorf("trace missing span %q: %v", want, spans)
 		}
-	}
-	if _, ok := untraced.Trace(info2.ID); ok {
-		t.Fatal("tracing-disabled manager retained a trace")
 	}
 }

@@ -186,7 +186,7 @@ func (s *Server) DebugHandler() http.Handler {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	spans, ok := s.m.Trace(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, "no trace for job %s (traces are bounded FIFO; tracing may be disabled)", r.PathValue("id"))
+		writeError(w, http.StatusNotFound, "no trace for job %s (traces are bounded FIFO)", r.PathValue("id"))
 		return
 	}
 	writeJSON(w, http.StatusOK, spans)

@@ -80,12 +80,6 @@ type Config struct {
 	// fault.Resolve before constructing the manager; requests naming their
 	// own model are unaffected.
 	DefaultFaultModel string
-	// TraceDepth bounds the retained completed-job traces behind
-	// Manager.Trace (0 = DefaultTraceDepth, negative = tracing disabled:
-	// no per-job recorders, no span retention). Tracing never influences
-	// result bytes either way — the byte-identity tests pin a traced run
-	// against a TraceDepth<0 one.
-	TraceDepth int
 	// MaxQueue bounds the accept queue (jobs admitted but not yet
 	// dispatched): a submission that would push the queue past the bound
 	// is shed with ErrOverloaded instead of admitted (DESIGN.md §15).
@@ -202,8 +196,8 @@ type job struct {
 	// timer's clock lives in obs, outside the detrand scope.
 	queued obs.Timer
 
-	// rec collects the job's trace spans (nil when tracing is disabled).
-	// Safe outside Manager.mu — the recorder carries its own lock.
+	// rec collects the job's trace spans. Safe outside Manager.mu — the
+	// recorder carries its own lock.
 	rec *obs.Recorder
 	// seq numbers the job's published events; subs are the live event
 	// subscriptions (events.go). Both guarded by Manager.mu.
@@ -224,8 +218,7 @@ type Manager struct {
 	quota *obs.RateLimiter
 
 	// met and traces are the observability sinks (observe.go): latency
-	// histograms plus the retained span log behind Manager.Trace. met is
-	// never nil; traces is nil when Config.TraceDepth is negative.
+	// histograms plus the retained span log behind Manager.Trace.
 	met    *metrics
 	traces *obs.TraceLog
 
@@ -268,6 +261,7 @@ func NewManager(cfg Config) *Manager {
 		defaultModel: cfg.DefaultFaultModel,
 		maxQueue:     cfg.MaxQueue,
 		met:          newMetrics(),
+		traces:       obs.NewTraceLog(traceDepth),
 		inflight:     make(map[string]*job),
 		cache:        newResultCache(entries),
 		universes:    make(map[string]*universeFlight),
@@ -281,13 +275,6 @@ func NewManager(cfg Config) *Manager {
 			burst = int(2 * cfg.QuotaRPS)
 		}
 		m.quota = obs.NewRateLimiter(cfg.QuotaRPS, burst)
-	}
-	if cfg.TraceDepth >= 0 {
-		depth := cfg.TraceDepth
-		if depth == 0 {
-			depth = DefaultTraceDepth
-		}
-		m.traces = obs.NewTraceLog(depth)
 	}
 	if m.store != nil {
 		m.store.SetObserver(storeObserver{dur: m.met.storeDur})
@@ -497,9 +484,7 @@ func (m *Manager) submitLocked(c *circuit.Circuit, hash, id string, req exp.Anal
 		req:     req,
 		done:    make(chan struct{}),
 		queued:  obs.StartTimer(),
-	}
-	if m.traces != nil {
-		j.rec = obs.NewRecorder()
+		rec:     obs.NewRecorder(),
 	}
 	if req.Kind != exp.PartitionedAnalysis {
 		// Flights are keyed per (hash, model): the default model keeps the
@@ -572,23 +557,17 @@ func (m *Manager) dispatchLocked() {
 // the pool, and waiters are released. A panic fails the job alone
 // (compute).
 func (m *Manager) runJob(j *job, grant int) {
-	rec := j.rec // recorder access needs no lock; nil when tracing is off
+	rec := j.rec // recorder access needs no lock
 	req := j.req
 	req.Workers = grant
+	req.Trace = rec
 	req.Progress = func(stage string, done, total int) {
-		if rec != nil {
-			rec.Progress(stage, done, total)
-		}
+		rec.Progress(stage, done, total)
 		m.mu.Lock()
 		j.info.Progress = ProgressInfo{Stage: stage, Done: done, Total: total}
 		p := j.info.Progress
 		m.publishLocked(j, JobEvent{Type: EventProgress, Progress: &p})
 		m.mu.Unlock()
-	}
-	if rec != nil {
-		// Assigned only when non-nil: a nil *Recorder in the TraceSink
-		// interface would defeat the driver's Trace == nil fast path.
-		req.Trace = rec
 	}
 	if j.ukey != "" {
 		req.Universes = &managerUniverses{m: m, key: j.ukey}
@@ -623,16 +602,13 @@ func (m *Manager) runJob(j *job, grant int) {
 	m.dispatchLocked()
 	m.mu.Unlock()
 
-	if rec != nil {
-		// Retire the trace: end-to-end latency (submit → terminal state),
-		// per-stage histograms from the closed spans, and the span dump
-		// behind /trace/{id}. All after the lock — the sinks synchronize
-		// themselves.
-		m.met.jobDur.Observe(rec.Elapsed().Seconds())
-		spans := rec.Finish()
-		m.met.observeTrace(spans)
-		m.traces.Add(j.info.ID, spans)
-	}
+	// Retire the trace: end-to-end latency (submit → terminal state),
+	// per-stage histograms from the closed spans, and the span dump behind
+	// /trace/{id}. All after the lock — the sinks synchronize themselves.
+	m.met.jobDur.Observe(rec.Elapsed().Seconds())
+	spans := rec.Finish()
+	m.met.observeTrace(spans)
+	m.traces.Add(j.info.ID, spans)
 
 	if persist {
 		// Failures stay in-memory only: a deterministic failure recomputes
@@ -659,9 +635,7 @@ func (m *Manager) compute(j *job, req exp.AnalysisRequest, rec *obs.Recorder) (e
 	if err != nil {
 		return nil, err
 	}
-	if rec != nil {
-		defer rec.Begin("encode")()
-	}
+	defer rec.Begin("encode")()
 	return doc.Encode(), nil
 }
 

@@ -11,9 +11,9 @@ import (
 // hooks, so the detrand lint scope stays clean and results stay pure in
 // (circuit, identity options, seed).
 
-// DefaultTraceDepth bounds the retained completed-job traces when
-// Config leaves TraceDepth unset.
-const DefaultTraceDepth = 128
+// traceDepth bounds the retained completed-job traces behind
+// Manager.Trace.
+const traceDepth = 128
 
 // metrics is the manager's observability surface: lock-cheap atomics
 // recorded on the serving hot path and rendered by GET /metrics.
@@ -77,18 +77,14 @@ func (o storeObserver) Op(tier, op string) func(bytes int, ok bool) {
 
 // Trace returns the span dump of one job: a live snapshot while the job
 // is in flight, or the retained trace of a recently completed job. ok is
-// false for unknown jobs, jobs evicted from the trace log, and managers
-// with tracing disabled.
+// false for unknown jobs and jobs evicted from the trace log.
 func (m *Manager) Trace(id string) ([]obs.Span, bool) {
 	m.mu.Lock()
-	if j, ok := m.inflight[id]; ok && j.rec != nil {
+	if j, ok := m.inflight[id]; ok {
 		rec := j.rec
 		m.mu.Unlock()
 		return rec.Snapshot(), true
 	}
 	m.mu.Unlock()
-	if m.traces == nil {
-		return nil, false
-	}
 	return m.traces.Get(id)
 }

@@ -20,6 +20,7 @@
 package store
 
 import (
+	"container/list"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -80,8 +81,6 @@ type entry struct {
 	tier string
 	key  string
 	size int64
-	prev *entry // LRU list: head = most recently used
-	next *entry
 }
 
 // Store is the disk-backed artifact store. Safe for concurrent use.
@@ -90,10 +89,9 @@ type Store struct {
 	maxBytes int64
 
 	mu      sync.Mutex
-	obs     Observer          // nil = unobserved
-	entries map[string]*entry // index key = tier + "/" + key
-	head    *entry
-	tail    *entry
+	obs     Observer                 // nil = unobserved
+	entries map[string]*list.Element // index key = tier + "/" + key; values *entry
+	lru     *list.List               // front = most recently used
 	bytes   int64
 	ctr     map[string]*TierCounters
 }
@@ -109,7 +107,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		maxBytes: maxBytes,
-		entries:  make(map[string]*entry),
+		entries:  make(map[string]*list.Element),
+		lru:      list.New(),
 		ctr: map[string]*TierCounters{
 			ResultTier:   {},
 			UniverseTier: {},
@@ -144,12 +143,11 @@ func Open(dir string, opts Options) (*Store, error) {
 			})
 		}
 	}
-	// Newest first: pushing in that order leaves the oldest at the tail,
+	// Newest first: pushing in that order leaves the oldest at the back,
 	// where eviction starts.
 	sort.Slice(found, func(i, j int) bool { return found[i].mtime.After(found[j].mtime) })
 	for _, f := range found {
-		s.entries[f.e.tier+"/"+f.e.key] = f.e
-		s.pushBack(f.e)
+		s.entries[f.e.tier+"/"+f.e.key] = s.lru.PushBack(f.e)
 		s.bytes += f.e.size
 		c := s.ctr[f.e.tier]
 		c.Bytes += f.e.size
@@ -201,15 +199,14 @@ func (s *Store) put(tier, key string, data []byte) (err error) {
 	c := s.ctr[tier]
 	c.Puts++
 	id := tier + "/" + key
-	if e, ok := s.entries[id]; ok { // overwrite: same key, maybe new size
+	if el, ok := s.entries[id]; ok { // overwrite: same key, maybe new size
+		e := el.Value.(*entry)
 		s.bytes -= e.size
 		c.Bytes -= e.size
 		e.size = int64(len(data))
-		s.moveToFront(e)
+		s.lru.MoveToFront(el)
 	} else {
-		e = &entry{tier: tier, key: key, size: int64(len(data))}
-		s.entries[id] = e
-		s.pushFront(e)
+		s.entries[id] = s.lru.PushFront(&entry{tier: tier, key: key, size: int64(len(data))})
 		c.Files++
 	}
 	s.bytes += int64(len(data))
@@ -249,17 +246,17 @@ func (s *Store) get(tier, key string) (artifact []byte, found bool) {
 	// Re-resolve: the entry may have been evicted (or re-written) while
 	// the lock was released. A successful read still serves — artifacts
 	// are pure functions of their keys, eviction only reclaims space.
-	e, ok := s.entries[id]
+	el, ok := s.entries[id]
 	if err != nil {
 		if ok {
-			s.dropLocked(e) // the file vanished underneath the index
+			s.dropLocked(el) // the file vanished underneath the index
 		}
 		c.Misses++
 		return nil, false
 	}
 	c.Hits++
 	if ok {
-		s.moveToFront(e)
+		s.lru.MoveToFront(el)
 	}
 	return data, true
 }
@@ -268,8 +265,8 @@ func (s *Store) get(tier, key string) (artifact []byte, found bool) {
 func (s *Store) drop(tier, key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.entries[tier+"/"+key]; ok {
-		s.dropLocked(e)
+	if el, ok := s.entries[tier+"/"+key]; ok {
+		s.dropLocked(el)
 	}
 }
 
@@ -278,27 +275,28 @@ func (s *Store) drop(tier, key string) {
 // evict — the artifact just written, which must survive its own put even
 // if it alone exceeds the budget.
 func (s *Store) evictLocked(keep string) {
-	for s.bytes > s.maxBytes && s.tail != nil {
-		e := s.tail
-		if e.tier+"/"+e.key == keep {
-			if e.prev == nil {
+	for s.bytes > s.maxBytes && s.lru.Len() > 0 {
+		el := s.lru.Back()
+		if e := el.Value.(*entry); e.tier+"/"+e.key == keep {
+			if el = el.Prev(); el == nil {
 				return // only the kept entry remains
 			}
-			e = e.prev
 		}
-		s.dropLocked(e)
-		s.ctr[e.tier].Evictions++
+		s.ctr[s.dropLocked(el).tier].Evictions++
 	}
 }
 
-func (s *Store) dropLocked(e *entry) {
+// dropLocked removes one indexed artifact, file included, and returns its
+// record.
+func (s *Store) dropLocked(el *list.Element) *entry {
+	e := s.lru.Remove(el).(*entry)
 	os.Remove(s.path(e.tier, e.key))
-	s.unlink(e)
 	delete(s.entries, e.tier+"/"+e.key)
 	s.bytes -= e.size
 	c := s.ctr[e.tier]
 	c.Bytes -= e.size
 	c.Files--
+	return e
 }
 
 // Counters returns a snapshot of the monitoring counters.
@@ -314,52 +312,6 @@ func (s *Store) Counters() Counters {
 
 func (s *Store) path(tier, key string) string {
 	return filepath.Join(s.dir, tier, key)
-}
-
-// ---- intrusive LRU list --------------------------------------------------
-
-func (s *Store) pushFront(e *entry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-func (s *Store) pushBack(e *entry) {
-	e.prev, e.next = s.tail, nil
-	if s.tail != nil {
-		s.tail.next = e
-	}
-	s.tail = e
-	if s.head == nil {
-		s.head = e
-	}
-}
-
-func (s *Store) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) moveToFront(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
 }
 
 // writeFileAtomic writes data so readers only ever observe the complete

@@ -123,6 +123,24 @@ func TestSizeBoundedLRUEviction(t *testing.T) {
 	if _, _, ok := s.GetResult("huge"); !ok {
 		t.Fatal("oversized artifact evicted itself")
 	}
+	// It evicted everything else, and the next put evicts it in turn.
+	for _, id := range []string{"a", "c", "d"} {
+		if _, _, ok := s.GetResult(id); ok {
+			t.Fatalf("%q survived an oversized put", id)
+		}
+	}
+	if err := s.PutResult("e", nil, blob('e')); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := s.GetResult("huge"); ok {
+		t.Fatal("oversized artifact survived the next put")
+	}
+	if _, _, ok := s.GetResult("e"); !ok {
+		t.Fatal("e evicted by its own put")
+	}
+	if ctr := s.Counters(); ctr.Results.Evictions != 5 || ctr.Results.Files != 1 {
+		t.Fatalf("evictions = %d, files = %d; want 5 and 1", ctr.Results.Evictions, ctr.Results.Files)
+	}
 }
 
 // No .tmp litter after writes; a leftover .tmp from a crash is cleaned on

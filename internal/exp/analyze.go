@@ -376,7 +376,7 @@ func averageJSON(u *ndetect.CircuitUniverse, wc *ndetect.WorstCaseResult, req *A
 		return nil, err
 	}
 
-	counts := res.ThresholdCounts(req.NMax)
+	counts := res.ThresholdCounts(req.NMax, report.Thresholds)
 	for i, th := range report.Thresholds {
 		avg.Thresholds = append(avg.Thresholds, report.ThresholdPoint{P: th, Count: counts[i]})
 	}

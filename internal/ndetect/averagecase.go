@@ -3,10 +3,6 @@ package ndetect
 // This file holds the summary layer over Procedure1's raw detection counts:
 // the quantities tabulated in the paper's Tables 5 and 6.
 
-// Thresholds is the probability ladder of Tables 5 and 6: the tables report
-// how many faults have p(10,g) ≥ each value.
-var Thresholds = []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0}
-
 // SubsetUntargeted returns a copy of the universe keeping only the
 // untargeted faults at the given indices (same targets, same vector space).
 // The paper's average-case tables consider only the faults with
@@ -24,12 +20,13 @@ func (u *Universe) SubsetUntargeted(indices []int) *Universe {
 }
 
 // ThresholdCounts returns, for iteration n, the number of untargeted faults
-// with p(n,g) ≥ each of Thresholds — one row of Table 5.
-func (r *Procedure1Result) ThresholdCounts(n int) []int {
-	out := make([]int, len(Thresholds))
+// with p(n,g) ≥ each value of the ladder — with report.Thresholds, one row
+// of Table 5.
+func (r *Procedure1Result) ThresholdCounts(n int, ladder []float64) []int {
+	out := make([]int, len(ladder))
 	for j := range r.Detected[n-1] {
 		p := r.P(n, j)
-		for ti, th := range Thresholds {
+		for ti, th := range ladder {
 			if p >= th-1e-12 {
 				out[ti]++
 			}

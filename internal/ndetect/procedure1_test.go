@@ -239,9 +239,8 @@ func TestPickRandomOutsideUniform(t *testing.T) {
 func TestThresholdCountsAndSummaries(t *testing.T) {
 	// Construct a result by hand: K=10, two faults with d = 10 and 4.
 	r := &Procedure1Result{NMax: 1, K: 10, Detected: [][]int{{10, 4}}, SetSizeSum: []int64{50}}
-	counts := r.ThresholdCounts(1)
+	counts := r.ThresholdCounts(1, []float64{1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0})
 	// p values: 1.0 and 0.4.
-	// thresholds:    1.0 0.9 0.8 0.7 0.6 0.5 0.4 0.3 0.2 0.1 0.0
 	want := []int{1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2}
 	for i := range want {
 		if counts[i] != want[i] {

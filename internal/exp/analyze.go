@@ -405,51 +405,41 @@ func analyzeParts(c *circuit.Circuit, maxInputs, workers int, progress ndetect.P
 	if err != nil {
 		return nil, err
 	}
-	type partResult struct {
-		info report.PartInfo
-		nmin map[string]int
-	}
 	var mu sync.Mutex
 	finished := 0
-	res, err := fanOut(workers, len(parts), func(i, inner int) (partResult, error) {
+	perPart := make([]map[string]int, len(parts))
+	infos, err := fanOut(workers, len(parts), func(i, inner int) (report.PartInfo, error) {
 		p := parts[i]
 		u, err := ndetect.BuildUniverse(p.Circuit, fault.Default(), ndetect.AnalyzeOptions{Workers: inner})
 		if err != nil {
-			return partResult{}, err
+			return report.PartInfo{}, err
 		}
 		wc := ndetect.WorstCaseWorkers(&u.Universe, inner)
-		nmin := make(map[string]int, len(u.Untargeted))
+		perPart[i] = make(map[string]int, len(u.Untargeted))
 		for j, g := range u.Untargeted {
-			nmin[g.Name] = wc.NMin[j]
+			perPart[i][g.Name] = wc.NMin[j]
 		}
 		s := p.Circuit.ComputeStats()
 		mu.Lock()
 		finished++
 		progress("parts", finished, len(parts))
 		mu.Unlock()
-		return partResult{
-			info: report.PartInfo{
-				Outputs:           p.Outputs,
-				Inputs:            s.Inputs,
-				VectorSpace:       s.VectorSpaceSize,
-				Gates:             s.Gates,
-				Targets:           len(u.Targets),
-				DetectableTargets: u.DetectableTargets(),
-				Untargeted:        len(u.Untargeted),
-				CoverageAt10Pct:   100 * wc.CoverageAt(10),
-			},
-			nmin: nmin,
+		return report.PartInfo{
+			Outputs:           p.Outputs,
+			Inputs:            s.Inputs,
+			VectorSpace:       s.VectorSpaceSize,
+			Gates:             s.Gates,
+			Targets:           len(u.Targets),
+			DetectableTargets: u.DetectableTargets(),
+			Untargeted:        len(u.Untargeted),
+			CoverageAt10Pct:   100 * wc.CoverageAt(10),
 		}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	out := &report.Partitioned{MaxInputs: maxInputs, Parts: make([]report.PartInfo, len(res))}
-	perPart := make([]map[string]int, len(res))
-	for i, r := range res {
-		out.Parts[i], perPart[i] = r.info, r.nmin
-	}
+	out := &report.Partitioned{MaxInputs: maxInputs, Parts: infos}
 	merged := partition.MergeNMin(perPart)
 	names := make([]string, 0, len(merged))
 	for name := range merged {

@@ -492,21 +492,26 @@ func BenchmarkProcedure1Def1(b *testing.B) {
 	}
 }
 
-// BenchmarkProcedure1Def2 measures the same construction under Definition 2
-// (similarity-filtered counting via 3-valued simulation). Each iteration
-// builds its own checker, as every average request does, so the pair memo
-// starts cold every time.
+// BenchmarkProcedure1Def2 measures the construction under Definition 2
+// (similarity-filtered counting via 3-valued simulation) on the
+// average-warm workload's Definition 2 requests: bbara and opus at K = 5,
+// NMax = 10. Each iteration builds its own checker, as every average
+// request does, so the pair memo starts cold every time. The K sets share
+// that memo, so -cpu 1,2 shows how the stage scales with workers.
 func BenchmarkProcedure1Def2(b *testing.B) {
-	u, err := LoadBenchmark("bbara")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := Procedure1Options{NMax: 10, K: 20, Seed: 1, Definition: Def2, Checker: NewDef2Checker(u)}
-		if _, err := Procedure1(&u.Universe, opts); err != nil {
+	for _, name := range []string{"bbara", "opus"} {
+		u, err := LoadBenchmark(name)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opts := Procedure1Options{NMax: 10, K: 5, Seed: 1, Definition: Def2, Checker: NewDef2Checker(u)}
+				if _, err := Procedure1(&u.Universe, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

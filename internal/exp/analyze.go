@@ -251,7 +251,7 @@ func AnalyzeCircuit(c *circuit.Circuit, req AnalysisRequest) (*report.Analysis, 
 	}
 	endWC := span("worstcase")
 	progress("worstcase", 0, 1)
-	wc := ndetect.WorstCaseWorkers(&u.Universe, req.Workers)
+	wc := u.WorstCase(req.Workers)
 	progress("worstcase", 1, 1)
 	doc.WorstCase = worstCaseJSON(u, wc)
 	endWC()

@@ -2,12 +2,19 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
 	"ndetect/internal/bench"
 	"ndetect/internal/circuit"
+	"ndetect/internal/fault"
+	"ndetect/internal/ndetect"
 	"ndetect/internal/report"
 )
 
@@ -43,6 +50,59 @@ func TestAnalyzeCircuitWorkersDeterministic(t *testing.T) {
 		if !bytes.Equal(serial.Encode(), parallel.Encode()) {
 			t.Fatalf("%s: workers=1 and workers=8 bytes differ:\n%s\n---\n%s",
 				req.Kind, serial.Encode(), parallel.Encode())
+		}
+	}
+}
+
+// warmUniverse hands out one universe, built on the first call, as
+// perfbench's average-warm workload does.
+type warmUniverse struct {
+	once sync.Once
+	u    *ndetect.CircuitUniverse
+	err  error
+}
+
+func (w *warmUniverse) Universe(c *circuit.Circuit, m fault.Model, opts ndetect.AnalyzeOptions) (*ndetect.CircuitUniverse, error) {
+	w.once.Do(func() { w.u, w.err = ndetect.BuildUniverse(c, m, opts) })
+	return w.u, w.err
+}
+
+// perfbench's average-warm Definition 2 requests (bbara and opus, K = 5,
+// NMax = 10), whose K test sets share one lock-free pair memo, give the
+// same bytes at 1, 2 and 3 workers, and those bytes are the ones
+// perfbench/digests.txt records.
+func TestDef2RequestsWorkersDeterministic(t *testing.T) {
+	raw, err := os.ReadFile("../../perfbench/digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if key, sum, ok := strings.Cut(line, " "); ok {
+			digests[key] = sum
+		}
+	}
+	for _, name := range []string{"bbara", "opus"} {
+		b, _ := bench.ByName(name)
+		r, err := b.SynthesizeDefault()
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm := &warmUniverse{}
+		for seed := int64(1); seed <= 3; seed++ {
+			key := fmt.Sprintf("average/%s/def2/nmax10/k5/seed%d", name, seed)
+			for _, w := range []int{1, 2, 3} {
+				doc, err := AnalyzeCircuit(r.Circuit, AnalysisRequest{
+					Kind: AverageAnalysis, NMax: 10, K: 5, Seed: seed, Definition: 2, Workers: w, Universes: warm,
+				})
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", key, w, err)
+				}
+				sum := sha256.Sum256(doc.Encode())
+				if got := hex.EncodeToString(sum[:]); got != digests[key] {
+					t.Fatalf("%s workers=%d: digest %s, perfbench/digests.txt has %q", key, w, got, digests[key])
+				}
+			}
 		}
 	}
 }

@@ -4,8 +4,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
-	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
 	"ndetect/internal/sim"
 )
@@ -142,18 +142,19 @@ func (s *def2State) pickDistinct(i int, f *Fault, tk *TestSet, rng *rand.Rand) (
 // fault i exactly when the partial vector t12 — specified where t1 and t2
 // agree, X elsewhere — does NOT detect the fault.
 //
-// Results are memoized per (fault, unordered pair); the memo is shared
-// across the K parallel test-set constructions, which revisit the same pairs
-// constantly. Uncached pairs go to the fault's cone (sim.FaultCone, built
-// on first use) 64 at a time through the pair kernel DetectsPairs, in
+// Verdicts are memoized per (fault, unordered pair) in one memo that the K
+// parallel test-set constructions of a request share, since they revisit
+// the same pairs constantly. No path takes a lock: a target's memo and
+// cone are built on its first query and published through an
+// atomic.Pointer, and the memo's words are read with atomic loads and
+// written with CAS (pairMemo, DESIGN.md §1). Unmemoized pairs go to the
+// fault's cone 64 at a time through the pair kernel DetectsPairs, in
 // scratch taken from a pool for the length of one call.
 type CircuitChecker struct {
 	compiled *sim.Compiled // one engine lowering shared by every cone
 	faults   []fault.StuckAt
-
-	mu    sync.RWMutex
-	cache []map[uint64]bool // per fault: key = lo<<32 | hi
-	cones []*sim.FaultCone  // per fault, built on first use
+	targets  []Fault                    // T(f) per target, for the memo's ranks
+	memos    []atomic.Pointer[pairMemo] // per target, built on first use
 
 	scratch sync.Pool // *checkScratch, one per call in flight
 }
@@ -169,18 +170,6 @@ type checkScratch struct {
 	detect    []uint64 // kernel verdicts, one bit per pending pair
 }
 
-// NewCircuitChecker builds the checker for a circuit universe: faults[i]
-// must be the structural fault behind Targets[i].
-func NewCircuitChecker(c *circuit.Circuit, faults []fault.StuckAt) *CircuitChecker {
-	return &CircuitChecker{
-		compiled: sim.CompileCircuit(c),
-		faults:   faults,
-		cache:    make([]map[uint64]bool, len(faults)),
-		cones:    make([]*sim.FaultCone, len(faults)),
-		scratch:  sync.Pool{New: func() any { return new(checkScratch) }},
-	}
-}
-
 // NewCircuitCheckerFor builds the checker for a CircuitUniverse. The
 // universe's model must have single stuck-at targets over U (Def2Capable);
 // callers route other models away from Definition 2 before reaching here.
@@ -189,14 +178,28 @@ func NewCircuitCheckerFor(u *CircuitUniverse) *CircuitChecker {
 	if sas == nil {
 		panic("ndetect: Definition 2 requires a fault model with single stuck-at targets")
 	}
-	return NewCircuitChecker(u.Circuit, sas)
+	return &CircuitChecker{
+		compiled: sim.CompileCircuit(u.Circuit),
+		faults:   sas,
+		targets:  u.Targets,
+		memos:    make([]atomic.Pointer[pairMemo], len(sas)),
+		scratch:  sync.Pool{New: func() any { return new(checkScratch) }},
+	}
 }
 
-func pairKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
+// memo returns target i's memo, building it on first use. Two callers may
+// build it at once; the first to publish wins and the other's copy is
+// dropped, so every caller reads the same memo.
+func (cc *CircuitChecker) memo(i int) *pairMemo {
+	if m := cc.memos[i].Load(); m != nil {
+		return m
 	}
-	return uint64(a)<<32 | uint64(b)
+	f := cc.faults[i]
+	m := newPairMemo(cc.compiled.NewFaultCone(f.Node), f.Value, cc.targets[i].T)
+	if cc.memos[i].CompareAndSwap(nil, m) {
+		return m
+	}
+	return cc.memos[i].Load()
 }
 
 // Distinct implements DistinctChecker.
@@ -208,33 +211,27 @@ func (cc *CircuitChecker) Distinct(faultIndex, t1, t2 int) bool {
 // for the given fault (a test is never distinct from itself), resolving
 // the unmemoized pairs with the pair kernel.
 func (cc *CircuitChecker) DistinctAll(faultIndex, v int, ds []int) bool {
+	m := cc.memo(faultIndex)
 	s := cc.scratch.Get().(*checkScratch)
 	defer cc.scratch.Put(s)
 	pending := s.pending[:0]
-
-	cc.mu.RLock()
-	m := cc.cache[faultIndex]
-	cone := cc.cones[faultIndex]
 	for _, d := range ds {
 		if d == v {
-			cc.mu.RUnlock()
 			return false
 		}
-		if val, ok := m[pairKey(v, d)]; ok {
-			if !val {
-				cc.mu.RUnlock()
-				return false
-			}
+		switch m.get(v, d) {
+		case verdictSimilar:
+			return false
+		case verdictDistinct:
 			continue
 		}
 		pending = append(pending, d)
 	}
-	cc.mu.RUnlock()
 	s.pending = pending
 	if len(pending) == 0 {
 		return true
 	}
-	for _, w := range cc.resolve(faultIndex, v, cone, pending, s) {
+	for _, w := range cc.resolve(m, v, pending, s) {
 		if w != 0 {
 			return false
 		}
@@ -250,6 +247,7 @@ func (cc *CircuitChecker) DistinctAll(faultIndex, v int, ds []int) bool {
 // last member is exactly {candidates distinct from all of ds}, so the
 // returned candidate matches what a sequential scan would pick.
 func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) int {
+	m := cc.memo(faultIndex)
 	s := cc.scratch.Get().(*checkScratch)
 	defer cc.scratch.Put(s)
 	survivors := s.survivors[:0]
@@ -259,29 +257,23 @@ func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) i
 	for _, d := range ds {
 		next := survivors[:0]
 		pending, index := s.pending[:0], s.index[:0]
-
-		cc.mu.RLock()
-		m := cc.cache[faultIndex]
-		cone := cc.cones[faultIndex]
 		for _, si := range survivors {
 			v := cands[si]
 			if v == d {
 				continue // never distinct from itself
 			}
-			if val, ok := m[pairKey(v, d)]; ok {
-				if val {
-					next = append(next, si)
-				}
-				continue
+			switch m.get(v, d) {
+			case verdictDistinct:
+				next = append(next, si)
+			case verdictUnknown:
+				pending = append(pending, v)
+				index = append(index, si)
 			}
-			pending = append(pending, v)
-			index = append(index, si)
 		}
-		cc.mu.RUnlock()
 		s.pending, s.index = pending, index
 
 		if len(pending) > 0 {
-			detect := cc.resolve(faultIndex, d, cone, pending, s)
+			detect := cc.resolve(m, d, pending, s)
 			for j, si := range index {
 				if detect[j/64]>>uint(j%64)&1 == 0 {
 					next = append(next, si)
@@ -308,34 +300,18 @@ func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) i
 	return best
 }
 
-// resolve simulates the pairs (v, ds[j]) of fault i, 64 to a kernel call,
-// memoizes every verdict and returns the pairs whose common-bits test
+// resolve simulates the pairs (v, ds[j]) of m's fault, 64 to a kernel
+// call, memoizes every verdict and returns the pairs whose common-bits test
 // detects the fault — the pairs that are NOT distinct — as bit j%64 of
-// word j/64 (stored in s.detect). cone is the fault's cone, or nil if it
-// has not been built yet.
-func (cc *CircuitChecker) resolve(i, v int, cone *sim.FaultCone, ds []int, s *checkScratch) []uint64 {
-	if cone == nil {
-		cone = cc.compiled.NewFaultCone(cc.faults[i].Node)
-	}
-	stuck := cc.faults[i].Value
+// word j/64 (stored in s.detect).
+func (cc *CircuitChecker) resolve(m *pairMemo, v int, ds []int, s *checkScratch) []uint64 {
 	detect := s.detect[:0]
 	for lo := 0; lo < len(ds); lo += 64 {
-		detect = append(detect, cone.DetectsPairs(uint64(v), ds[lo:min(lo+64, len(ds))], stuck, &s.pairs))
+		detect = append(detect, m.cone.DetectsPairs(uint64(v), ds[lo:min(lo+64, len(ds))], m.stuck, &s.pairs))
 	}
 	s.detect = detect
-
-	cc.mu.Lock()
-	m := cc.cache[i]
-	if m == nil {
-		m = make(map[uint64]bool)
-		cc.cache[i] = m
-	}
 	for j, d := range ds {
-		m[pairKey(v, d)] = detect[j/64]>>uint(j%64)&1 == 0 // distinct iff t_vd does NOT detect
+		m.put(v, d, detect[j/64]>>uint(j%64)&1 == 0) // distinct iff t_vd does NOT detect
 	}
-	if cc.cones[i] == nil {
-		cc.cones[i] = cone
-	}
-	cc.mu.Unlock()
 	return detect
 }

@@ -1,13 +1,17 @@
 package ndetect
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
+	"ndetect/internal/sim"
 )
 
 type fakeChecker struct {
@@ -91,9 +95,24 @@ func TestDef2AllDistinct(t *testing.T) {
 	}
 }
 
-// buildDef2Circuit returns a small circuit plus its collapsed faults for
-// CircuitChecker tests.
-func buildDef2Circuit(t *testing.T) (*circuit.Circuit, []fault.StuckAt) {
+// def2Universe builds the default-model universe of a hand-made circuit
+// for CircuitChecker tests.
+func def2Universe(t *testing.T, b *circuit.Builder) *CircuitUniverse {
+	t.Helper()
+	c, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
+	if err != nil {
+		t.Fatalf("BuildUniverse: %v", err)
+	}
+	return u
+}
+
+// buildDef2Circuit returns the universe of g2 = (a∧c)∨d, whose targets
+// all use the dense memo layout.
+func buildDef2Circuit(t *testing.T) *CircuitUniverse {
 	t.Helper()
 	b := circuit.NewBuilder("def2")
 	b.Input("a")
@@ -102,50 +121,204 @@ func buildDef2Circuit(t *testing.T) (*circuit.Circuit, []fault.StuckAt) {
 	b.Gate(circuit.And, "g1", "a", "c")
 	b.Gate(circuit.Or, "g2", "g1", "d")
 	b.Output("g2")
-	c, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return c, fault.CollapseStuckAt(c)
+	return def2Universe(t, b)
 }
 
-func TestCircuitCheckerBasics(t *testing.T) {
-	c, faults := buildDef2Circuit(t)
-	cc := NewCircuitChecker(c, faults)
-
-	// A test is never distinct from itself.
-	if cc.Distinct(0, 3, 3) {
-		t.Fatal("t distinct from itself")
+// buildTwoLayoutCircuit returns the universe of an 11-input OR beside a
+// 2-input AND of two of its inputs: the OR's output faults have N(f) up to
+// 2047 and use the large memo layout, the AND's at most 512 and the dense
+// one.
+func buildTwoLayoutCircuit(t *testing.T) *CircuitUniverse {
+	t.Helper()
+	b := circuit.NewBuilder("layouts")
+	var ins []string
+	for i := 0; i < 11; i++ {
+		ins = append(ins, fmt.Sprintf("i%d", i))
+		b.Input(ins[i])
 	}
-	// Symmetry: the pair key is unordered.
-	for fi := range faults {
-		for a := 0; a < 8; a++ {
-			for b := a + 1; b < 8; b++ {
-				if cc.Distinct(fi, a, b) != cc.Distinct(fi, b, a) {
-					t.Fatalf("asymmetric distinctness for fault %d pair (%d,%d)", fi, a, b)
-				}
+	b.Gate(circuit.Or, "wide", ins...)
+	b.Gate(circuit.And, "narrow", "i0", "i1")
+	b.Output("wide")
+	b.Output("narrow")
+	u := def2Universe(t, b)
+	dense, large := 0, 0
+	for _, f := range u.Targets {
+		switch n := f.T.Count(); {
+		case n > denseMaxN:
+			large++
+		case n >= 2:
+			dense++
+		}
+	}
+	if dense == 0 || large == 0 {
+		t.Fatalf("want targets in both layouts, got %d dense and %d large", dense, large)
+	}
+	return u
+}
+
+// kernelChecker is the memo-free Definition 2 oracle: every Distinct call
+// runs its one pair through the fault's cone with DetectsPairs, and
+// nothing is kept between calls.
+type kernelChecker struct {
+	cones   []*sim.FaultCone
+	faults  []fault.StuckAt
+	scratch sync.Pool // *sim.PairScratch, one per call in flight
+}
+
+func newKernelChecker(u *CircuitUniverse) *kernelChecker {
+	compiled := sim.CompileCircuit(u.Circuit)
+	k := &kernelChecker{faults: u.StuckAt(), scratch: sync.Pool{New: func() any { return new(sim.PairScratch) }}}
+	for _, f := range k.faults {
+		k.cones = append(k.cones, compiled.NewFaultCone(f.Node))
+	}
+	return k
+}
+
+func (k *kernelChecker) Distinct(i, t1, t2 int) bool {
+	if t1 == t2 {
+		return false
+	}
+	s := k.scratch.Get().(*sim.PairScratch)
+	defer k.scratch.Put(s)
+	return k.cones[i].DetectsPairs(uint64(t1), []int{t2}, k.faults[i].Value, s) == 0
+}
+
+// pairQueries is the checker surface the tests query: a CircuitChecker,
+// or the memo-free oracle through byDefinition.
+type pairQueries interface {
+	DistinctChecker
+	DistinctAll(faultIndex, v int, ds []int) bool
+	FirstDistinct(faultIndex int, cands []int, ds []int) int
+}
+
+// byDefinition answers DistinctAll and FirstDistinct from Distinct alone.
+type byDefinition struct{ DistinctChecker }
+
+func (b byDefinition) DistinctAll(i, v int, ds []int) bool {
+	for _, d := range ds {
+		if !b.Distinct(i, v, d) {
+			return false
+		}
+	}
+	return true
+}
+
+func (b byDefinition) FirstDistinct(i int, cands []int, ds []int) int {
+	for j, v := range cands {
+		if b.DistinctAll(i, v, ds) {
+			return j
+		}
+	}
+	return -1
+}
+
+// checkerSample picks about 40 members of T(f), spread over it, then up
+// to 4 non-members, each followed by the next member above it, whose
+// dense slot the non-member's rank would alias. The members come first,
+// so their verdicts are in the memo when the non-members ask.
+func checkerSample(t *bitset.Set, size int) []int {
+	members := t.Members()
+	var out []int
+	for i := 0; i < len(members); i += max(1, len(members)/40) {
+		out = append(out, members[i])
+	}
+	for v, picked := 1, 0; v < size && picked < 4; v += size/5 + 1 {
+		if t.Contains(v) {
+			continue
+		}
+		picked++
+		out = append(out, v)
+		for w := v + 1; w < size; w++ {
+			if t.Contains(w) {
+				out = append(out, w)
+				break
 			}
 		}
 	}
-	memo := 0
-	for _, m := range cc.cache {
-		memo += len(m)
+	return out
+}
+
+// checkerQueries asks q, target by target in the given order, Distinct on
+// every ordered pair of the target's sample, then DistinctAll and
+// FirstDistinct over it. It returns the answers by target.
+func checkerQueries(u *CircuitUniverse, q pairQueries, order []int) [][]int {
+	out := make([][]int, len(u.Targets))
+	for _, fi := range order {
+		sample := checkerSample(u.Targets[fi].T, u.Size)
+		var got []int
+		for _, a := range sample {
+			for _, b := range sample {
+				got = append(got, b2i(q.Distinct(fi, a, b)))
+			}
+		}
+		for i, a := range sample {
+			ds := sample[(i+1)%len(sample):]
+			ds = ds[:min(len(ds), 1+i%4)]
+			got = append(got, b2i(q.DistinctAll(fi, a, ds)), q.FirstDistinct(fi, sample, ds))
+		}
+		out[fi] = got
 	}
-	if memo == 0 {
-		t.Fatal("memo empty after queries")
+	return out
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// targetOrder returns the target indices of u, ascending or descending.
+func targetOrder(u *CircuitUniverse, descending bool) []int {
+	order := make([]int, len(u.Targets))
+	for i := range order {
+		order[i] = i
+	}
+	if descending {
+		slices.Reverse(order)
+	}
+	return order
+}
+
+func TestCircuitCheckerBasics(t *testing.T) {
+	for _, u := range []*CircuitUniverse{buildDef2Circuit(t), buildTwoLayoutCircuit(t)} {
+		cc := NewCircuitCheckerFor(u)
+		// A test is never distinct from itself.
+		if cc.Distinct(0, 3, 3) {
+			t.Fatalf("%s: t distinct from itself", u.Circuit.Name)
+		}
+		// Symmetry: the memo's pair is unordered.
+		for fi := range u.Targets {
+			for a := 0; a < 8; a++ {
+				for b := a + 1; b < 8; b++ {
+					if cc.Distinct(fi, a, b) != cc.Distinct(fi, b, a) {
+						t.Fatalf("%s: asymmetric distinctness for fault %d pair (%d,%d)", u.Circuit.Name, fi, a, b)
+					}
+				}
+			}
+		}
+		// The memo agrees with the memo-free oracle, asked once (misses)
+		// and again (hits).
+		order := targetOrder(u, false)
+		want := checkerQueries(u, byDefinition{newKernelChecker(u)}, order)
+		for pass := 0; pass < 2; pass++ {
+			if got := checkerQueries(u, cc, order); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pass %d: checker and memo-free oracle differ", u.Circuit.Name, pass)
+			}
+		}
 	}
 }
 
 // TestCircuitCheckerSemantics: hand-verified cases on g2 = (a∧c)∨d.
 func TestCircuitCheckerSemantics(t *testing.T) {
-	c, faults := buildDef2Circuit(t)
-	cc := NewCircuitChecker(c, faults)
+	u := buildDef2Circuit(t)
+	cc := NewCircuitCheckerFor(u)
 
 	// Find fault d/1 (input d stuck at 1). T(d/1) = vectors with d=0 and
 	// a∧c=0: {000,010,100} = {0,2,4}.
 	di := -1
-	for i, f := range faults {
-		if f.Name(c) == "d/1" {
+	for i, f := range u.Targets {
+		if f.Name == "d/1" {
 			di = i
 		}
 	}
@@ -163,58 +336,101 @@ func TestCircuitCheckerSemantics(t *testing.T) {
 	if cc.Distinct(di, 0, 4) {
 		t.Fatal("(000,100) should be similar for d/1")
 	}
-	// Now fault a/1: T(a/1) = vectors with a=0, c=1, d=0 → {010}=2 only.
-	// For a fault with a singleton T-set the checker is never consulted
-	// with two members; instead verify a/0-style pair: fault c/1?
-	// Take fault g1/1 if present: T(g1/1) = {v: g1=0 ∧ d=0} with flip →
-	// g2 flips. g1=0 ∧ d=0: {000,010,100}. Common of 000 and 100 is X00:
-	// good g1 = X∧0 = 0 → wait c=0 → g1=0 definitely; faulty g1=1 →
-	// g2: good 0, faulty 1 → detects → not distinct.
-	gi := -1
-	for i, f := range faults {
-		if f.Name(c) == "a/0" { // a/0 ≡ c/0 ≡ g1/0 under collapsing
-			gi = i
-		}
+}
+
+// TestPairMemoLayouts: each layout returns every verdict it was given,
+// the dense one keeps no verdict of a pair with a non-member, and a
+// large table that grows keeps every verdict a single writer gave it.
+func TestPairMemoLayouts(t *testing.T) {
+	verdict := func(v, d int) bool { return (v*7+d*7)%3 != 0 }
+	dense := bitset.New(256)
+	for v := 0; v < 256; v += 3 {
+		dense.Add(v)
 	}
-	if gi >= 0 {
-		// T(a/0) = {v: a=1,c=1,d=0} = {110} singleton; nothing to check.
-		_ = gi
+	large := bitset.New(4096)
+	for v := 0; v < 4096; v += 2 {
+		large.Add(v)
+	}
+	for _, set := range []*bitset.Set{dense, large} {
+		m := newPairMemo(nil, false, set)
+		if m.dense != (set == dense) {
+			t.Fatalf("N(f) = %d: dense = %v", set.Count(), m.dense)
+		}
+		members := set.Members()
+		if len(members) > 200 {
+			members = members[:200]
+		}
+		for _, v := range members {
+			for _, d := range members {
+				if v != d {
+					m.put(v, d, verdict(v, d))
+				}
+			}
+		}
+		for _, v := range members {
+			for _, d := range members {
+				if v == d {
+					continue
+				}
+				want := uint64(verdictSimilar)
+				if verdict(v, d) {
+					want = verdictDistinct
+				}
+				if got := m.get(d, v); got != want {
+					t.Fatalf("N(f) = %d: pair (%d,%d) reads %d, want %d", set.Count(), v, d, got, want)
+				}
+			}
+		}
+		if m.dense {
+			// 1 ∉ T(f), and a rank for it would be 3's: the pair (1, 6)
+			// must neither read nor write the slot of (3, 6), a similar
+			// pair.
+			m.put(1, 6, true)
+			if got := m.get(1, 6); got != verdictUnknown {
+				t.Fatalf("non-member pair reads %d from the dense layout", got)
+			}
+			if got := m.get(3, 6); got != verdictSimilar {
+				t.Fatalf("pair (3,6) reads %d after a non-member's write, want %d", got, verdictSimilar)
+			}
+		} else if n := len(m.tab.Load().slots); n <= pairTableSlots {
+			t.Fatalf("large table never grew: %d slots for %d pairs", n, len(members)*(len(members)-1)/2)
+		}
 	}
 }
 
-// TestCircuitCheckerConcurrent: hammer the cache from several goroutines.
-// Each goroutine also runs the batched DistinctAll and FirstDistinct, which
-// share the memo, the lazily built cones and the scratch pool.
+// TestCircuitCheckerConcurrent: 8 goroutines share one checker on targets
+// of both memo layouts, running Distinct, DistinctAll and FirstDistinct
+// over pairs with members and non-members of T(f), half of them in
+// descending target order, while the large tables grow. Every goroutine's
+// answers must equal those of a fresh checker queried by one goroutine,
+// which TestCircuitCheckerBasics holds to the memo-free oracle.
 func TestCircuitCheckerConcurrent(t *testing.T) {
-	c, faults := buildDef2Circuit(t)
-	cc := NewCircuitChecker(c, faults)
-	var wg sync.WaitGroup
-	results := make([][]bool, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var out []bool
-			for fi := range faults {
-				for a := 0; a < 8; a++ {
-					for b := 0; b < 8; b++ {
-						out = append(out, cc.Distinct(fi, a, b))
-					}
-					ds := []int{(a + 1) % 8, (a + 3) % 8, (a + 6) % 8}
-					out = append(out, cc.DistinctAll(fi, a, ds))
-					at := cc.FirstDistinct(fi, []int{7, 6, 5, 4, 3, 2, 1, 0}, ds[:1+a%3])
-					out = append(out, at >= 0, at%2 == 0)
-				}
+	for _, u := range []*CircuitUniverse{buildDef2Circuit(t), buildTwoLayoutCircuit(t)} {
+		want := checkerQueries(u, NewCircuitCheckerFor(u), targetOrder(u, false))
+		cc := NewCircuitCheckerFor(u)
+		var wg sync.WaitGroup
+		results := make([][][]int, 8)
+		for w := range results {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				results[w] = checkerQueries(u, cc, targetOrder(u, w%2 == 1))
+			}(w)
+		}
+		wg.Wait()
+		for w, got := range results {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: goroutine %d differs from a single-goroutine checker", u.Circuit.Name, w)
 			}
-			results[w] = out
-		}(w)
-	}
-	wg.Wait()
-	for w := 1; w < 8; w++ {
-		for i := range results[0] {
-			if results[w][i] != results[0][i] {
-				t.Fatalf("goroutine %d saw different result at %d", w, i)
+		}
+		grown := 0
+		for i := range cc.memos {
+			if m := cc.memos[i].Load(); m != nil && !m.dense && len(m.tab.Load().slots) > pairTableSlots {
+				grown++
 			}
+		}
+		if u.Circuit.Name == "layouts" && grown == 0 {
+			t.Fatal("no large table grew while the goroutines shared it")
 		}
 	}
 }

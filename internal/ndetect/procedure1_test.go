@@ -443,12 +443,6 @@ func referencePickDistinct(s *def2State, i int, f *Fault, tk *TestSet, rng *rand
 	return 0, false
 }
 
-// scalarOnly hides a checker's batched fast paths, so the reference
-// decides every pair through Distinct alone.
-type scalarOnly struct{ c DistinctChecker }
-
-func (s scalarOnly) Distinct(i, t1, t2 int) bool { return s.c.Distinct(i, t1, t2) }
-
 // hashChecker is a deterministic, symmetric Definition 2 oracle for
 // universes without a circuit: about two thirds of the pairs are distinct.
 type hashChecker struct{}
@@ -514,8 +508,9 @@ func checkAgainstReference(t *testing.T, label string, u *Universe, opts Procedu
 // TestProcedure1MatchesReferenceOnCircuits: on small embedded circuits,
 // Procedure1 reproduces the reference construction exactly under
 // Definition 1, and under Definition 2 with the circuit's own checker
-// (against a reference that decides every pair through Distinct alone,
-// on a fresh checker of its own).
+// against a reference that decides every pair with the memo-free oracle.
+// bbsse adds a Definition 2 case whose targets include some in the large
+// memo layout.
 func TestProcedure1MatchesReferenceOnCircuits(t *testing.T) {
 	var circuits []*circuit.Circuit
 	for _, name := range []string{"c17", "s27"} {
@@ -545,8 +540,29 @@ func TestProcedure1MatchesReferenceOnCircuits(t *testing.T) {
 			Procedure1Options{NMax: 10, K: 12, Seed: 5}, nil)
 		checkAgainstReference(t, c.Name+"/def2", &u.Universe,
 			Procedure1Options{NMax: 6, K: 4, Seed: 6, Definition: Def2, Checker: NewCircuitCheckerFor(u)},
-			scalarOnly{NewCircuitCheckerFor(u)})
+			newKernelChecker(u))
 	}
+	b, _ := bench.ByName("bbsse")
+	r, err := b.SynthesizeDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := BuildUniverse(r.Circuit, fault.Default(), AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := 0
+	for _, f := range u.Targets {
+		if f.T.Count() > denseMaxN {
+			large++
+		}
+	}
+	if large == 0 {
+		t.Fatal("bbsse has no target in the large memo layout")
+	}
+	checkAgainstReference(t, "bbsse/def2", &u.Universe,
+		Procedure1Options{NMax: 3, K: 2, Seed: 9, Definition: Def2, Checker: NewCircuitCheckerFor(u)},
+		newKernelChecker(u))
 }
 
 // TestProcedure1MatchesReferenceOnEdgeUniverses: hand-built universes at

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
@@ -162,6 +163,21 @@ type CircuitUniverse struct {
 	// Columns are the dominant columns a factored universe's untargeted
 	// faults share; nil when the untargeted sets are materialized.
 	Columns *sim.Columns
+
+	worstOnce sync.Once
+	worst     *WorstCaseResult
+}
+
+// WorstCase returns the universe's Section 2 result. The first call runs
+// WorstCaseWorkers at its caller's worker budget, and every later call,
+// at any budget, returns that same result: the worst case is a pure
+// function of the universe, and the budget never changes it (DESIGN.md
+// §5). So every analysis of one universe (a sweep's variants, the
+// daemon's jobs on one universe) runs it once. Callers must not modify
+// the result.
+func (u *CircuitUniverse) WorstCase(workers int) *WorstCaseResult {
+	u.worstOnce.Do(func() { u.worst = WorstCaseWorkers(&u.Universe, workers) })
+	return u.worst
 }
 
 // StuckAt returns the structural stuck-at faults behind Targets, or nil

@@ -1,8 +1,11 @@
 package ndetect
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
+	"ndetect/internal/bench"
 	"ndetect/internal/bitset"
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
@@ -214,5 +217,38 @@ func TestIsNDetection(t *testing.T) {
 	}
 	if ts.IsNDetection(3, targets) {
 		t.Fatal("3-detection should fail: f1 has a third unused test")
+	}
+}
+
+// TestWorstCaseOncePerUniverse: the first WorstCase call on a universe
+// computes the result, and every call, from any goroutine at any worker
+// budget, returns that one result, equal to WorstCaseWorkers'.
+func TestWorstCaseOncePerUniverse(t *testing.T) {
+	b, _ := bench.ByName("bbara")
+	r, err := b.SynthesizeDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := BuildUniverse(r.Circuit, fault.Default(), AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*WorstCaseResult, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = u.WorstCase(i + 1)
+		}(i)
+	}
+	wg.Wait()
+	for i, wc := range got {
+		if wc != got[0] {
+			t.Fatalf("call %d returned a second result", i)
+		}
+	}
+	if want := WorstCaseWorkers(&u.Universe, 1); !slices.Equal(got[0].NMin, want.NMin) {
+		t.Fatal("WorstCase differs from WorstCaseWorkers")
 	}
 }

@@ -134,9 +134,21 @@ func TestUniverseCodecV2Rebuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		rejectedAndRebuilt(t, c.Name+" v2", c, encodeUniverseV2(u))
-		materialized := *u
-		materialized.Columns = nil
-		rejectedAndRebuilt(t, c.Name+" materialized v3", c, EncodeUniverse(&materialized))
+		rejectedAndRebuilt(t, c.Name+" materialized v3", c, EncodeUniverse(withColumns(u, nil)))
+	}
+}
+
+// withColumns returns a universe with u's tables and the given columns.
+// It is built field by field: a CircuitUniverse holds its worst case
+// under a sync.Once, so it is never copied whole.
+func withColumns(u *ndetect.CircuitUniverse, cols *sim.Columns) *ndetect.CircuitUniverse {
+	return &ndetect.CircuitUniverse{
+		Universe:         u.Universe,
+		Circuit:          u.Circuit,
+		Model:            u.Model,
+		TargetFaults:     u.TargetFaults,
+		UntargetedFaults: u.UntargetedFaults,
+		Columns:          cols,
 	}
 }
 
@@ -179,17 +191,12 @@ func TestUniverseCodecV3RejectsBadColumns(t *testing.T) {
 	if cols == nil || len(cols.Nodes) < 2 {
 		t.Fatalf("c17 needs a factored universe with two columns, got %+v", cols)
 	}
-	withColumns := func(c *sim.Columns) []byte {
-		v := *u
-		v.Columns = c
-		return EncodeUniverse(&v)
-	}
-	missing := withColumns(&sim.Columns{Nodes: cols.Nodes[1:], One: cols.One[1:], Zero: cols.Zero[1:]})
-	swapped := withColumns(&sim.Columns{
+	missing := EncodeUniverse(withColumns(u, &sim.Columns{Nodes: cols.Nodes[1:], One: cols.One[1:], Zero: cols.Zero[1:]}))
+	swapped := EncodeUniverse(withColumns(u, &sim.Columns{
 		Nodes: append([]int32{cols.Nodes[1], cols.Nodes[0]}, cols.Nodes[2:]...),
 		One:   append([]*bitset.Set{cols.One[1], cols.One[0]}, cols.One[2:]...),
 		Zero:  cols.Zero,
-	})
+	}))
 	for name, data := range map[string][]byte{"missing column": missing, "unordered columns": swapped} {
 		if _, err := DecodeUniverse(c, fault.Default(), data); !errors.Is(err, ErrBadArtifact) {
 			t.Fatalf("%s: err = %v, want ErrBadArtifact", name, err)

@@ -8,6 +8,7 @@ package ndetect
 // (`-k5 10000 -k6 1000 -ge11cap 0` for paper-scale statistics).
 
 import (
+	"fmt"
 	"testing"
 
 	"ndetect/internal/bench"
@@ -493,20 +494,24 @@ func BenchmarkProcedure1Def1(b *testing.B) {
 }
 
 // BenchmarkProcedure1Def2 measures the construction under Definition 2
-// (similarity-filtered counting via 3-valued simulation) on the
-// average-warm workload's Definition 2 requests: bbara and opus at K = 5,
-// NMax = 10. Each iteration builds its own checker, as every average
-// request does, so the pair memo starts cold every time. The K sets share
-// that memo, so -cpu 1,2 shows how the stage scales with workers.
+// (similarity-filtered counting via 3-valued simulation) at NMax = 10:
+// bbara and opus at K = 5 are the average-warm workload's Definition 2
+// requests, and bbara at K = 20 keeps more sets on one memo. Each
+// iteration builds its own checker, as every average request does, so the
+// pair memo starts cold every time. The K sets share that memo, so
+// -cpu 1,2 shows how the stage scales with workers.
 func BenchmarkProcedure1Def2(b *testing.B) {
-	for _, name := range []string{"bbara", "opus"} {
-		u, err := LoadBenchmark(name)
+	for _, c := range []struct {
+		name string
+		k    int
+	}{{"bbara", 5}, {"opus", 5}, {"bbara", 20}} {
+		u, err := LoadBenchmark(c.name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(fmt.Sprintf("%s_K%d", c.name, c.k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := Procedure1Options{NMax: 10, K: 5, Seed: 1, Definition: Def2, Checker: NewDef2Checker(u)}
+				opts := Procedure1Options{NMax: 10, K: c.k, Seed: 1, Definition: Def2, Checker: NewDef2Checker(u)}
 				if _, err := Procedure1(&u.Universe, opts); err != nil {
 					b.Fatal(err)
 				}

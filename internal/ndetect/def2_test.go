@@ -339,12 +339,13 @@ func TestCircuitCheckerSemantics(t *testing.T) {
 }
 
 // TestPairMemoLayouts: each layout returns every verdict it was given,
-// the dense one keeps no verdict of a pair with a non-member, and a
-// large table that grows keeps every verdict a single writer gave it.
+// the dense one allocates a band of its triangle at the band's first
+// write and keeps no verdict of a pair with a non-member, and a large
+// table that grows keeps every verdict a single writer gave it.
 func TestPairMemoLayouts(t *testing.T) {
 	verdict := func(v, d int) bool { return (v*7+d*7)%3 != 0 }
-	dense := bitset.New(256)
-	for v := 0; v < 256; v += 3 {
+	dense := bitset.New(1024)
+	for v := 0; v < 1024; v += 3 {
 		dense.Add(v)
 	}
 	large := bitset.New(4096)
@@ -357,6 +358,18 @@ func TestPairMemoLayouts(t *testing.T) {
 			t.Fatalf("N(f) = %d: dense = %v", set.Count(), m.dense)
 		}
 		members := set.Members()
+		if m.dense {
+			m.put(members[0], members[1], verdict(members[0], members[1]))
+			held := 0
+			for i := range m.bands {
+				if m.bands[i].Load() != nil {
+					held++
+				}
+			}
+			if held != 1 || len(m.bands) < 2 {
+				t.Fatalf("one verdict holds %d of %d bands, want 1", held, len(m.bands))
+			}
+		}
 		if len(members) > 200 {
 			members = members[:200]
 		}

@@ -18,16 +18,28 @@ const (
 
 // denseMaxN is the largest N(f) whose verdicts live in a dense triangle:
 // 2 bits for each of the N(f)(N(f)−1)/2 member pairs, at most 128 KiB.
-// Larger targets use a pairTable, which holds only the pairs queried.
+// Larger targets use a pairTable, which holds only the pairs queried. On
+// keyb, whose targets lie on both sides of it, a threshold of 0 (every
+// target in a table) or 4096 costs half again the peak memory that 1024
+// does (DESIGN.md §1).
 const denseMaxN = 1024
 
+// triBandWords is the dense triangle's unit of allocation: 64 words, 2048
+// pairs, 512 B. A band is allocated at the first write into it, so a
+// target asked about a few pairs holds a few bands, not its whole
+// triangle.
+const triBandWords = 64
+
+type triBand [triBandWords]atomic.Uint64
+
 // pairTableSlots is a large target's first table size; it doubles at 3/4
-// load.
-const pairTableSlots = 1024
+// load, so it too holds about the pairs queried.
+const pairTableSlots = 16
 
 // pairMemo is one target's cone and verdict memo. Every verdict is a pure
 // function of (fault, pair), so no memo state changes an answer: a hit, a
-// miss, two writers racing on one slot (they write the same bits) and an
+// miss, two writers racing on one slot (they write the same bits) or on
+// one band's allocation (the loser writes into the winner's band), and an
 // insert lost while a table grows (a later query recomputes it) all give
 // the verdict the kernel gives.
 type pairMemo struct {
@@ -35,13 +47,13 @@ type pairMemo struct {
 	stuck bool
 
 	// Dense layout (N(f) ≤ denseMaxN): t is T(f)'s words, below[w] counts
-	// the members of T(f) in the words before w, and tri holds the verdict
-	// of the member pair with ranks a < b at pair index b(b−1)/2 + a, 32
-	// pairs to a word.
+	// the members of T(f) in the words before w, and the triangle holds
+	// the verdict of the member pair with ranks a < b at pair index
+	// b(b−1)/2 + a, 32 pairs to a word, in bands published on first write.
 	dense bool
 	t     []uint64
 	below []uint16
-	tri   []atomic.Uint64
+	bands []atomic.Pointer[triBand]
 
 	// Large layout: an open-addressed table keyed by the vector pair.
 	tab atomic.Pointer[pairTable]
@@ -62,7 +74,7 @@ func newPairMemo(cone *sim.FaultCone, stuck bool, t *bitset.Set) *pairMemo {
 		m.below[w] = uint16(c)
 		c += bits.OnesCount64(x)
 	}
-	m.tri = make([]atomic.Uint64, (n*(n-1)/2+31)/32)
+	m.bands = make([]atomic.Pointer[triBand], (n*(n-1)/2+32*triBandWords-1)/(32*triBandWords))
 	return m
 }
 
@@ -75,7 +87,11 @@ func (m *pairMemo) get(v, d int) uint64 {
 	if !ok {
 		return verdictUnknown
 	}
-	return m.tri[w].Load() >> shift & 3
+	b := m.bands[w/triBandWords].Load()
+	if b == nil {
+		return verdictUnknown
+	}
+	return b[w%triBandWords].Load() >> shift & 3
 }
 
 // put memoizes the verdict of the pair (v, d), v ≠ d.
@@ -97,9 +113,19 @@ func (m *pairMemo) put(v, d int, distinct bool) {
 	if !ok {
 		return
 	}
+	band := &m.bands[w/triBandWords]
+	b := band.Load()
+	if b == nil {
+		// Two writers may allocate the band at once: the first to publish
+		// wins, and the other writes into the winner's.
+		if b = new(triBand); !band.CompareAndSwap(nil, b) {
+			b = band.Load()
+		}
+	}
+	word := &b[w%triBandWords]
 	for {
-		old := m.tri[w].Load()
-		if old>>shift&3 == verdict || m.tri[w].CompareAndSwap(old, old|verdict<<shift) {
+		old := word.Load()
+		if old>>shift&3 == verdict || word.CompareAndSwap(old, old|verdict<<shift) {
 			return
 		}
 	}

@@ -172,9 +172,12 @@ type CircuitUniverse struct {
 // WorstCaseWorkers at its caller's worker budget, and every later call,
 // at any budget, returns that same result: the worst case is a pure
 // function of the universe, and the budget never changes it (DESIGN.md
-// §5). So every analysis of one universe (a sweep's variants, the
-// daemon's jobs on one universe) runs it once. Callers must not modify
-// the result.
+// §5). The saving needs one universe object reused across analyses: a
+// sweep's variants, RunAll's tables of a circuit and daemon jobs that
+// overlap on one universe flight share it. A request that builds or
+// decodes its own universe, as a one-shot CLI run or a daemon job after
+// its circuit's flight was dropped does, still runs the worst case once
+// per request. Callers must not modify the result.
 func (u *CircuitUniverse) WorstCase(workers int) *WorstCaseResult {
 	u.worstOnce.Do(func() { u.worst = WorstCaseWorkers(&u.Universe, workers) })
 	return u.worst

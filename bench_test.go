@@ -478,18 +478,33 @@ func allStuckAt(c *Circuit) []StuckAt {
 	return u.StuckAt()
 }
 
-// BenchmarkProcedure1Def1 measures random test set construction under plain
-// detection counting.
+// BenchmarkProcedure1Def1 measures random test set construction under
+// plain detection counting at NMax = 10: bbara at K = 20 over the full G,
+// and fetch and bbsse at K = 1000 over the faults with nmin > 10, which is
+// the subset an average request with no Ge11Limit gives Procedure 1 (as
+// in the average-warm workload's Definition 1 requests). Universes, worst
+// cases and subsets are built before the timer.
 func BenchmarkProcedure1Def1(b *testing.B) {
-	u, err := LoadBenchmark("bbara")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Procedure1(&u.Universe, Procedure1Options{NMax: 10, K: 20, Seed: 1}); err != nil {
+	for _, c := range []struct {
+		name   string
+		k      int
+		subset bool
+	}{{"bbara", 20, false}, {"fetch", 1000, true}, {"bbsse", 1000, true}} {
+		u, err := LoadBenchmark(c.name)
+		if err != nil {
 			b.Fatal(err)
 		}
+		uv := &u.Universe
+		if c.subset {
+			uv = u.SubsetUntargeted(u.WorstCase(0).IndicesAtLeast(11))
+		}
+		b.Run(fmt.Sprintf("%s_K%d", c.name, c.k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Procedure1(uv, Procedure1Options{NMax: 10, K: c.k, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ndetect/internal/circuit"
 	"ndetect/internal/fault"
@@ -78,11 +79,13 @@ func Sweep(c *circuit.Circuit, variants []AnalysisRequest, opts SweepOptions) ([
 	total := sim.ResolveWorkers(opts.Workers)
 	aopts := ndetect.AnalyzeOptions{Workers: total}
 	shared := sweepUniverses{}
-	for _, v := range norm {
+	models := make([]string, len(norm))
+	for i, v := range norm {
 		m, err := fault.Resolve(v.FaultModel) // Normalize already vetted the ID
 		if err != nil {
 			return nil, err
 		}
+		models[i] = m.ID()
 		if _, ok := shared[m.ID()]; ok {
 			continue
 		}
@@ -98,11 +101,27 @@ func Sweep(c *circuit.Circuit, variants []AnalysisRequest, opts SweepOptions) ([
 		shared[m.ID()] = u
 	}
 
+	// Every variant of one model builds the same worst-case section from
+	// the universe's one worst case. The documents share the first that
+	// finishes, so a sweep holds one section per model, not per variant.
+	var mu sync.Mutex
+	sections := map[string]*report.WorstCase{}
 	return fanOut(total, len(norm), func(i, inner int) (*report.Analysis, error) {
 		req := norm[i]
 		req.Workers = inner
 		req.Universes = shared
-		return AnalyzeCircuit(c, req)
+		doc, err := AnalyzeCircuit(c, req)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		if wc, ok := sections[models[i]]; ok {
+			doc.WorstCase = wc
+		} else {
+			sections[models[i]] = doc.WorstCase
+		}
+		mu.Unlock()
+		return doc, nil
 	})
 }
 

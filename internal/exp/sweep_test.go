@@ -136,6 +136,39 @@ func TestSweepResolvesModelsOneAtATime(t *testing.T) {
 	}
 }
 
+// Every variant of one fault model carries the same worst-case section,
+// so the documents of a sweep share one section per model rather than
+// holding a copy each; the byte tests above pin what the shared section
+// encodes to.
+func TestSweepSharesWorstCaseSection(t *testing.T) {
+	variants := append(sweepVariants(),
+		AnalysisRequest{Kind: WorstCaseAnalysis, FaultModel: "transition"},
+		AnalysisRequest{Kind: AverageAnalysis, NMax: 2, K: 30, Seed: 1, FaultModel: "transition"},
+		AnalysisRequest{Kind: AverageAnalysis, NMax: 2, K: 30, Seed: 2, FaultModel: "transition"},
+	)
+	for _, workers := range []int{1, 4} {
+		docs, err := Sweep(mustEmbedded(t, "c17"), variants, SweepOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byModel := map[string]*report.WorstCase{}
+		for i, v := range variants {
+			wc := docs[i].WorstCase
+			if wc == nil {
+				t.Fatalf("workers=%d variant %d: no worst-case section", workers, i)
+			}
+			if first, ok := byModel[v.FaultModel]; !ok {
+				byModel[v.FaultModel] = wc
+			} else if wc != first {
+				t.Fatalf("workers=%d variant %d: holds its own worst-case section, not its model's shared one", workers, i)
+			}
+		}
+		if byModel[""] == byModel["transition"] {
+			t.Fatalf("workers=%d: two fault models share one worst-case section", workers)
+		}
+	}
+}
+
 func TestSweepRejects(t *testing.T) {
 	c := mustEmbedded(t, "c17")
 	if _, err := Sweep(c, nil, SweepOptions{}); err == nil {

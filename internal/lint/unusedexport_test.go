@@ -28,6 +28,10 @@ var stdInterfaces = []map[string]string{
 		"WriteHeader": "(int) ()",
 	},
 	{"Flush": "() ()"}, // http.Flusher
+	{ // math/rand.Source, which rand.New wraps
+		"Int63": "() (int64)",
+		"Seed":  "(int64) ()",
+	},
 }
 
 // TestNoUnusedExports type-checks the module and perfbench, test files

@@ -2,7 +2,6 @@ package ndetect
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -107,9 +106,9 @@ func (r *Procedure1Result) P(n, j int) float64 {
 // n-detection test set. Detection statistics for the untargeted faults are
 // recorded after every iteration.
 //
-// The draws are exact and allocation-free (DESIGN.md §1): a target's
-// Definition 1 count is kept as a lower bound and recounted only when the
-// bound falls short of n, a draw selects its test inside the words of
+// The draws are exact and allocation-free (DESIGN.md §1): each target's
+// Definition 1 count is kept exact, through the transposed T-sets, until
+// it reaches min(NMax, N(f)), a draw selects its test inside the words of
 // T(f) &^ Tk, and each untargeted fault's first-detection iteration is
 // merged once per set. Every pick consumes the same rng draws as the
 // direct construction — clone T(f) − Tk, count it, take its Intn(c)-th
@@ -176,6 +175,16 @@ type proc1 struct {
 	u    *Universe
 	opts *Procedure1Options
 	nf   []int // N(f) per target
+	// top[i] = min(NMax, N(f)): once target i has that many Definition 1
+	// detections it never draws again, since n ≤ NMax and T(f) − Tk is
+	// empty at N(f).
+	top []int32
+	// rows is the transpose of the target T-sets: row(v), the fw words at
+	// rows[v*fw:], marks the targets vector v detects, so adding v counts
+	// only those targets.
+	rows  []uint64
+	fw    int      // words per row, ⌈|F|/64⌉
+	live0 []uint64 // the targets with top > 0: every set's first live mask
 	// gAt[v] lists the untargeted faults vector v detects: marking first
 	// detections costs O(|faults v detects|) per added vector instead of
 	// a |G| sweep per iteration.
@@ -183,9 +192,30 @@ type proc1 struct {
 }
 
 func newProc1(u *Universe, opts *Procedure1Options) *proc1 {
-	p := &proc1{u: u, opts: opts, nf: make([]int, len(u.Targets)), gAt: make([][]int32, u.Size)}
+	nt := len(u.Targets)
+	fw := (nt + 63) / 64
+	p := &proc1{
+		u: u, opts: opts,
+		nf:    make([]int, nt),
+		top:   make([]int32, nt),
+		rows:  make([]uint64, u.Size*fw),
+		fw:    fw,
+		live0: make([]uint64, fw),
+		gAt:   make([][]int32, u.Size),
+	}
 	for i, f := range u.Targets {
 		p.nf[i] = f.T.Count()
+		p.top[i] = int32(min(opts.NMax, p.nf[i]))
+		bit := uint64(1) << uint(i%64)
+		if p.top[i] > 0 {
+			p.live0[i/64] |= bit
+		}
+		for wi, w := range f.T.Words() {
+			for ; w != 0; w &= w - 1 {
+				v := wi*64 + bits.TrailingZeros64(w)
+				p.rows[v*fw+i/64] |= bit
+			}
+		}
 	}
 	buf := make([]uint64, (u.Size+63)/64)
 	for j, g := range u.Untargeted {
@@ -206,10 +236,12 @@ type setState struct {
 	*proc1
 	rng *rand.Rand
 	tk  *TestSet
-	// lb[i] is a lower bound on target i's Definition 1 count
-	// |T(f) ∩ Tk|, or math.MaxInt once T(f) ⊆ Tk (no draw is left).
-	// Counts only grow as Tk does, so a bound ≥ n settles the check.
-	lb []int
+	// cnt[i] is target i's Definition 1 count |T(f) ∩ Tk| while the
+	// target is live; live marks the targets with cnt < top. A target
+	// leaves live when its count reaches top, and nothing reads its count
+	// after that.
+	cnt  []int32
+	live []uint64
 	// seen marks the untargeted faults Tk detects; order lists them in
 	// first-detection order, and ends[n-1] is len(order) after iteration
 	// n, so the faults first detected at iteration n are
@@ -224,9 +256,10 @@ type setState struct {
 func (p *proc1) newSetState() *setState {
 	s := &setState{
 		proc1: p,
-		rng:   rand.New(rand.NewSource(0)),
+		rng:   rand.New(new(seedSource)),
 		tk:    NewTestSet(p.u.Size),
-		lb:    make([]int, len(p.u.Targets)),
+		cnt:   make([]int32, len(p.u.Targets)),
+		live:  make([]uint64, p.fw),
 		seen:  make([]bool, len(p.u.Untargeted)),
 		ends:  make([]int, p.opts.NMax),
 		sizes: make([]int, p.opts.NMax),
@@ -242,10 +275,11 @@ func (p *proc1) newSetState() *setState {
 func (s *setState) run(k int, res *Procedure1Result, mu *sync.Mutex) {
 	opts := s.opts
 	// Reseeding restarts the stream exactly as a fresh
-	// rand.New(rand.NewSource(seed)) would.
+	// rand.New(rand.NewSource(seed)) would (seedSource).
 	s.rng.Seed(mix(opts.Seed, int64(k)))
 	s.tk.reset()
-	clear(s.lb)
+	clear(s.cnt)
+	copy(s.live, s.live0)
 	for _, j := range s.order {
 		s.seen[j] = false
 	}
@@ -255,14 +289,21 @@ func (s *setState) run(k int, res *Procedure1Result, mu *sync.Mutex) {
 	}
 
 	for n := 1; n <= opts.NMax; n++ {
-		for fi := range s.u.Targets {
-			f := &s.u.Targets[fi]
-			switch opts.Definition {
-			case Def1:
-				if count, short := s.def1Short(fi, n); short {
-					s.drawOutside(fi, count)
+		if s.d2 == nil {
+			// Only live targets can draw. The mask word is read again
+			// after each draw, which skips the targets the draw retired.
+			for w := range s.live {
+				for m := s.live[w]; m != 0; {
+					b := bits.TrailingZeros64(m)
+					if i := w*64 + b; int(s.cnt[i]) < n {
+						s.drawOutside(i)
+					}
+					m = s.live[w] & (^uint64(1) << uint(b))
 				}
-			case Def2:
+			}
+		} else {
+			for fi := range s.u.Targets {
+				f := &s.u.Targets[fi]
 				if s.d2.countUpTo(fi, n, f, s.tk) >= n {
 					continue
 				}
@@ -275,8 +316,8 @@ func (s *setState) run(k int, res *Procedure1Result, mu *sync.Mutex) {
 				}
 				// Fall back to Definition 1 for this fault so it is not
 				// left with far fewer than n detections.
-				if count, short := s.def1Short(fi, n); short {
-					s.drawOutside(fi, count)
+				if s.live[fi/64]>>uint(fi%64)&1 != 0 && int(s.cnt[fi]) < n {
+					s.drawOutside(fi)
 				}
 			}
 		}
@@ -301,35 +342,12 @@ func (s *setState) run(k int, res *Procedure1Result, mu *sync.Mutex) {
 	mu.Unlock()
 }
 
-// def1Short reports whether target i has fewer than n Definition 1
-// detections with a test of T(f) still outside Tk, and if so returns its
-// exact count |T(f) ∩ Tk|. The bound answers without reading T(f) until
-// it falls short of n; then one popcount pass makes it exact again.
-func (s *setState) def1Short(i, n int) (count int, short bool) {
-	if s.lb[i] >= n {
-		return 0, false
-	}
-	tw := s.u.Targets[i].T.Words()
-	kw := s.tk.member.Words()
-	kw = kw[:len(tw)]
-	for w, t := range tw {
-		count += bits.OnesCount64(t & kw[w])
-	}
-	if count == s.nf[i] {
-		s.lb[i] = math.MaxInt
-		return 0, false
-	}
-	s.lb[i] = count
-	return count, count < n
-}
-
-// drawOutside adds a uniformly random member of T(f) − Tk for target i,
-// whose exact count def1Short just returned: one draw r = Intn(c) with
-// c = N(f) − count = |T(f) − Tk|, then the r-th member of T(f) &^ Tk.
-func (s *setState) drawOutside(i, count int) {
-	r := s.rng.Intn(s.nf[i] - count)
+// drawOutside adds a uniformly random member of T(f) − Tk for live target
+// i: one draw r = Intn(c) with c = N(f) − cnt[i] = |T(f) − Tk|, then the
+// r-th member of T(f) &^ Tk.
+func (s *setState) drawOutside(i int) {
+	r := s.rng.Intn(s.nf[i] - int(s.cnt[i]))
 	s.add(nthOutside(s.u.Targets[i].T.Words(), s.tk.member.Words(), r))
-	s.lb[i] = count + 1
 }
 
 // nthOutside returns the r-th member (0-based, increasing order) of the
@@ -352,10 +370,27 @@ func nthOutside(t, k []uint64, r int) int {
 	panic("ndetect: draw index beyond |T(f) − Tk|")
 }
 
-// add inserts a vector known to be outside Tk and marks the untargeted
-// faults it detects first.
+// add inserts a vector known to be outside Tk, counts it for the live
+// targets it detects, retiring each that reaches top, and marks the
+// untargeted faults it detects first.
 func (s *setState) add(v int) {
 	s.tk.Add(v)
+	live, cnt, top := s.live, s.cnt, s.top
+	for w, r := range s.rows[v*s.fw:][:len(live)] {
+		lw := live[w]
+		m := r & lw
+		if m == 0 {
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			cnt[i]++
+			if cnt[i] == top[i] {
+				lw &^= m & -m
+			}
+		}
+		live[w] = lw
+	}
 	for _, j := range s.gAt[v] {
 		if !s.seen[j] {
 			s.seen[j] = true

@@ -2,6 +2,7 @@ package ndetect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -568,19 +569,64 @@ func TestProcedure1MatchesReferenceOnCircuits(t *testing.T) {
 // TestProcedure1MatchesReferenceOnEdgeUniverses: hand-built universes at
 // the word boundaries of U, with an empty T(f), T(f) = U and a duplicate
 // target, from one set to deep n — far past the 256 a narrow
-// first-detection counter would hold.
+// first-detection counter would hold. The target counts cross the word
+// boundaries of the live mask, with empty and duplicate targets on both
+// sides and targets whose N(f) < NMax settle at N(f).
 func TestProcedure1MatchesReferenceOnEdgeUniverses(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, size := range []int{1, 32, 64, 65, 130} {
-		u := edgeUniverse(rng, size, 20)
-		for _, nmax := range []int{1, 10, 300} {
-			for _, k := range []int{1, 7} {
-				label := fmt.Sprintf("|U|=%d NMax=%d K=%d", size, nmax, k)
-				checkAgainstReference(t, label+"/def1", u,
-					Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax)}, nil)
-				checkAgainstReference(t, label+"/def2", u,
-					Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax), Definition: Def2, Checker: hashChecker{}}, nil)
+		for _, nF := range []int{9, 63, 64, 65, 129} {
+			u := edgeUniverse(rng, size, nF, 20)
+			for _, nmax := range []int{1, 10, 300} {
+				for _, k := range []int{1, 7} {
+					label := fmt.Sprintf("|U|=%d |F|=%d NMax=%d K=%d", size, nF, nmax, k)
+					checkAgainstReference(t, label+"/def1", u,
+						Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax)}, nil)
+					checkAgainstReference(t, label+"/def2", u,
+						Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax), Definition: Def2, Checker: hashChecker{}}, nil)
+				}
 			}
+		}
+	}
+}
+
+// TestSeedSourceMatchesMathRand: seedSource wrapped in rand.New, reseeded
+// in place as Procedure 1 reseeds it, yields what rand.New(rand.NewSource)
+// yields — twice round the 607-word ring of Int63 draws, then Intn on
+// both of its paths and a Shuffle — for seeds at the edges of the
+// seeding's reduction modulo 2^31 − 1 and for every set seed of the
+// average-warm benchmark's requests (mix(s, k), s = 1..12, k < 1000).
+func TestSeedSourceMatchesMathRand(t *testing.T) {
+	const p = 1<<31 - 1
+	seeds := []int64{0, 1, -1, p, -p, 2 * p, -2 * p, 3 * p, p - 1, p + 1, -p + 1, -p - 1,
+		p << 31, -(p << 31), p * (1<<32 + 2), math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for s := int64(1); s <= 12; s++ {
+		for k := int64(0); k < 1000; k++ {
+			seeds = append(seeds, mix(s, k))
+		}
+	}
+	got := rand.New(new(seedSource))
+	a, b := make([]int, 40), make([]int, 40)
+	for _, seed := range seeds {
+		got.Seed(seed)
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 1300; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d: Int63 draw %d = %d, math/rand %d", seed, i, g, w)
+			}
+		}
+		for _, n := range []int{1, 2, 3, 7, 96, 1000, 1 << 30, 1<<31 - 1, 1 << 40, 3<<40 + 1} {
+			if g, w := got.Intn(n), want.Intn(n); g != w {
+				t.Fatalf("seed %d: Intn(%d) = %d, math/rand %d", seed, n, g, w)
+			}
+		}
+		for i := range a {
+			a[i], b[i] = i, i
+		}
+		got.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+		want.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+		if !slices.Equal(a, b) {
+			t.Fatalf("seed %d: Shuffle = %v, math/rand %v", seed, a, b)
 		}
 	}
 }

@@ -349,12 +349,15 @@ func TestWorstCaseMatchesNMinOnEmbeddedCircuits(t *testing.T) {
 	}
 }
 
-// edgeUniverse builds a universe over size vectors with nG untargeted
-// faults and the shapes the sparse slab and the seeds must handle: an
-// empty T(f), a duplicated target, T(f) = U, T(g) = U, an empty T(g),
-// and untargeted faults built around a target's T-set (supersets, which
-// give nmin = 1, and near misses, which do not).
-func edgeUniverse(rng *rand.Rand, size, nG int) *Universe {
+// edgeUniverse builds a universe over size vectors with nF ≥ 9 targets,
+// nG untargeted faults and the shapes the sparse slab, the seeds and
+// Procedure 1's live mask must handle: an empty T(f), a duplicated
+// target, T(f) = U, T(g) = U, an empty T(g), and untargeted faults built
+// around a target's T-set (supersets, which give nmin = 1, and near
+// misses, which do not). With nF = 9 it has one target of each shape;
+// larger nF adds random targets and, past the first 9, more empty and
+// duplicated ones, so every word of a target bitset holds some.
+func edgeUniverse(rng *rand.Rand, size, nF, nG int) *Universe {
 	randSet := func(density float64) *bitset.Set {
 		s := bitset.New(size)
 		for v := 0; v < size; v++ {
@@ -371,8 +374,15 @@ func edgeUniverse(rng *rand.Rand, size, nG int) *Universe {
 		u.Targets = append(u.Targets, Fault{Name: fmt.Sprintf("f%d", len(u.Targets)), T: s})
 	}
 	addT(bitset.New(size))
-	for i := 0; i < 6; i++ {
-		addT(randSet([]float64{0.02, 0.1, 0.3, 0.6}[i%4]))
+	for i := 0; i < nF-3; i++ {
+		switch {
+		case i >= 6 && i%8 == 0:
+			addT(bitset.New(size))
+		case i >= 6 && i%8 == 5:
+			addT(u.Targets[rng.Intn(len(u.Targets))].T.Clone())
+		default:
+			addT(randSet([]float64{0.02, 0.1, 0.3, 0.6}[i%4]))
+		}
 	}
 	addT(u.Targets[3].T.Clone())
 	addT(full)
@@ -407,7 +417,7 @@ func TestWorstCaseMatchesNMinOnEdgeUniverses(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, size := range []int{1, 63, 64, 65, 130} {
 		for _, nG := range []int{0, 1, 63, 64, 65, 129} {
-			u := edgeUniverse(rng, size, nG)
+			u := edgeUniverse(rng, size, 9, nG)
 			checkAgainstNMin(t, fmt.Sprintf("|U|=%d |G|=%d", size, nG), u)
 		}
 	}

@@ -526,7 +526,7 @@ func BenchmarkProcedure1Def2(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("%s_K%d", c.name, c.k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opts := Procedure1Options{NMax: 10, K: c.k, Seed: 1, Definition: Def2, Checker: NewDef2Checker(u)}
+				opts := Procedure1Options{NMax: 10, K: c.k, Seed: 1, Checker: NewDef2Checker(u)}
 				if _, err := Procedure1(&u.Universe, opts); err != nil {
 					b.Fatal(err)
 				}

@@ -151,22 +151,13 @@ func main() {
 }
 
 // def2Count greedily counts Definition 2 detections of fault i by the test
-// set, processing tests in insertion order.
+// set, processing tests in insertion order: a test of T(f) counts when it
+// is distinct from every test counted before it.
 func def2Count(checker ndetect.DistinctChecker, i int, f ndetect.Fault, ts *ndetect.TestSet) int {
 	var counted []int
 	t := f.Set()
 	for _, v := range ts.Vectors() {
-		if !t.Contains(v) {
-			continue
-		}
-		ok := true
-		for _, m := range counted {
-			if !checker.Distinct(i, v, m) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if t.Contains(v) && checker.DistinctAll(i, v, counted) {
 			counted = append(counted, v)
 		}
 	}

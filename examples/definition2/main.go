@@ -51,8 +51,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts.Definition = ndetect.Def2
-	opts.Checker = ndetect.NewDef2Checker(u)
+	opts.Checker = ndetect.NewDef2Checker(u) // selects Definition 2
 	r2, err := ndetect.Procedure1(sub, opts)
 	if err != nil {
 		log.Fatal(err)

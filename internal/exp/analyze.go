@@ -141,12 +141,12 @@ func (r *AnalysisRequest) Normalize() error {
 			r.Seed = 1 // cmd/ndetect's -seed default; CLI and server must agree
 		}
 		if r.Definition == 0 {
-			r.Definition = int(ndetect.Def1)
+			r.Definition = 1
 		}
-		if r.Definition != int(ndetect.Def1) && r.Definition != int(ndetect.Def2) {
+		if r.Definition != 1 && r.Definition != 2 {
 			return fmt.Errorf("exp: unknown definition %d (want 1 or 2)", r.Definition)
 		}
-		if r.Definition == int(ndetect.Def2) && !m.Def2Capable() {
+		if r.Definition == 2 && !m.Def2Capable() {
 			return fmt.Errorf("exp: definition 2 requires single stuck-at targets, which fault model %s does not have", m.ID())
 		}
 		if r.Ge11Limit < 0 {
@@ -367,8 +367,7 @@ func averageJSON(u *ndetect.CircuitUniverse, wc *ndetect.WorstCaseResult, req *A
 			progress("procedure1", done, total)
 		},
 	}
-	if req.Definition == int(ndetect.Def2) {
-		opts.Definition = ndetect.Def2
+	if req.Definition == 2 {
 		opts.Checker = ndetect.NewCircuitCheckerFor(u)
 	}
 	res, err := ndetect.Procedure1(sub, opts)

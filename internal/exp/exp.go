@@ -86,7 +86,7 @@ func fanOut[T any](workers, n int, fn func(i, inner int) (T, error)) ([]T, error
 
 	outer, inner := sim.SplitWorkers(workers, n)
 	var failed atomic.Bool
-	sim.ParallelFor(outer, n, func(i int) {
+	sim.ParallelFor(outer, n, func(_, i int) {
 		if failed.Load() {
 			return
 		}

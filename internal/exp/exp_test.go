@@ -312,10 +312,10 @@ func TestRunAllMatchesAnalyzeCircuit(t *testing.T) {
 	}
 	for i, name := range cfg.Circuits {
 		c := synthesized(t, name)
-		average := func(k int, def ndetect.Definition) *report.Average {
+		average := func(k, def int) *report.Average {
 			doc, err := AnalyzeCircuit(c, AnalysisRequest{
 				Kind: AverageAnalysis, NMax: cfg.NMax, K: k, Seed: cfg.Seed,
-				Definition: int(def), Ge11Limit: cfg.Ge11Limit,
+				Definition: def, Ge11Limit: cfg.Ge11Limit,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -335,8 +335,8 @@ func TestRunAllMatchesAnalyzeCircuit(t *testing.T) {
 			}
 		}
 		t5, t6 := res.Table5[i], res.Table6[i]
-		check("Table 5", t5.Circuit, t5.Faults, t5.Counts[:], average(cfg.K5, ndetect.Def1))
-		check("Table 6 Definition 1", t6.Circuit, t6.Faults, t6.Def1[:], average(cfg.K6, ndetect.Def1))
-		check("Table 6 Definition 2", t6.Circuit, t6.Faults, t6.Def2[:], average(cfg.K6, ndetect.Def2))
+		check("Table 5", t5.Circuit, t5.Faults, t5.Counts[:], average(cfg.K5, 1))
+		check("Table 6 Definition 1", t6.Circuit, t6.Faults, t6.Def1[:], average(cfg.K6, 1))
+		check("Table 6 Definition 2", t6.Circuit, t6.Faults, t6.Def2[:], average(cfg.K6, 2))
 	}
 }

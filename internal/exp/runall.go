@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ndetect/internal/bench"
-	"ndetect/internal/ndetect"
 	"ndetect/internal/report"
 )
 
@@ -47,18 +46,18 @@ type allCircuit struct {
 // time.
 func RunAll(cfg Config, figure2Circuit string, withT5, withT6 bool, observe func(string)) (*AllResults, error) {
 	cfg.normalize()
-	average := func(k int, def ndetect.Definition) AnalysisRequest {
+	average := func(k, def int) AnalysisRequest {
 		return AnalysisRequest{
 			Kind: AverageAnalysis, NMax: cfg.NMax, K: k, Seed: cfg.Seed,
-			Definition: int(def), Ge11Limit: cfg.Ge11Limit,
+			Definition: def, Ge11Limit: cfg.Ge11Limit,
 		}
 	}
 	variants := []AnalysisRequest{{Kind: WorstCaseAnalysis}}
 	if withT5 {
-		variants = append(variants, average(cfg.K5, ndetect.Def1))
+		variants = append(variants, average(cfg.K5, 1))
 	}
 	if withT6 {
-		variants = append(variants, average(cfg.K6, ndetect.Def1), average(cfg.K6, ndetect.Def2))
+		variants = append(variants, average(cfg.K6, 1), average(cfg.K6, 2))
 	}
 
 	names := cfg.circuitList()

@@ -47,44 +47,19 @@ func (s *def2State) reset() {
 
 // countUpTo advances fault i's cursor until its distinct set reaches `need`
 // members or the test set is exhausted, and returns the (possibly capped)
-// count.
+// count. The first test of T(f) joins without asking the checker.
 func (s *def2State) countUpTo(i, need int, f *Fault, tk *TestSet) int {
 	d := s.distinct[i]
 	vectors := tk.Vectors()
 	for s.cursor[i] < len(vectors) && len(d) < need {
 		v := vectors[s.cursor[i]]
 		s.cursor[i]++
-		if !f.T.Contains(v) {
-			continue
-		}
-		if s.isDistinct(i, v, d) {
+		if f.T.Contains(v) && (len(d) == 0 || s.checker.DistinctAll(i, v, d)) {
 			d = append(d, v)
 		}
 	}
 	s.distinct[i] = d
 	return len(d)
-}
-
-// batchChecker is the optional fast path: decide v-vs-all-of-ds in one
-// call. CircuitChecker implements it with dual-rail bit-parallel 3-valued
-// simulation (one circuit pass for up to 64 pairs).
-type batchChecker interface {
-	DistinctAll(faultIndex, v int, ds []int) bool
-}
-
-func (s *def2State) isDistinct(i, v int, d []int) bool {
-	if len(d) == 0 {
-		return true
-	}
-	if bc, ok := s.checker.(batchChecker); ok {
-		return bc.DistinctAll(i, v, d)
-	}
-	for _, m := range d {
-		if !s.checker.Distinct(i, v, m) {
-			return false
-		}
-	}
-	return true
 }
 
 // pickScanCap bounds how many randomly drawn candidates pickDistinct
@@ -98,18 +73,12 @@ func (s *def2State) isDistinct(i, v int, d []int) bool {
 // |T(f)| × |distinct set| 3-valued simulations per iteration.
 const pickScanCap = 96
 
-// pickChecker is the optional transposed fast path: find the first
-// candidate pairwise distinct from every counted detection, eliminating
-// candidates member-by-member with batched simulations.
-type pickChecker interface {
-	FirstDistinct(faultIndex int, cands []int, ds []int) int
-}
-
 // pickDistinct draws a random member of {t ∈ T(f) − Tk : t is pairwise
 // distinct from every counted detection} (see pickScanCap for the sampling
 // bound). The candidates are T(f) − Tk in increasing order, read from the
 // words of T(f) &^ Tk, and the shuffle runs over all of them before the
-// cap applies.
+// cap applies. With no counted detection the first candidate is taken
+// without asking the checker.
 func (s *def2State) pickDistinct(i int, f *Fault, tk *TestSet, rng *rand.Rand) (int, bool) {
 	cands := s.cands[:0]
 	kw := tk.member.Words()
@@ -123,16 +92,14 @@ func (s *def2State) pickDistinct(i int, f *Fault, tk *TestSet, rng *rand.Rand) (
 	if len(cands) > pickScanCap {
 		cands = cands[:pickScanCap]
 	}
-	if pc, ok := s.checker.(pickChecker); ok && len(s.distinct[i]) > 0 {
-		if at := pc.FirstDistinct(i, cands, s.distinct[i]); at >= 0 {
-			return cands[at], true
-		}
+	if len(cands) == 0 {
 		return 0, false
 	}
-	for _, v := range cands {
-		if s.isDistinct(i, v, s.distinct[i]) {
-			return v, true
-		}
+	if len(s.distinct[i]) == 0 {
+		return cands[0], true
+	}
+	if at := s.checker.FirstDistinct(i, cands, s.distinct[i]); at >= 0 {
+		return cands[at], true
 	}
 	return 0, false
 }
@@ -202,14 +169,8 @@ func (cc *CircuitChecker) memo(i int) *pairMemo {
 	return cc.memos[i].Load()
 }
 
-// Distinct implements DistinctChecker.
-func (cc *CircuitChecker) Distinct(faultIndex, t1, t2 int) bool {
-	return cc.DistinctAll(faultIndex, t1, []int{t2})
-}
-
-// DistinctAll reports whether v is pairwise distinct from every test in ds
-// for the given fault (a test is never distinct from itself), resolving
-// the unmemoized pairs with the pair kernel.
+// DistinctAll implements DistinctChecker, resolving the unmemoized pairs
+// with the pair kernel.
 func (cc *CircuitChecker) DistinctAll(faultIndex, v int, ds []int) bool {
 	m := cc.memo(faultIndex)
 	s := cc.scratch.Get().(*checkScratch)
@@ -239,13 +200,12 @@ func (cc *CircuitChecker) DistinctAll(faultIndex, v int, ds []int) bool {
 	return true
 }
 
-// FirstDistinct returns the index (into cands) of the first candidate that
-// is pairwise distinct from every test in ds for the given fault, or -1.
-// Candidates are eliminated member by member: for each counted detection d,
-// all surviving candidates are checked against d with memo lookups plus
-// one kernel call per 64 unmemoized pairs. The surviving set after the
-// last member is exactly {candidates distinct from all of ds}, so the
-// returned candidate matches what a sequential scan would pick.
+// FirstDistinct implements DistinctChecker. Candidates are eliminated
+// member by member: for each counted detection d, all surviving candidates
+// are checked against d with memo lookups plus one kernel call per 64
+// unmemoized pairs. The surviving set after the last member is exactly
+// {candidates distinct from all of ds}, so the returned candidate matches
+// what a sequential scan would pick.
 func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) int {
 	m := cc.memo(faultIndex)
 	s := cc.scratch.Get().(*checkScratch)
@@ -280,20 +240,15 @@ func (cc *CircuitChecker) FirstDistinct(faultIndex int, cands []int, ds []int) i
 				}
 			}
 		}
-
 		survivors = next
-		if len(survivors) == 0 {
-			s.survivors = survivors
-			return -1
-		}
 	}
 	s.survivors = survivors
 	// Memo hits and simulated verdicts append in different orders, so the
 	// survivor list is not sorted; the minimum index is the candidate a
 	// sequential scan would have accepted first.
-	best := survivors[0]
+	best := -1
 	for _, si := range survivors {
-		if si < best {
+		if best < 0 || si < best {
 			best = si
 		}
 	}

@@ -36,7 +36,7 @@ func TestDef2NDetectionInvariant(t *testing.T) {
 	for _, checker := range []*fakeChecker{{distinct: true}, {distinct: false}} {
 		u := randomUniverse(rng, 128, 10, 4)
 		res, err := Procedure1(u, Procedure1Options{
-			NMax: 5, K: 15, Seed: 3, Definition: Def2, Checker: checker, KeepTestSets: true,
+			NMax: 5, K: 15, Seed: 3, Checker: byDefinition{checker}, KeepTestSets: true,
 		})
 		if err != nil {
 			t.Fatalf("Procedure1: %v", err)
@@ -60,8 +60,7 @@ func TestDef2NDetectionInvariant(t *testing.T) {
 func TestDef2NoneDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	u := randomUniverse(rng, 64, 8, 4)
-	checker := &fakeChecker{distinct: false}
-	d2 := newDef2State(len(u.Targets), checker)
+	d2 := newDef2State(len(u.Targets), byDefinition{&fakeChecker{distinct: false}})
 	tk := NewTestSet(u.Size)
 	for _, v := range u.Targets[0].T.Members() {
 		tk.Add(v)
@@ -74,7 +73,7 @@ func TestDef2NoneDistinct(t *testing.T) {
 // TestDef2AllDistinct: when every pair is distinct, Definition 2 counting
 // equals Definition 1 counting (up to the requested cap).
 func TestDef2AllDistinct(t *testing.T) {
-	checker := &fakeChecker{distinct: true}
+	checker := byDefinition{&fakeChecker{distinct: true}}
 	d2 := newDef2State(1, checker)
 	f := Fault{Name: "f", T: bitset.FromMembers(32, 0, 3, 6, 9, 12, 15, 18)}
 	tk := NewTestSet(32)
@@ -156,8 +155,8 @@ func buildTwoLayoutCircuit(t *testing.T) *CircuitUniverse {
 	return u
 }
 
-// kernelChecker is the memo-free Definition 2 oracle: every Distinct call
-// runs its one pair through the fault's cone with DetectsPairs, and
+// kernelChecker is the memo-free Definition 2 pair oracle: every Distinct
+// call runs its one pair through the fault's cone with DetectsPairs, and
 // nothing is kept between calls.
 type kernelChecker struct {
 	cones   []*sim.FaultCone
@@ -183,16 +182,16 @@ func (k *kernelChecker) Distinct(i, t1, t2 int) bool {
 	return k.cones[i].DetectsPairs(uint64(t1), []int{t2}, k.faults[i].Value, s) == 0
 }
 
-// pairQueries is the checker surface the tests query: a CircuitChecker,
-// or the memo-free oracle through byDefinition.
-type pairQueries interface {
-	DistinctChecker
-	DistinctAll(faultIndex, v int, ds []int) bool
-	FirstDistinct(faultIndex int, cands []int, ds []int) int
+// pairChecker is a Definition 2 oracle asked one pair at a time:
+// Distinct(i, t1, t2) reports whether t1 and t2 count as two detections
+// of target i.
+type pairChecker interface {
+	Distinct(faultIndex, t1, t2 int) bool
 }
 
-// byDefinition answers DistinctAll and FirstDistinct from Distinct alone.
-type byDefinition struct{ DistinctChecker }
+// byDefinition answers DistinctAll and FirstDistinct from Distinct alone,
+// so a pair oracle can serve as a DistinctChecker.
+type byDefinition struct{ pairChecker }
 
 func (b byDefinition) DistinctAll(i, v int, ds []int) bool {
 	for _, d := range ds {
@@ -238,17 +237,17 @@ func checkerSample(t *bitset.Set, size int) []int {
 	return out
 }
 
-// checkerQueries asks q, target by target in the given order, Distinct on
-// every ordered pair of the target's sample, then DistinctAll and
-// FirstDistinct over it. It returns the answers by target.
-func checkerQueries(u *CircuitUniverse, q pairQueries, order []int) [][]int {
+// checkerQueries asks q, target by target in the given order, DistinctAll
+// on every ordered pair of the target's sample, one pair at a time, then
+// DistinctAll and FirstDistinct over it. It returns the answers by target.
+func checkerQueries(u *CircuitUniverse, q DistinctChecker, order []int) [][]int {
 	out := make([][]int, len(u.Targets))
 	for _, fi := range order {
 		sample := checkerSample(u.Targets[fi].T, u.Size)
 		var got []int
 		for _, a := range sample {
 			for _, b := range sample {
-				got = append(got, b2i(q.Distinct(fi, a, b)))
+				got = append(got, b2i(q.DistinctAll(fi, a, []int{b})))
 			}
 		}
 		for i, a := range sample {
@@ -284,14 +283,14 @@ func TestCircuitCheckerBasics(t *testing.T) {
 	for _, u := range []*CircuitUniverse{buildDef2Circuit(t), buildTwoLayoutCircuit(t)} {
 		cc := NewCircuitCheckerFor(u)
 		// A test is never distinct from itself.
-		if cc.Distinct(0, 3, 3) {
+		if cc.DistinctAll(0, 3, []int{3}) {
 			t.Fatalf("%s: t distinct from itself", u.Circuit.Name)
 		}
 		// Symmetry: the memo's pair is unordered.
 		for fi := range u.Targets {
 			for a := 0; a < 8; a++ {
 				for b := a + 1; b < 8; b++ {
-					if cc.Distinct(fi, a, b) != cc.Distinct(fi, b, a) {
+					if cc.DistinctAll(fi, a, []int{b}) != cc.DistinctAll(fi, b, []int{a}) {
 						t.Fatalf("%s: asymmetric distinctness for fault %d pair (%d,%d)", u.Circuit.Name, fi, a, b)
 					}
 				}
@@ -328,13 +327,51 @@ func TestCircuitCheckerSemantics(t *testing.T) {
 	// t1=000(0), t2=010(2): common = 0X0. Under 0X0 the fault d/1 makes
 	// g2: good = (0∧X)∨0 = 0, faulty = (0∧X)∨1 = 1 → t12 DETECTS the
 	// fault → tests are NOT distinct.
-	if cc.Distinct(di, 0, 2) {
+	if cc.DistinctAll(di, 0, []int{2}) {
 		t.Fatal("(000,010) should be similar for d/1: common 0X0 still detects it")
 	}
 	// t1=000(0), t2=100(4): common = X00; good g2 = (X∧0)∨0 = 0, faulty =
 	// (X∧0)∨1 = 1 → detected → not distinct either.
-	if cc.Distinct(di, 0, 4) {
+	if cc.DistinctAll(di, 0, []int{4}) {
 		t.Fatal("(000,100) should be similar for d/1")
+	}
+}
+
+// TestCircuitCheckerEmptyQueries: the checker answers empty queries as
+// DistinctChecker documents them. FirstDistinct finds no candidate in an
+// empty list, whatever ds holds, and accepts the first candidate against
+// an empty ds; DistinctAll accepts any test against an empty ds; and a
+// test is not distinct from itself.
+func TestCircuitCheckerEmptyQueries(t *testing.T) {
+	c, err := circuit.EmbeddedBench("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := BuildUniverse(c, fault.Default(), AnalyzeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := NewCircuitCheckerFor(u)
+	for fi, f := range u.Targets {
+		members := f.T.Members()
+		if len(members) == 0 {
+			continue
+		}
+		if got := cc.FirstDistinct(fi, nil, nil); got != -1 {
+			t.Fatalf("%s: FirstDistinct(no candidates, no ds) = %d, want -1", f.Name, got)
+		}
+		if got := cc.FirstDistinct(fi, nil, members[:1]); got != -1 {
+			t.Fatalf("%s: FirstDistinct(no candidates) = %d, want -1", f.Name, got)
+		}
+		if got := cc.FirstDistinct(fi, members, nil); got != 0 {
+			t.Fatalf("%s: FirstDistinct(no ds) = %d, want 0", f.Name, got)
+		}
+		if got := cc.FirstDistinct(fi, members[:1], members[:1]); got != -1 {
+			t.Fatalf("%s: FirstDistinct(v, {v}) = %d, want -1", f.Name, got)
+		}
+		if !cc.DistinctAll(fi, members[0], nil) {
+			t.Fatalf("%s: DistinctAll(no ds) = false, want true", f.Name)
+		}
 	}
 }
 
@@ -412,9 +449,9 @@ func TestPairMemoLayouts(t *testing.T) {
 }
 
 // TestCircuitCheckerConcurrent: 8 goroutines share one checker on targets
-// of both memo layouts, running Distinct, DistinctAll and FirstDistinct
-// over pairs with members and non-members of T(f), half of them in
-// descending target order, while the large tables grow. Every goroutine's
+// of both memo layouts, running DistinctAll and FirstDistinct over pairs
+// with members and non-members of T(f), half of them in descending
+// target order, while the large tables grow. Every goroutine's
 // answers must equal those of a fresh checker queried by one goroutine,
 // which TestCircuitCheckerBasics holds to the memo-free oracle.
 func TestCircuitCheckerConcurrent(t *testing.T) {
@@ -480,7 +517,6 @@ func TestDef2ImprovesDiversityOnCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Def1: %v", err)
 	}
-	opts.Definition = Def2
 	opts.Checker = NewCircuitCheckerFor(u)
 	r2, err := Procedure1(&u.Universe, opts)
 	if err != nil {

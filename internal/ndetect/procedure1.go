@@ -1,7 +1,6 @@
 package ndetect
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"sync"
@@ -9,27 +8,19 @@ import (
 	"ndetect/internal/sim"
 )
 
-// Definition selects how Procedure 1 counts detections (paper Section 4).
-type Definition int
-
-// The paper's two definitions of "detected n times".
-const (
-	// Def1: a fault is detected n times if the set contains n tests that
-	// detect it.
-	Def1 Definition = 1
-	// Def2: two tests only count as distinct detections of f if the
-	// partial vector of their common bits does not itself detect f. When a
-	// fault cannot reach n distinct detections under Def2, Procedure 1
-	// falls back to Def1 for that fault (as specified in the paper).
-	Def2 Definition = 2
-)
-
-// DistinctChecker is Definition 2's similarity oracle: Distinct(i, t1, t2)
-// reports whether tests t1 and t2 count as two different detections of
-// target fault i (i.e. whether the common-bits partial test t12 does NOT
-// detect the fault). Implementations must be safe for concurrent use.
+// DistinctChecker is Definition 2's similarity oracle (paper Section 4),
+// asked in the two batched forms Procedure 1 needs. Tests t1 and t2 count
+// as two different detections of target fault i when the partial test
+// t12, specified where they agree and X elsewhere, does NOT detect the
+// fault; a test is never distinct from itself. Implementations must be
+// safe for concurrent use.
 type DistinctChecker interface {
-	Distinct(faultIndex, t1, t2 int) bool
+	// DistinctAll reports whether v is distinct from every test in ds.
+	DistinctAll(faultIndex, v int, ds []int) bool
+	// FirstDistinct returns the index of the first candidate, in cands
+	// order, that is distinct from every test in ds, or -1 when none is
+	// (cands empty included). An empty ds accepts the first candidate.
+	FirstDistinct(faultIndex int, cands []int, ds []int) int
 }
 
 // Procedure1Options configures the random n-detection test set generator.
@@ -38,8 +29,12 @@ type Procedure1Options struct {
 	K    int   // number of test sets per n (paper: 10000 for Table 5, 1000 for Table 6)
 	Seed int64 // base seed; test set k uses a deterministic stream derived from (Seed, k)
 
-	Definition Definition      // Def1 (default) or Def2
-	Checker    DistinctChecker // required iff Definition == Def2
+	// Checker, when non-nil, selects Definition 2: two tests count as
+	// distinct detections of f only if Checker says so, and a fault that
+	// cannot reach n distinct detections falls back to Definition 1 (as
+	// the paper specifies). Nil selects Definition 1: a fault is detected
+	// n times if the set contains n tests that detect it.
+	Checker DistinctChecker
 
 	// Workers bounds the parallelism over test sets (default: GOMAXPROCS).
 	// Results are deterministic regardless of the worker count: each test
@@ -57,24 +52,14 @@ type Procedure1Options struct {
 	KeepTestSets bool
 }
 
-func (o *Procedure1Options) normalize() error {
+func (o *Procedure1Options) normalize() {
 	if o.NMax <= 0 {
 		o.NMax = 10
 	}
 	if o.K <= 0 {
 		o.K = 1000
 	}
-	if o.Definition == 0 {
-		o.Definition = Def1
-	}
-	if o.Definition == Def2 && o.Checker == nil {
-		return fmt.Errorf("ndetect: Definition 2 requires a DistinctChecker")
-	}
-	if o.Definition != Def1 && o.Definition != Def2 {
-		return fmt.Errorf("ndetect: unknown definition %d", o.Definition)
-	}
 	o.Workers = sim.ResolveWorkers(o.Workers)
-	return nil
 }
 
 // Procedure1Result aggregates the K runs.
@@ -114,9 +99,7 @@ func (r *Procedure1Result) P(n, j int) float64 {
 // direct construction — clone T(f) − Tk, count it, take its Intn(c)-th
 // member — so the result is identical.
 func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) {
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
+	opts.normalize()
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
@@ -138,19 +121,19 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 	}
 
 	p := newProc1(u, &opts)
-	// One setState per concurrently running test set, reused by the next
-	// set that worker takes (a pool, since ParallelFor names no workers).
-	states := sync.Pool{New: func() any { return p.newSetState() }}
+	// One setState per worker, reused by every set that worker takes.
+	states := make([]*setState, opts.Workers)
 
 	// Fan the K independent test-set streams over the §5 worker budget.
 	// Every merge into res is commutative (counters under mu), so the
 	// work-stealing completion order never shows in the result bytes.
 	var mu sync.Mutex
 	finished := 0
-	sim.ParallelFor(opts.Workers, opts.K, func(k int) {
-		s := states.Get().(*setState)
-		s.run(k, res, &mu)
-		states.Put(s)
+	sim.ParallelFor(opts.Workers, opts.K, func(w, k int) {
+		if states[w] == nil {
+			states[w] = p.newSetState()
+		}
+		states[w].run(k, res, &mu)
 		if opts.Progress != nil {
 			mu.Lock()
 			finished++
@@ -264,7 +247,7 @@ func (p *proc1) newSetState() *setState {
 		ends:  make([]int, p.opts.NMax),
 		sizes: make([]int, p.opts.NMax),
 	}
-	if p.opts.Definition == Def2 {
+	if p.opts.Checker != nil {
 		s.d2 = newDef2State(len(p.u.Targets), p.opts.Checker)
 	}
 	return s

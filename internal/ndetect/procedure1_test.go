@@ -163,13 +163,6 @@ func TestProcedure1UndetectableTargetIgnored(t *testing.T) {
 }
 
 func TestProcedure1OptionValidation(t *testing.T) {
-	u := &Universe{Size: 4, Targets: []Fault{{Name: "f", T: bitset.FromMembers(4, 0)}}}
-	if _, err := Procedure1(u, Procedure1Options{Definition: Def2}); err == nil {
-		t.Fatal("Def2 without checker accepted")
-	}
-	if _, err := Procedure1(u, Procedure1Options{Definition: 3}); err == nil {
-		t.Fatal("unknown definition accepted")
-	}
 	// Universe mismatch.
 	bad := &Universe{Size: 4, Targets: []Fault{{Name: "f", T: bitset.FromMembers(8, 0)}}}
 	if _, err := Procedure1(bad, Procedure1Options{}); err == nil {
@@ -291,13 +284,14 @@ func TestMixSpreads(t *testing.T) {
 // referenceProcedure1 is the direct construction Procedure1 replaced, kept
 // as the differential tests' oracle: exact Definition 1 counts kept up to
 // date through a vector → targets reverse index (fAt), a draw that clones
-// T(f) − Tk and indexes it with Nth, a Definition 2 pick over the
-// difference set's Members, and a snapshot of the detected untargeted
-// faults after every iteration.
-func referenceProcedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) {
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
+// T(f) − Tk and indexes it with Nth, and a snapshot of the detected
+// untargeted faults after every iteration. A non-nil pair oracle selects
+// Definition 2 (opts.Checker is not read): each target keeps its own
+// distinct list, updated eagerly as each test joins Tk by asking the
+// oracle one pair at a time, and the pick scans the difference set's
+// Members the same way.
+func referenceProcedure1(u *Universe, opts Procedure1Options, oracle pairChecker) (*Procedure1Result, error) {
+	opts.normalize()
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
@@ -332,22 +326,19 @@ func referenceProcedure1(u *Universe, opts Procedure1Options) (*Procedure1Result
 	}
 
 	var mu sync.Mutex
-	sim.ParallelFor(opts.Workers, opts.K, func(k int) {
-		referenceRunOne(u, &opts, k, fAt, gAt, res, &mu)
+	sim.ParallelFor(opts.Workers, opts.K, func(_, k int) {
+		referenceRunOne(u, &opts, oracle, k, fAt, gAt, res, &mu)
 	})
 	return res, nil
 }
 
-func referenceRunOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]int32, res *Procedure1Result, mu *sync.Mutex) {
+func referenceRunOne(u *Universe, opts *Procedure1Options, oracle pairChecker, k int, fAt, gAt [][]int32, res *Procedure1Result, mu *sync.Mutex) {
 	rng := rand.New(rand.NewSource(mix(opts.Seed, int64(k))))
 	tk := NewTestSet(u.Size)
 	def1Count := make([]int, len(u.Targets))
+	distinct := make([][]int, len(u.Targets)) // Definition 2 only
+	pairs := byDefinition{oracle}
 	gDetected := make([]bool, len(u.Untargeted))
-
-	var d2 *def2State
-	if opts.Definition == Def2 {
-		d2 = newDef2State(len(u.Targets), opts.Checker)
-	}
 
 	add := func(v int) {
 		if !tk.Add(v) {
@@ -355,6 +346,9 @@ func referenceRunOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]i
 		}
 		for _, fi := range fAt[v] {
 			def1Count[fi]++
+			if oracle != nil && pairs.DistinctAll(int(fi), v, distinct[fi]) {
+				distinct[fi] = append(distinct[fi], v)
+			}
 		}
 		for _, gj := range gAt[v] {
 			gDetected[gj] = true
@@ -367,29 +361,20 @@ func referenceRunOne(u *Universe, opts *Procedure1Options, k int, fAt, gAt [][]i
 	for n := 1; n <= opts.NMax; n++ {
 		for fi := range u.Targets {
 			f := &u.Targets[fi]
-			switch opts.Definition {
-			case Def1:
-				if def1Count[fi] >= n {
+			if oracle != nil {
+				if len(distinct[fi]) >= n {
 					continue
 				}
-				v, ok := pickRandomOutside(f.T, tk, rng)
-				if ok {
-					add(v)
-				}
-			case Def2:
-				if d2.countUpTo(fi, n, f, tk) >= n {
-					continue
-				}
-				if v, ok := referencePickDistinct(d2, fi, f, tk, rng); ok {
+				if v, ok := referencePickDistinct(pairs, fi, distinct[fi], f, tk, rng); ok {
 					add(v)
 					continue
 				}
-				if def1Count[fi] >= n {
-					continue
-				}
-				if v, ok := pickRandomOutside(f.T, tk, rng); ok {
-					add(v)
-				}
+			}
+			if def1Count[fi] >= n {
+				continue
+			}
+			if v, ok := pickRandomOutside(f.T, tk, rng); ok {
+				add(v)
 			}
 		}
 		var dets []int32
@@ -427,19 +412,17 @@ func pickRandomOutside(t *bitset.Set, tk *TestSet, rng *rand.Rand) (int, bool) {
 	return diff.Nth(rng.Intn(c)), true
 }
 
-// referencePickDistinct is def2State.pickDistinct over the difference
-// set's Members, scanning candidates one Distinct call at a time.
-func referencePickDistinct(s *def2State, i int, f *Fault, tk *TestSet, rng *rand.Rand) (int, bool) {
-	diff := f.T.Difference(tk.member)
-	cands := diff.Members()
+// referencePickDistinct shuffles the Members of T(f) − Tk, keeps the first
+// pickScanCap of them and returns the first the pair oracle calls distinct
+// from every member of ds.
+func referencePickDistinct(pairs byDefinition, i int, ds []int, f *Fault, tk *TestSet, rng *rand.Rand) (int, bool) {
+	cands := f.T.Difference(tk.member).Members()
 	rng.Shuffle(len(cands), func(a, b int) { cands[a], cands[b] = cands[b], cands[a] })
 	if len(cands) > pickScanCap {
 		cands = cands[:pickScanCap]
 	}
-	for _, v := range cands {
-		if s.isDistinct(i, v, s.distinct[i]) {
-			return v, true
-		}
+	if at := pairs.FirstDistinct(i, cands, ds); at >= 0 {
+		return cands[at], true
 	}
 	return 0, false
 }
@@ -483,16 +466,15 @@ func sameProcedure1(t *testing.T, label string, got, want *Procedure1Result) {
 }
 
 // checkAgainstReference runs Procedure1 at 1 and 3 workers and the
-// reference at 1, and requires identical results.
-func checkAgainstReference(t *testing.T, label string, u *Universe, opts Procedure1Options, refChecker DistinctChecker) {
+// reference at 1, and requires identical results. oracle is the
+// reference's pair oracle: nil under Definition 1, and under Definition 2
+// one that agrees with opts.Checker on every pair.
+func checkAgainstReference(t *testing.T, label string, u *Universe, opts Procedure1Options, oracle pairChecker) {
 	t.Helper()
 	opts.KeepTestSets = true
 	ref := opts
 	ref.Workers = 1
-	if refChecker != nil {
-		ref.Checker = refChecker
-	}
-	want, err := referenceProcedure1(u, ref)
+	want, err := referenceProcedure1(u, ref, oracle)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
@@ -540,7 +522,7 @@ func TestProcedure1MatchesReferenceOnCircuits(t *testing.T) {
 		checkAgainstReference(t, c.Name+"/def1", &u.Universe,
 			Procedure1Options{NMax: 10, K: 12, Seed: 5}, nil)
 		checkAgainstReference(t, c.Name+"/def2", &u.Universe,
-			Procedure1Options{NMax: 6, K: 4, Seed: 6, Definition: Def2, Checker: NewCircuitCheckerFor(u)},
+			Procedure1Options{NMax: 6, K: 4, Seed: 6, Checker: NewCircuitCheckerFor(u)},
 			newKernelChecker(u))
 	}
 	b, _ := bench.ByName("bbsse")
@@ -562,7 +544,7 @@ func TestProcedure1MatchesReferenceOnCircuits(t *testing.T) {
 		t.Fatal("bbsse has no target in the large memo layout")
 	}
 	checkAgainstReference(t, "bbsse/def2", &u.Universe,
-		Procedure1Options{NMax: 3, K: 2, Seed: 9, Definition: Def2, Checker: NewCircuitCheckerFor(u)},
+		Procedure1Options{NMax: 3, K: 2, Seed: 9, Checker: NewCircuitCheckerFor(u)},
 		newKernelChecker(u))
 }
 
@@ -583,7 +565,8 @@ func TestProcedure1MatchesReferenceOnEdgeUniverses(t *testing.T) {
 					checkAgainstReference(t, label+"/def1", u,
 						Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax)}, nil)
 					checkAgainstReference(t, label+"/def2", u,
-						Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax), Definition: Def2, Checker: hashChecker{}}, nil)
+						Procedure1Options{NMax: nmax, K: k, Seed: int64(size + nmax), Checker: byDefinition{hashChecker{}}},
+						hashChecker{})
 				}
 			}
 		}
@@ -644,9 +627,9 @@ func TestProcedure1DetectsEveryGuaranteedFault(t *testing.T) {
 		}
 	}
 	checks := 0
-	for _, def := range []Definition{Def1, Def2} {
+	for _, def := range []int{1, 2} {
 		names := hand
-		if def == Def1 {
+		if def == 1 {
 			names = append(slices.Clip(hand), "bbara", "opus")
 		}
 		for _, name := range names {
@@ -660,8 +643,8 @@ func TestProcedure1DetectsEveryGuaranteedFault(t *testing.T) {
 				t.Fatal(err)
 			}
 			wc := WorstCaseWorkers(&u.Universe, 0)
-			opts := Procedure1Options{NMax: 10, K: 50, Seed: 1, Definition: def}
-			if def == Def2 {
+			opts := Procedure1Options{NMax: 10, K: 50, Seed: 1}
+			if def == 2 {
 				opts.Checker = NewCircuitCheckerFor(u)
 			}
 			res, err := Procedure1(&u.Universe, opts)

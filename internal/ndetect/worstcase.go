@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 
 	"ndetect/internal/bitset"
 	"ndetect/internal/sim"
@@ -114,19 +113,17 @@ func WorstCaseWorkers(u *Universe, workers int) *WorstCaseResult {
 	units := newUnitRows(slab, u, workers)
 	n := len(u.Untargeted)
 	blocks := (n + worstCaseBlock - 1) / worstCaseBlock
-	bufs := sync.Pool{New: func() any { return &gWords{w: make([]uint64, (u.Size+63)/64)} }}
-	sim.ParallelFor(workers, blocks, func(b int) {
+	bufs := make([][]uint64, sim.ResolveWorkers(workers)) // per worker, for a factored T(g)
+	sim.ParallelFor(workers, blocks, func(w, b int) {
+		if bufs[w] == nil {
+			bufs[w] = make([]uint64, (u.Size+63)/64)
+		}
 		lo := b * worstCaseBlock
 		hi := min(lo+worstCaseBlock, n)
-		buf := bufs.Get().(*gWords)
-		slab.nminBlock(u.Untargeted[lo:hi], r.NMin[lo:hi], buf.w, units, lo)
-		bufs.Put(buf)
+		slab.nminBlock(u.Untargeted[lo:hi], r.NMin[lo:hi], bufs[w], units, lo)
 	})
 	return r
 }
-
-// gWords is one worker's buffer for a factored T(g).
-type gWords struct{ w []uint64 }
 
 // worstCaseBlock is WorstCaseWorkers' fan-out unit, in untargeted faults.
 // Blocks are fixed by index, so the seeds each fault sees — and with them
@@ -304,7 +301,7 @@ func newUnitRows(s *targetSlab, u *Universe, workers int) *unitRows {
 	nC := len(u.cols.Nodes)
 	r.col0 = len(victims)
 	r.rows = make([]uint64, (r.col0+2*nC)*r.words)
-	sim.ParallelFor(workers, r.col0+nC, func(t int) {
+	sim.ParallelFor(workers, r.col0+nC, func(_, t int) {
 		if t < r.col0 {
 			x := u.Targets[victims[t]].T
 			s.inRow(r.row(t), x.Words(), x.Count())

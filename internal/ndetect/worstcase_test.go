@@ -256,7 +256,7 @@ func TestEmptyUntargetedCoverage(t *testing.T) {
 func checkAgainstNMin(t *testing.T, label string, u *Universe) []int {
 	t.Helper()
 	want := make([]int, len(u.Untargeted))
-	sim.ParallelFor(0, len(want), func(j int) { want[j] = NMin(u.Untargeted[j], u.Targets) })
+	sim.ParallelFor(0, len(want), func(_, j int) { want[j] = NMin(u.Untargeted[j], u.Targets) })
 	for _, workers := range []int{1, 3} {
 		got := WorstCaseWorkers(u, workers).NMin
 		if len(got) != len(want) {

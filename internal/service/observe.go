@@ -70,9 +70,9 @@ type storeObserver struct {
 	dur *obs.HistogramVec
 }
 
-func (o storeObserver) Op(tier, op string) func(bytes int, ok bool) {
+func (o storeObserver) Op(tier, op string) func() {
 	t := obs.StartTimer()
-	return func(int, bool) { o.dur.Observe(tier+"_"+op, t.Seconds()) }
+	return func() { o.dur.Observe(tier+"_"+op, t.Seconds()) }
 }
 
 // Trace returns the span dump of one job: a live snapshot while the job

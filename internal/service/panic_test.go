@@ -40,7 +40,7 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 			case 1:
 				panic("inline")
 			case 2:
-				sim.ParallelFor(2, 64, func(i int) {
+				sim.ParallelFor(2, 64, func(_, i int) {
 					if i == 5 {
 						panic("worker")
 					}

@@ -213,14 +213,14 @@ type holdResultPuts struct {
 	started, release chan struct{}
 }
 
-func (h *holdResultPuts) Op(tier, op string) func(int, bool) {
+func (h *holdResultPuts) Op(tier, op string) func() {
 	if tier == store.ResultTier && op == "put" {
 		h.once.Do(func() {
 			close(h.started)
 			<-h.release
 		})
 	}
-	return func(int, bool) {}
+	return func() {}
 }
 
 // Wait returns only once the job's result is on disk. runJob moves a

@@ -107,8 +107,8 @@ func RunWorkers(c *Circuit, workers int) (*Exhaustive, error) {
 }
 
 // conesFor returns the compiled fanout cones of all requested lines,
-// compiling cache misses as one parallel batch with pooled compiler
-// scratch (engine.ConeCompiler reuses its node-count marking arrays across
+// compiling cache misses as one parallel batch with one compiler per
+// worker (engine.ConeCompiler reuses its node-count marking arrays across
 // an epoch counter, so a warm batch allocates only the programs
 // themselves). Compilation is a pure function of (program, line), so the
 // cached cones are identical for every worker count and batch order.
@@ -127,15 +127,13 @@ func (e *Exhaustive) conesFor(lines []int) []*engine.ConeProgram {
 	if len(missing) == 0 {
 		return cps
 	}
-	var pool sync.Pool
-	ParallelFor(e.Workers, len(missing), func(k int) {
-		cc, _ := pool.Get().(*engine.ConeCompiler)
-		if cc == nil {
-			cc = e.prog.NewConeCompiler()
+	ccs := make([]*engine.ConeCompiler, ResolveWorkers(e.Workers))
+	ParallelFor(e.Workers, len(missing), func(w, k int) {
+		if ccs[w] == nil {
+			ccs[w] = e.prog.NewConeCompiler()
 		}
 		i := missing[k]
-		cps[i] = cc.Compile(lines[i])
-		pool.Put(cc)
+		cps[i] = ccs[w].Compile(lines[i])
 	})
 	e.mu.Lock()
 	for _, i := range missing {

@@ -93,7 +93,7 @@ func defaultModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 	// does not depend on the worker count.
 	detectable := make([]bool, len(untargeted))
 	chunks := (len(untargeted) + factorChunk - 1) / factorChunk
-	ParallelFor(e.Workers, chunks, func(ci int) {
+	ParallelFor(e.Workers, chunks, func(_, ci int) {
 		for i := ci * factorChunk; i < min((ci+1)*factorChunk, len(untargeted)); i++ {
 			detectable[i] = tT[victim[i]].Intersects(cols.Set(column[i]))
 		}

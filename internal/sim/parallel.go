@@ -39,24 +39,19 @@ func SplitWorkers(workers, n int) (outer, inner int) {
 	return outer, inner
 }
 
-// ParallelFor runs fn(i) for every i in [0, n), fanned out over at most
+// ParallelFor runs fn(w, i) for every i in [0, n), fanned out over at most
 // `workers` goroutines pulling indices from a shared atomic counter (work
-// stealing, so heterogeneous per-index costs balance). workers ≤ 1 runs the
-// loop inline in index order. fn must write only to per-index state. It is
-// the one worker pool every parallel site in the engine shares (exp's
-// circuit fan-out included).
+// stealing, so heterogeneous per-index costs balance). w is the number of
+// the worker running the call, w < ResolveWorkers(workers), so callers can
+// keep per-worker scratch in a slice without synchronization. workers ≤ 1
+// runs the loop inline in index order, as worker 0. fn must write only to
+// per-index or per-worker state. It is the one worker pool every parallel
+// site in the engine shares (exp's circuit fan-out included).
 //
 // A panic in fn never escapes on a worker goroutine, where nothing could
 // recover it: the pool stops handing out indices, joins, and re-raises the
 // first panic on the calling goroutine, as the inline loop would.
-func ParallelFor(workers, n int, fn func(i int)) {
-	parallelFor(workers, n, func(_, i int) { fn(i) })
-}
-
-// parallelFor is ParallelFor that also passes fn the number w of the
-// worker running it, w < ResolveWorkers(workers), so callers can keep
-// per-worker state in a slice without synchronization.
-func parallelFor(workers, n int, fn func(w, i int)) {
+func ParallelFor(workers, n int, fn func(w, i int)) {
 	workers = ResolveWorkers(workers)
 	if workers > n {
 		workers = n

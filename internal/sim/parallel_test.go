@@ -50,7 +50,7 @@ func TestBlockWordsForStaysClamped(t *testing.T) {
 func TestParallelForVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 32} {
 		hits := make([]int, 1000)
-		ParallelFor(workers, len(hits), func(i int) { hits[i]++ })
+		ParallelFor(workers, len(hits), func(_, i int) { hits[i]++ })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, h)
@@ -147,7 +147,7 @@ func TestParallelForReraisesWorkerPanic(t *testing.T) {
 		var ran atomic.Int64
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			ParallelFor(workers, n, func(i int) {
+			ParallelFor(workers, n, func(_, i int) {
 				ran.Add(1)
 				if i == 3 {
 					panic("boom")
@@ -165,7 +165,7 @@ func TestParallelForReraisesWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestParallelForWorkerNumbers: parallelFor passes every call a worker
+// TestParallelForWorkerNumbers: ParallelFor passes every call a worker
 // number below the resolved worker count, and calls with one number never
 // overlap, so per-worker state needs no lock (-race checks the plain
 // counters below).
@@ -173,7 +173,7 @@ func TestParallelForWorkerNumbers(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
 		calls := make([]int, ResolveWorkers(workers))
 		hits := make([]int, 1000)
-		parallelFor(workers, len(hits), func(w, i int) {
+		ParallelFor(workers, len(hits), func(w, i int) {
 			calls[w]++
 			hits[i]++
 		})

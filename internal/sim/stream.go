@@ -60,7 +60,7 @@ func (e *Exhaustive) blockTasks(items, maxRegs int, forced bool, fn func(k, lo i
 	}
 	blocks := blockRanges(nWords, blockWords)
 	scratch := make([]*blockScratch, ResolveWorkers(e.Workers))
-	parallelFor(e.Workers, len(blocks)*items, func(w, t int) {
+	ParallelFor(e.Workers, len(blocks)*items, func(w, t int) {
 		s := scratch[w]
 		if s == nil {
 			s = &blockScratch{

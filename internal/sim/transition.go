@@ -59,11 +59,11 @@ func transitionModelTSets(e *Exhaustive, targets, untargeted []fault.Descriptor,
 
 	step("transition-tsets")
 	tT := make([]*bitset.Set, len(targets))
-	ParallelFor(e.Workers, len(targets), func(i int) {
+	ParallelFor(e.Workers, len(targets), func(_, i int) {
 		tT[i] = liftEitherCoordinate(saT[i], size, pairSize)
 	})
 	lifted := make([]*bitset.Set, len(untargeted))
-	ParallelFor(e.Workers, len(untargeted), func(j int) {
+	ParallelFor(e.Workers, len(untargeted), func(_, j int) {
 		if inits[j].IsEmpty() || dets[j].IsEmpty() {
 			return // undetectable: no initializing or no launching vector
 		}

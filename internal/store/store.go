@@ -46,17 +46,15 @@ type Options struct {
 	MaxBytes int64
 }
 
-// Observer observes store I/O for latency histograms and throughput
-// accounting (DESIGN.md §14). Op is called as one tier operation
-// ("get"/"put") starts; the returned function is called when it
-// completes with the artifact size moved (0 on a miss or failure) and
-// whether it hit/succeeded. All timing happens inside the
+// Observer observes store I/O for latency histograms (DESIGN.md §14).
+// Op is called as one tier operation ("get"/"put") starts; the returned
+// function is called when it completes. All timing happens inside the
 // implementation (obs.Recorder-side), never in this package — store
 // artifacts are pure functions of their keys and the lint contract
 // keeps the clock out of here (DESIGN.md §13). Observations must never
 // influence what the store returns.
 type Observer interface {
-	Op(tier, op string) (done func(bytes int, ok bool))
+	Op(tier, op string) (done func())
 }
 
 // TierCounters is a snapshot of one tier's monitoring counters.
@@ -176,20 +174,19 @@ func (s *Store) SetObserver(o Observer) {
 }
 
 // observe opens one observation; the returned function is never nil.
-func (s *Store) observe(tier, op string) func(bytes int, ok bool) {
+func (s *Store) observe(tier, op string) func() {
 	s.mu.Lock()
 	o := s.obs
 	s.mu.Unlock()
 	if o == nil {
-		return func(int, bool) {}
+		return func() {}
 	}
 	return o.Op(tier, op)
 }
 
 // put writes one artifact crash-safely and evicts for space.
-func (s *Store) put(tier, key string, data []byte) (err error) {
-	done := s.observe(tier, "put")
-	defer func() { done(len(data), err == nil) }()
+func (s *Store) put(tier, key string, data []byte) error {
+	defer s.observe(tier, "put")()
 	path := s.path(tier, key)
 	if err := writeFileAtomic(path, data); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -219,9 +216,8 @@ func (s *Store) put(tier, key string, data []byte) (err error) {
 // externally deleted file is a miss. The file read happens with the lock
 // released — universe artifacts reach hundreds of megabytes, and one
 // read must not stall every other store operation.
-func (s *Store) get(tier, key string) (artifact []byte, found bool) {
-	done := s.observe(tier, "get")
-	defer func() { done(len(artifact), found) }()
+func (s *Store) get(tier, key string) ([]byte, bool) {
+	defer s.observe(tier, "get")()
 	path := s.path(tier, key)
 	id := tier + "/" + key
 	s.mu.Lock()

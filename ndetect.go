@@ -23,6 +23,7 @@
 //
 //	res, _ := ndetect.Procedure1(&u.Universe, ndetect.Procedure1Options{NMax: 10, K: 1000})
 //	fmt.Println(res.P(10, 0)) // detection probability of fault 0
+//	def2 := ndetect.Procedure1Options{NMax: 10, K: 1000, Checker: ndetect.NewDef2Checker(u)} // Definition 2
 //
 // Benchmark circuits (surrogates for the paper's MCNC suite) are available
 // via Benchmarks and LoadBenchmark; see DESIGN.md for what is surrogate and
@@ -98,9 +99,8 @@ type (
 	AnalyzeOptions = core.AnalyzeOptions
 	// Procedure1Result holds detection statistics over the K runs.
 	Procedure1Result = core.Procedure1Result
-	// Definition selects Definition 1 or Definition 2 counting.
-	Definition = core.Definition
-	// DistinctChecker is Definition 2's similarity oracle.
+	// DistinctChecker is Definition 2's similarity oracle; a non-nil
+	// Procedure1Options.Checker selects Definition 2.
 	DistinctChecker = core.DistinctChecker
 	// Benchmark is one circuit of the embedded benchmark suite.
 	Benchmark = bench.Benchmark
@@ -116,12 +116,6 @@ const (
 	Xnor = circuit.Xnor
 	Not  = circuit.Not
 	Buf  = circuit.Buf
-)
-
-// Definitions of "detected n times" (paper Section 4).
-const (
-	Def1 = core.Def1
-	Def2 = core.Def2
 )
 
 // Unbounded is the nmin value of faults no n-detection test set is ever
@@ -232,7 +226,8 @@ func Procedure1(u *Universe, opts Procedure1Options) (*Procedure1Result, error) 
 }
 
 // NewDef2Checker builds Definition 2's similarity oracle for a circuit
-// universe, backed by memoized 3-valued fault simulation.
+// universe, backed by memoized 3-valued fault simulation. Passed as
+// Procedure1Options.Checker, it selects Definition 2.
 func NewDef2Checker(u *CircuitUniverse) DistinctChecker {
 	return core.NewCircuitCheckerFor(u)
 }

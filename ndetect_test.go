@@ -183,7 +183,7 @@ func TestFacadeDef2EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadBenchmark: %v", err)
 	}
-	opts := Procedure1Options{NMax: 3, K: 30, Seed: 2, Definition: Def2, Checker: NewDef2Checker(u)}
+	opts := Procedure1Options{NMax: 3, K: 30, Seed: 2, Checker: NewDef2Checker(u)}
 	res, err := Procedure1(&u.Universe, opts)
 	if err != nil {
 		t.Fatalf("Procedure1(Def2): %v", err)
